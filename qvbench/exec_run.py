@@ -1,9 +1,10 @@
 """One run of ``exec_read`` or ``exec_rw``.
 
-``--trace 0``: the stream for ``--seconds`` on the three engines.
-``--trace 1``: the stream for half the time untraced (per-engine queries/s
-and p50), then half traced (per-layer numbers); the difference in engine
-time per query is the tracing overhead.
+``--trace 0``: the run's rounds of the stream on the three engines.
+``--trace 1``: half as many rounds twice, untraced (per-engine queries/s
+and p50) and then traced on freshly built engines (per-layer numbers),
+so both see the same inserts at the same database sizes; the difference
+in engine time per query is the tracing overhead.
 """
 
 from __future__ import annotations
@@ -28,33 +29,32 @@ from common import (
 )
 from loadgen import percentile
 
-#: Upper bound on steps per second, for sizing the pre-drawn stream.
-_MAX_STEPS_PER_S = 2000
-
 
 def run(workload: str, seed: int, seconds: float, trace: bool) -> Report:
     from repro.sql import parse
 
     pin_to_one_cpu()
     engines, setup_s = ew.build_engines()
-    texts = ew.stream(seed, int(seconds * _MAX_STEPS_PER_S) + len(ew.FAMILIES))
+    span = seconds / 2 if trace else seconds
+    texts = ew.stream(seed, ew.rounds_for(workload, span) * len(ew.FAMILIES))
     parsed = {text: parse(text) for text in set(texts)}
     queries = [parsed[text] for text in texts]
-    inserts = None
+    batches = [()] * len(texts)
     if workload == "exec_rw":
-        inserts = ew.Inserter(seed, engines[0].database)
+        inserter = ew.Inserter(seed, engines[0].database)
+        batches = [inserter.batch() for _ in texts]
     stamp = provenance(
         workload,
         seed,
-        digest_of([texts, _database_digest(engines[0].database), workload]),
+        digest_of([texts, batches, _database_digest(engines[0].database)]),
     )
+    time_limit = ew.OVERRUN * span
     if trace:
-        return _traced(workload, engines, queries, inserts, seconds, stamp)
-    phase, _ = ew.run_phase(engines, queries, inserts, seconds)
-    _log_phase(workload, phase)
+        return _traced(workload, engines, queries, batches, time_limit, stamp)
+    phase = ew.run_phase(engines, queries, batches, time_limit)
+    _log_phase(workload, phase, len(queries))
     stamp["slowdown"] = median(phase.slowdowns)
     pooled = sorted(x for samples in phase.latency_ms.values() for x in samples)
-    failed = phase.mismatches
     values = {
         "setup_s": setup_s,
         "p50_ms": percentile(pooled, 0.50),
@@ -62,9 +62,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Report:
         "max_rps": median(phase.round_rates()),
         "cpu_ms_per_req": median(phase.round_cpu_ms()),
         "peak_rss_mb": self_peak_rss_mb(),
-        "ok_frac": ratio(phase.steps - failed, phase.steps),
+        "ok_frac": ratio(phase.steps - phase.failed, phase.steps),
     }
-    return Report(failed == 0, phase.steps, failed, with_units(values, END_TO_END), stamp)
+    return Report(
+        phase.failed == 0, phase.steps, phase.failed, with_units(values, END_TO_END), stamp
+    )
 
 
 def _database_digest(database) -> str:
@@ -74,7 +76,9 @@ def _database_digest(database) -> str:
     )
 
 
-def _log_phase(workload: str, phase: ew.Phase) -> None:
+def _log_phase(workload: str, phase: ew.Phase, planned: int) -> None:
+    if phase.steps < planned:
+        log(f"  {workload}: stopped after {phase.steps} of {planned} steps (time limit)")
     for name in ew.ENGINES:
         log(
             f"  {workload} {name:8s} {phase.steps / phase.elapsed_s[name]:8.1f} q/s"
@@ -90,15 +94,16 @@ def _counters(engines) -> dict[str, int]:
     return totals
 
 
-def _traced(workload, engines, queries, inserts, seconds, stamp) -> Report:
-    plain, cursor = ew.run_phase(engines, queries, inserts, seconds / 2)
-    _log_phase(workload, plain)
+def _traced(workload, engines, queries, batches, time_limit, stamp) -> Report:
+    plain = ew.run_phase(engines, queries, batches, time_limit)
+    _log_phase(workload, plain, len(queries))
+    engines = ew.fresh_engines()
     recorder = tracing.Recorder()
     tracing.install_relational(recorder)
     on_gc = recorder.install_gc()
     before = _counters(engines)
     started = time.perf_counter()
-    traced, _ = ew.run_phase(engines, queries, inserts, seconds / 2, start=cursor)
+    traced = ew.run_phase(engines, queries, batches, time_limit)
     window = (started, time.perf_counter())
     after = _counters(engines)
     gc.callbacks.remove(on_gc)
@@ -155,7 +160,7 @@ def _traced(workload, engines, queries, inserts, seconds, stamp) -> Report:
     for name in ew.ENGINES:
         values[f"{name}.qps"] = ratio(plain.steps, plain.elapsed_s[name])
         values[f"{name}.p50_ms"] = median(plain.latency_ms[name])
-    failed = plain.mismatches + traced.mismatches
+    failed = plain.failed + traced.failed
     attempted = plain.steps + traced.steps
     log(f"  traced {steps} steps, overhead {values['trace.overhead_pct']:.1f}%")
     return Report(failed == 0, attempted, failed, with_units(values, PER_LAYER), stamp)

@@ -8,10 +8,15 @@ results must agree under the four-engine differential contract (set
 equality; order-aware for ranked queries).  ``exec_rw`` inserts a small
 seeded batch into the fact tables of every copy before each step, and the
 insert time counts toward that engine's elapsed time.
+
+A run is a fixed number of rounds, not a wall-clock span: ``exec_rw``'s
+tables grow with every step, so a run that stopped at a deadline would
+measure a faster program on a larger database.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -29,6 +34,14 @@ DATABASE_ROWS = 4000
 DATABASE_SEED = 7
 ENGINES = ("rows", "columnar", "sql")
 SETUPS = 3
+
+#: Rounds per second of ``--seconds``: about the rate at the calibration
+#: loop's reference speed (the 2-vCPU virtual machine the sizes were
+#: chosen on), so a run measures about ``--seconds`` there.
+ROUNDS_PER_S = {"exec_read": 11.0, "exec_rw": 2.0}
+#: A run still going after this many times ``--seconds`` stops at the next
+#: round boundary, so a large regression ends in bounded time.
+OVERRUN = 3.0
 
 _GENRES = (1, 2, 3, 4)
 _MEDIA = (1, 2)
@@ -131,6 +144,11 @@ FAMILIES: tuple[tuple[str, str, tuple[tuple, ...]], ...] = (
         ((1,), (10,), (100,)),
     ),
 )
+
+
+def rounds_for(workload: str, seconds: float) -> int:
+    """How many rounds a run of ``seconds`` makes."""
+    return max(1, round(seconds * ROUNDS_PER_S[workload]))
 
 
 def all_queries() -> list[str]:
@@ -284,12 +302,17 @@ class Engine:
     batch: object
 
 
-def build_engines() -> tuple[list[Engine], float]:
-    """Three engines over identical databases, warmed; returns the median
-    set-up time of :data:`SETUPS` builds (the last build is kept), divided
-    by the machine's slowdown sampled around them."""
-    from repro.relational import BatchExecutor, ExecutionMode
+@functools.cache
+def _warm_queries() -> list:
     from repro.sql import parse
+
+    return [parse(text) for text in all_queries()]
+
+
+def fresh_engines() -> list[Engine]:
+    """Three engines over identical databases, each warmed by one pass
+    over every (family, literal) query."""
+    from repro.relational import BatchExecutor, ExecutionMode
     from repro.workloads import scaled_bench_database
 
     modes = {
@@ -297,18 +320,26 @@ def build_engines() -> tuple[list[Engine], float]:
         "columnar": ExecutionMode.COLUMNAR,
         "sql": ExecutionMode.SQL,
     }
-    warm = [parse(text) for text in all_queries()]
+    engines = []
+    for name in ENGINES:
+        database = scaled_bench_database(total_rows=DATABASE_ROWS, seed=DATABASE_SEED)
+        batch = BatchExecutor(database, mode=modes[name])
+        for query in _warm_queries():
+            batch.execute(query)
+        engines.append(Engine(name, database, batch))
+    return engines
+
+
+def build_engines() -> tuple[list[Engine], float]:
+    """:func:`fresh_engines`, :data:`SETUPS` times; returns the last set
+    and the median set-up time, divided by the machine's slowdown sampled
+    around the builds."""
+    _warm_queries()
     times = []
     slowdown = [slowdown_sample()]
     for _ in range(SETUPS):
         started = time.perf_counter()
-        engines = []
-        for name in ENGINES:
-            database = scaled_bench_database(total_rows=DATABASE_ROWS, seed=DATABASE_SEED)
-            batch = BatchExecutor(database, mode=modes[name])
-            for query in warm:
-                batch.execute(query)
-            engines.append(Engine(name, database, batch))
+        engines = fresh_engines()
         times.append(time.perf_counter() - started)
         slowdown.append(slowdown_sample())
     return engines, median(times) / median(slowdown)
@@ -321,7 +352,8 @@ class Phase:
     steps: int
     latency_ms: dict[str, list[float]]
     elapsed_s: dict[str, float]
-    mismatches: int
+    #: Steps on which some engine disagreed with the rows engine.
+    failed: int
     #: Per round: (engine seconds, CPU seconds) summed over the engines.
     rounds: list[tuple[float, float]]
     #: Per round: the machine's slowdown sampled after it.
@@ -343,18 +375,15 @@ class Phase:
 
 
 def run_phase(
-    engines: list[Engine],
-    queries: list,
-    inserts: Inserter | None,
-    seconds: float,
-    start: int = 0,
-) -> tuple[Phase, int]:
-    """Run the stream from ``start`` for ``seconds`` of wall time, stopping
-    at a round boundary; returns the phase and where the stream stopped.
+    engines: list[Engine], queries: list, batches: list, time_limit: float
+) -> Phase:
+    """Run ``queries`` (whole rounds), inserting ``batches[i]`` into every
+    engine's database before step ``i``.
 
-    Every timing is divided by the slowdown sampled right after its round,
-    so rounds run while other tenants load the machine compare with rounds
-    run while it is idle.
+    Stops early, at a round boundary, only once ``time_limit`` seconds
+    have passed.  Every timing is divided by the slowdown sampled right
+    after its round, so rounds run while other tenants load the machine
+    compare with rounds run while it is idle.
     """
     latency = {engine.name: [] for engine in engines}
     elapsed = {engine.name: 0.0 for engine in engines}
@@ -362,14 +391,10 @@ def run_phase(
     rounds: list[tuple[float, float]] = []
     slowdowns: list[float] = []
     round_wall = round_cpu = 0.0
-    mismatches = 0
-    round_size = len(FAMILIES)
-    deadline = time.perf_counter() + seconds
-    index = start
+    failed = 0
     clock, cpu_clock = time.perf_counter, time.process_time
-    while index < len(queries):
-        query = queries[index]
-        batch = inserts.batch() if inserts is not None else ()
+    deadline = clock() + time_limit
+    for index, (query, batch) in enumerate(zip(queries, batches)):
         results = []
         for engine in engines:
             c0 = cpu_clock()
@@ -383,11 +408,12 @@ def run_phase(
             pending[engine.name].append(t1 - t0)
             results.append(result)
         reference = results[0]
-        for outcome in results[1:]:
-            if not agree(query, engines[0].database, reference, outcome):
-                mismatches += 1
-        index += 1
-        if (index - start) % round_size == 0:
+        if not all(
+            agree(query, engines[0].database, reference, outcome)
+            for outcome in results[1:]
+        ):
+            failed += 1
+        if (index + 1) % len(FAMILIES) == 0:
             slowdown = slowdown_sample(2)
             for name, samples in pending.items():
                 latency[name] += [x * 1000.0 / slowdown for x in samples]
@@ -398,5 +424,4 @@ def run_phase(
             round_wall = round_cpu = 0.0
             if clock() >= deadline:
                 break
-    steps = (index - start) // round_size * round_size
-    return Phase(steps, latency, elapsed, mismatches, rounds, slowdowns), index
+    return Phase(len(rounds) * len(FAMILIES), latency, elapsed, failed, rounds, slowdowns)

@@ -54,12 +54,38 @@ class PhaseResult:
     started: float
     finished: float
     bodies: dict[str, bytes] = field(default_factory=dict)
+    #: Calibration pauses, ``(start, end, slowdown reading)``, each taken
+    #: while nothing was in flight; the first just before the phase
+    #: starts, the last just after it ends.
+    calibrations: list[tuple[float, float, float]] = field(default_factory=list)
 
     def latencies_ms(self) -> list[float]:
         """Due-time latencies of the answered (HTTP 200) requests."""
         return sorted(
             (o.done - o.due) * 1000.0 for o in self.outcomes if o.status == 200
         )
+
+    @property
+    def paused(self) -> float:
+        """Seconds of calibration pauses inside the phase."""
+        return sum(end - start for start, end, _ in self.calibrations[1:-1])
+
+    def stretches(self) -> list[tuple[float, float, float]]:
+        """``(start, end, slowdown)`` of each stretch between pauses.
+
+        No request is in flight at a pause, so every request lies in one
+        stretch; a stretch's slowdown is the mean of the readings taken on
+        either side of it.
+        """
+        readings = self.calibrations
+        edges = [self.started]
+        for start, end, _ in readings[1:-1]:
+            edges += [start, end]
+        edges.append(self.finished)
+        return [
+            (edges[2 * j], edges[2 * j + 1], (readings[j][2] + readings[j + 1][2]) / 2)
+            for j in range(len(readings) - 1)
+        ]
 
 
 def poisson_offsets(rng: random.Random, rate: float, count: int) -> list[float]:
@@ -145,9 +171,14 @@ def run_phase(
 ) -> PhaseResult:
     """Send ``payloads[i]`` when ``offsets[i]`` falls due; wait for all answers.
 
-    ``calibrate``, when given, is called every :data:`CALIBRATION_PERIOD_S`
-    of the phase; it times the calibration loop on the CPU the server
-    shares with this process.
+    ``calibrate``, when given, returns a slowdown reading of the CPU the
+    server shares with this process; it is taken before the phase, about
+    every :data:`CALIBRATION_PERIOD_S` during it, and after it.  It runs
+    only while the server is idle: once it is due, no request is sent
+    until every answer in flight is in, so the reading never includes the
+    program's own work.  Requests that fall due meanwhile wait in the
+    backlog and are timed from their due time as usual; the pauses are
+    returned as ``calibrations``.
 
     A request whose connection breaks or that gets no answer within
     :data:`REQUEST_TIMEOUT_S` is recorded with status 0 (failed) and its
@@ -185,29 +216,43 @@ def run_phase(
     lateness: list[float] = []
     depth: list[int] = []
     bodies: dict[str, bytes] = {}
+    calibrations: list[tuple[float, float, float]] = []
     n = len(payloads)
     clock = time.perf_counter
+
+    def pause() -> float:
+        began = clock()
+        reading = calibrate()
+        resumed = clock()
+        calibrations.append((began, resumed, reading))
+        return resumed
+
     collecting = gc.isenabled()
     gc.disable()
     try:
         for _ in range(connections):
             open_connection()
+        if calibrate is not None:
+            pause()
         start = clock() + 0.005
         next_calibration = start + CALIBRATION_PERIOD_S
+        calibration_due = False
         next_index = 0
         while next_index < n or backlog or len(idle) < len(conns):
             now = clock()
             if calibrate is not None and now >= next_calibration:
-                calibrate()
+                calibration_due = True
+            if calibration_due and len(idle) == len(conns):
+                now = pause()
+                calibration_due = False
                 next_calibration = now + CALIBRATION_PERIOD_S
-                now = clock()
             while next_index < n and start + offsets[next_index] <= now:
                 due = start + offsets[next_index]
                 lateness.append(now - due)
                 backlog.append((next_index, due))
                 depth.append(len(backlog))
                 next_index += 1
-            while idle and backlog:
+            while idle and backlog and not calibration_due:
                 conn = idle.popleft()
                 index, due = backlog.popleft()
                 conn.request = (index, due, clock())
@@ -241,6 +286,9 @@ def run_phase(
             for conn in list(conns):
                 if conn.request is not None and now - conn.request[2] > REQUEST_TIMEOUT_S:
                     drop(conn)
+        finished = clock()
+        if calibrate is not None:
+            pause()
     finally:
         if collecting:
             gc.enable()
@@ -252,6 +300,7 @@ def run_phase(
         lateness=lateness,
         backlog=depth,
         started=start,
-        finished=clock(),
+        finished=finished,
         bodies=bodies,
+        calibrations=calibrations,
     )

@@ -1,16 +1,23 @@
 """One run of ``serve_zipf``.
 
-``--trace 0``: the open-loop nominal window (p50 from due time, server
-CPU per request), then the closed-loop capacity phase (``max_rps``, and
-p99 of the time each request spent from send to answer).
-``--trace 1``: the nominal window twice on fresh servers, plain then
-traced, with the same requests; the per-layer numbers come from the
-traced one, and the CPU difference is the tracing overhead.
+``--trace 0``: after the warm-up, five cycles of an open-loop window
+chunk (p50 from due time) and a closed-loop capacity chunk (``max_rps``,
+and p99 of the time each request spent from send to answer), so both
+sample the machine across the whole run; server CPU per request over
+all of them.
+``--trace 1``: the nominal window, as one chunk, twice on fresh servers,
+plain then traced, with the same requests; the per-layer numbers come
+from the traced one, and the CPU difference is the tracing overhead.
 
 The server, this load generator and the calibration loop share one CPU
-(``common.pin_to_one_cpu``); timings are divided by the machine's
-slowdown, the median of calibration samples taken every half second of
-the measured phases (``common.slowdown_sample``).
+(``common.pin_to_one_cpu``), and timings are divided by the machine's
+slowdown (``common.slowdown_sample``), read while the server has no
+request in flight: before each server start for ``setup_s``, and around
+and about every half second of the measured chunks for the rest.  Host
+speed drifts within a run, so each capacity latency, and the time and
+server CPU of each stretch of a chunk, is divided by the readings next
+to it (``loadgen.PhaseResult.stretches``).  The window's p50 is not
+divided: it does not follow the loop's speed (README.md).
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from common import (
     pin_to_one_cpu,
     provenance,
     ratio,
-    slowdown_sample,
     with_units,
 )
 
@@ -43,44 +49,68 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Report:
     inputs = sw.build_inputs(seed, seconds, capacity=not trace)
     log(
         f"{workload}: {len(inputs.requests)} requests, "
-        f"{len(inputs.references)} distinct texts, nominal {inputs.nominal} "
-        f"at {sw.RATE:g}/s"
+        f"{len(inputs.references)} distinct texts, chunks "
+        + " ".join(f"{chunk.kind} {chunk.count}" for chunk in inputs.chunks)
     )
     stamp = provenance(workload, seed, inputs.digest())
     pin_to_one_cpu()
     if trace:
         return _traced(inputs, stamp)
-    slowdown = [slowdown_sample(5)]
-    server, setup_s = sw.start_server(sw.plain_argv())
+    setup_slowdown: list[float] = []
+    server, setup_s = sw.start_server(sw.plain_argv(), setup_slowdown)
     try:
-        slowdown.append(slowdown_sample(5))
         warm = sw.warm(server, inputs)
-        nominal = sw.nominal_step(server, inputs, slowdown)
-        capacity = sw.capacity_step(server, inputs, slowdown)
+        steps = sw.run_chunks(server, inputs, calibrated=True)
         peak_rss = server.peak_rss_mb()
     finally:
         server.stop()
-    attempted, failed = sw.verify(inputs, [warm, nominal, capacity])
-    latencies = nominal.result.latencies_ms()
+    window = [s for chunk, s in zip(inputs.chunks, steps) if chunk.kind == "window"]
+    capacity = [s for chunk, s in zip(inputs.chunks, steps) if chunk.kind == "capacity"]
+    attempted, failed = sw.verify(inputs, [warm, *steps])
+    answered = sum(step.answered for step in capacity)
+    stamp["slowdown"] = {
+        "setup": median(setup_slowdown),
+        "window": median([x for step in window for x in step.readings()]),
+        "capacity": median([x for step in capacity for x in step.readings()]),
+    }
+    stamp["traffic"] = sw.traffic(inputs, steps)
+    latencies = sorted(x for step in window for x in step.result.latencies_ms())
     service = sorted(
-        (o.done - o.sent) * 1000.0 for o in capacity.result.outcomes if o.status == 200
+        (o.done - o.sent) * 1000.0
+        for step in capacity
+        for o in step.result.outcomes
+        if o.status == 200
     )
-    factor = median(slowdown)
-    stamp["slowdown"] = factor
     log(
-        f"  window: p50 {loadgen.percentile(latencies, 0.5):.2f} p99 "
-        f"{loadgen.percentile(latencies, 0.99):.2f} ms from due time over "
-        f"{len(latencies)}, late p99 {nominal.late_p99_ms:.2f} ms, backlog max "
-        f"{nominal.backlog_max}; capacity {capacity.rate:.1f}/s, p99 "
-        f"{loadgen.percentile(service, 0.99):.2f} ms over {len(service)}; "
-        f"slowdown {factor:.3f} (all raw)"
+        f"  setup {setup_s:.3f} s; window: p50 {loadgen.percentile(latencies, 0.5):.2f} "
+        f"p99 {loadgen.percentile(latencies, 0.99):.2f} ms from due time over "
+        f"{len(latencies)}, late p99 {max(s.late_p99_ms for s in window):.2f} ms, backlog "
+        f"max {max(s.backlog_max for s in window)}; capacity "
+        f"{answered / sum(s.seconds for s in capacity):.1f}/s, p99 "
+        f"{loadgen.percentile(service, 0.99):.2f} ms over {len(service)}; cpu "
+        f"{sum(s.cpu_s for s in steps) * 1000.0 / sum(s.answered for s in steps):.3f} ms"
+        " (all raw); slowdown "
+        + " ".join(f"{stretch} {value:.3f}" for stretch, value in stamp["slowdown"].items())
     )
+    for step in capacity:
+        log(
+            f"    capacity chunk: {step.answered / step.seconds:.1f}/s raw, "
+            f"{step.answered / step.reference_seconds():.1f}/s, p99 "
+            f"{loadgen.percentile(sorted(step.reference_service_ms()), 0.99):.2f} ms, "
+            f"slowdown {median(step.readings()):.3f}"
+        )
     values = {
-        "setup_s": setup_s / factor,
-        "p50_ms": loadgen.percentile(latencies, 0.50) / factor,
-        "p99_ms": loadgen.percentile(service, 0.99) / factor,
-        "max_rps": capacity.rate * factor,
-        "cpu_ms_per_req": nominal.cpu_ms / factor,
+        "setup_s": setup_s / median(setup_slowdown),
+        # Not divided by the slowdown: at a third of capacity the window's
+        # latency is mostly wake-ups and system calls, and it stayed flat
+        # while the loop's readings moved by 40 % (README.md).
+        "p50_ms": loadgen.percentile(latencies, 0.50),
+        "p99_ms": loadgen.percentile(
+            sorted(x for step in capacity for x in step.reference_service_ms()), 0.99
+        ),
+        "max_rps": answered / sum(step.reference_seconds() for step in capacity),
+        "cpu_ms_per_req": sum(step.reference_cpu_s() for step in steps)
+        * 1000.0 / sum(step.answered for step in steps),
         "peak_rss_mb": peak_rss,
         "ok_frac": ratio(attempted - failed, attempted),
     }
@@ -93,7 +123,7 @@ def _traced(inputs: sw.Inputs, stamp: dict) -> Report:
     plain = sw.Server(sw.plain_argv())
     try:
         plain_warm = sw.warm(plain, inputs)
-        plain_nominal = sw.nominal_step(plain, inputs)
+        [plain_nominal] = sw.run_chunks(plain, inputs)
     finally:
         plain.stop()
     spans_path = ROOT / ".qvbench" / f"spans-{os.getpid()}.json"
@@ -104,7 +134,7 @@ def _traced(inputs: sw.Inputs, stamp: dict) -> Report:
     )
     try:
         warm = sw.warm(traced, inputs)
-        nominal = sw.nominal_step(traced, inputs)
+        [nominal] = sw.run_chunks(traced, inputs)
         stats = traced.stats()
     finally:
         traced.stop()
@@ -113,6 +143,7 @@ def _traced(inputs: sw.Inputs, stamp: dict) -> Report:
     finally:
         spans_path.unlink(missing_ok=True)
     attempted, failed = sw.verify(inputs, [plain_warm, plain_nominal, warm, nominal])
+    stamp["traffic"] = sw.traffic(inputs, [nominal])
     values = layer_metrics(inputs, nominal, dump, stats)
     values["trace.overhead_pct"] = ratio(
         (nominal.cpu_ms - plain_nominal.cpu_ms) * 100.0, plain_nominal.cpu_ms

@@ -12,6 +12,7 @@ with it for the CPU.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import http.client
 import json
@@ -24,11 +25,11 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import loadgen
-from common import ROOT, log, median, program_env, slowdown_sample
+from common import ROOT, median, program_env, slowdown_sample
 
 FORMATS = ("svg", "dot", "text")
 #: Every non-empty subset of the output formats, in a fixed order.
@@ -43,21 +44,38 @@ MAX_DEPTH = 6
 CONNECTIONS = min(2, os.cpu_count() or 1)
 #: Setups per run; ``setup_s`` is their median.
 SETUPS = 3
+#: How long a calibration pause waits, once the last answer is in, before
+#: it reads the server's CPU time and the machine's speed: the server still
+#: has work to finish after it writes an answer (the rest of the request's
+#: coroutine, bookkeeping), and on the shared CPU that work would run
+#: inside the calibration loop.
+SETTLE_S = 0.001
 
 #: Nominal arrival rate (requests/s) of the open-loop window.  It keeps
 #: the server about a third busy, so the window measures answers rather
 #: than a queue that a burst of contention on the machine would grow.
 RATE = 300.0
 #: Share of ``--seconds`` the open-loop window lasts.
-WINDOW_SHARE = 0.6
+WINDOW_SHARE = 0.5
 #: Requests, per second of ``--seconds``, sent as fast as the connections
-#: allow before the window (cache fill, lazy imports) and after it (the
-#: closed-loop capacity phase behind ``max_rps``).
+#: allow before the window (cache fill, lazy imports) and in the
+#: closed-loop capacity phase behind ``max_rps``.
 WARMUP_PER_S = 100.0
-CAPACITY_PER_S = 250.0
+CAPACITY_PER_S = 350.0
+#: The window and the capacity phase alternate in this many chunks each,
+#: so both sample the machine across the whole run rather than in one
+#: stretch each: host speed drifts over seconds.
+CYCLES = 5
 
+#: Traffic assumptions.  No measured query log stands behind these
+#: values; they set how often the text memo, the response LRU and the
+#: compile path answer, so every run reports the shares they produce
+#: (:func:`traffic`) and README.md lists them.
+#:
 #: Pool size (four times the 1,024-entry response LRU), rank-frequency
-#: exponent, and the share of repeat draws that re-spell the text.
+#: exponent, and the share of repeat draws that re-spell the text; the
+#: re-spelling kind and the requested formats (one of the 7 non-empty
+#: subsets) are drawn uniformly.
 ZIPF_POOL = 4096
 ZIPF_SKEW = 1.2
 #: The pool and its popularity order are a fixed corpus, like a benchmark
@@ -72,6 +90,8 @@ RESPELLINGS = ("ws", "order", "alias")
 class Request:
     text: str
     formats: tuple[str, ...]
+    #: ``canonical`` or the re-spelling kind (one of :data:`RESPELLINGS`).
+    kind: str = "canonical"
 
     def payload(self) -> bytes:
         body = json.dumps({"sql": self.text, "formats": list(self.formats)})
@@ -175,7 +195,7 @@ def zipf_text(job: tuple[int, str]) -> tuple[Request, Reference]:
     schema, formats, query_seed = _draw(f"zipf-entry:{CORPUS_SEED}:{entry}")
     query = _generate(schema, query_seed)
     text = format_query(query) if kind == "canonical" else respell(query, kind)
-    return Request(text, formats), _reference(text, FORMATS)
+    return Request(text, formats, kind), _reference(text, FORMATS)
 
 
 def _pool_map(function, jobs: list) -> list:
@@ -197,6 +217,18 @@ def _pool_map(function, jobs: list) -> list:
 # --------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True)
+class Chunk:
+    """One stretch of the stream after the warm-up, sent as one phase."""
+
+    #: ``window`` (open loop at :data:`RATE`) or ``capacity`` (closed loop).
+    kind: str
+    first: int
+    count: int
+    #: Window due times, in seconds from the chunk's start.
+    offsets: tuple[float, ...] = ()
+
+
 @dataclass
 class Inputs:
     """Requests in send order plus what each must be answered with."""
@@ -204,15 +236,22 @@ class Inputs:
     requests: list[Request]
     references: dict[str, Reference]
     warmup: int
-    nominal: int
-    offsets: list[float]
+    #: After the warm-up, in send order.
+    chunks: list[Chunk]
+
+    def first_sent(self) -> dict[str, int]:
+        """Index of the first request that carries each text."""
+        first: dict[str, int] = {}
+        for index, request in enumerate(self.requests):
+            first.setdefault(request.text, index)
+        return first
 
     def digest(self) -> str:
         from common import digest_of
 
         return digest_of(
             [[r.text, list(r.formats)] for r in self.requests]
-            + [[round(x, 9) for x in self.offsets]]
+            + [[c.kind, c.count, [round(x, 9) for x in c.offsets]] for c in self.chunks]
         )
 
 
@@ -226,12 +265,30 @@ def sizes(seconds: float) -> tuple[int, int, int]:
 
 
 def build_inputs(seed: int, seconds: float, capacity: bool = True) -> Inputs:
-    """The run's requests: warm-up, nominal window, then (if ``capacity``)
-    the capacity phase."""
+    """The run's requests: the warm-up, then :data:`CYCLES` cycles of a
+    window chunk and a capacity chunk; without ``capacity``, the warm-up
+    and the whole window as one chunk."""
     warmup, nominal, closed = sizes(seconds)
-    requests, references = _zipf_stream(seed, warmup + nominal + (closed if capacity else 0))
-    offsets = loadgen.poisson_offsets(random.Random(f"arrivals:{seed}"), RATE, nominal)
-    return Inputs(requests, references, warmup, nominal, offsets)
+    cycles = CYCLES if capacity else 1
+    arrivals = random.Random(f"arrivals:{seed}")
+    chunks = []
+    first = warmup
+    for cycle in range(cycles):
+        count = _part(nominal, cycles, cycle)
+        offsets = tuple(loadgen.poisson_offsets(arrivals, RATE, count))
+        chunks.append(Chunk("window", first, count, offsets))
+        first += count
+        if capacity:
+            count = _part(closed, cycles, cycle)
+            chunks.append(Chunk("capacity", first, count))
+            first += count
+    requests, references = _zipf_stream(seed, first)
+    return Inputs(requests, references, warmup, chunks)
+
+
+def _part(total: int, parts: int, index: int) -> int:
+    """Size of part ``index`` when ``total`` is split into ``parts``."""
+    return total * (index + 1) // parts - total * index // parts
 
 
 def _zipf_stream(seed: int, total: int):
@@ -328,13 +385,16 @@ def plain_argv() -> list[str]:
     return [sys.executable, "-m", "repro", "serve", "--port", "0"]
 
 
-def start_server(argv: list[str]) -> tuple[Server, float]:
+def start_server(argv: list[str], slowdowns: list[float]) -> tuple[Server, float]:
     """Start the server :data:`SETUPS` times; keep the last one.
 
-    Returns it with the median time from spawn to ``serving on``.
+    Returns it with the median time from spawn to ``serving on``.  Before
+    each spawn, while no server runs, a speed sample is appended to
+    ``slowdowns``.
     """
     times = []
     for attempt in range(SETUPS):
+        slowdowns.append(slowdown_sample(5))
         server = Server(argv)
         times.append(server.setup_s)
         if attempt < SETUPS - 1:
@@ -352,14 +412,57 @@ class Step:
     """One phase of the run."""
 
     result: loadgen.PhaseResult
-    #: Server CPU milliseconds per answered request.
-    cpu_ms: float
+    #: Server CPU seconds over the phase.
+    cpu_s: float
+    #: Server CPU seconds read at each calibration pause (the server is
+    #: idle then), in the order of ``result.calibrations``.
+    cpu_marks: list[float] = field(default_factory=list)
 
     @property
-    def rate(self) -> float:
-        """Answers per second over the phase."""
-        answered = sum(1 for o in self.result.outcomes if o.status == 200)
-        return answered / (self.result.finished - self.result.started)
+    def answered(self) -> int:
+        return sum(1 for o in self.result.outcomes if o.status == 200)
+
+    @property
+    def cpu_ms(self) -> float:
+        """Server CPU milliseconds per answered request."""
+        return self.cpu_s * 1000.0 / max(self.answered, 1)
+
+    @property
+    def seconds(self) -> float:
+        """Length of the phase, calibration pauses left out."""
+        return self.result.finished - self.result.started - self.result.paused
+
+    def readings(self) -> list[float]:
+        return [reading for _, _, reading in self.result.calibrations]
+
+    def reference_seconds(self) -> float:
+        """:attr:`seconds` at the reference speed: each stretch between
+        calibration pauses divided by its slowdown."""
+        return sum(
+            (end - start) / slowdown for start, end, slowdown in self.result.stretches()
+        )
+
+    def reference_cpu_s(self) -> float:
+        """:attr:`cpu_s` at the reference speed: the server CPU of each
+        stretch divided by its slowdown."""
+        return sum(
+            (after - before) / slowdown
+            for before, after, (_, _, slowdown) in zip(
+                self.cpu_marks, self.cpu_marks[1:], self.result.stretches()
+            )
+        )
+
+    def reference_service_ms(self) -> list[float]:
+        """Send-to-answer times of the answered requests, each divided by
+        its stretch's slowdown."""
+        stretches = self.result.stretches()
+        starts = [start for start, _, _ in stretches]
+        return [
+            (o.done - o.sent) * 1000.0
+            / stretches[max(0, bisect.bisect_right(starts, o.sent) - 1)][2]
+            for o in self.result.outcomes
+            if o.status == 200
+        ]
 
     @property
     def late_p99_ms(self) -> float:
@@ -372,50 +475,83 @@ class Step:
 
 def run_step(
     server: Server, inputs: Inputs, first: int, count: int,
-    offsets: list[float] | None, slowdowns: list[float] | None = None,
+    offsets: tuple[float, ...], calibrated: bool = False,
 ) -> Step:
     """Send requests ``first .. first+count``.
 
-    ``offsets`` are due times from the phase start (open loop); ``None``
+    ``offsets`` are due times from the phase start (open loop); empty
     sends every request as soon as a connection is free (closed loop).
-    Speed samples taken during the phase are appended to ``slowdowns``.
+    ``calibrated`` takes speed readings around and during the phase,
+    each while no request is in flight, and reads the server's CPU time
+    at each.
     """
     payloads = [r.payload() for r in inputs.requests[first : first + count]]
-    calibrate = None
-    if slowdowns is not None:
-        calibrate = lambda: slowdowns.append(slowdown_sample(1))  # noqa: E731
+    cpu_marks: list[float] = []
+
+    def calibrate() -> float:
+        time.sleep(SETTLE_S)
+        cpu_marks.append(server.cpu_s())
+        return slowdown_sample(1)
+
     before = server.cpu_s()
     result = loadgen.run_phase(
-        server.host, server.port, payloads,
-        [0.0] * count if offsets is None else offsets, CONNECTIONS, calibrate,
+        server.host, server.port, payloads, list(offsets) or [0.0] * count,
+        CONNECTIONS, calibrate if calibrated else None,
     )
     cpu_s = server.cpu_s() - before
     for outcome in result.outcomes:
         outcome.index += first
-    answered = sum(1 for o in result.outcomes if o.status == 200)
-    return Step(result, cpu_s * 1000.0 / max(answered, 1))
+    return Step(result, cpu_s, cpu_marks)
 
 
 def warm(server: Server, inputs: Inputs) -> Step:
     """The warm-up prefix, closed loop."""
-    return run_step(server, inputs, 0, inputs.warmup, None)
+    return run_step(server, inputs, 0, inputs.warmup, ())
 
 
-def nominal_step(server: Server, inputs: Inputs, slowdowns: list[float] | None = None) -> Step:
-    """The open-loop window at the nominal rate."""
-    return run_step(server, inputs, inputs.warmup, inputs.nominal, inputs.offsets, slowdowns)
+def run_chunks(server: Server, inputs: Inputs, calibrated: bool = False) -> list[Step]:
+    """Every chunk after the warm-up, in send order.
 
-
-def capacity_step(server: Server, inputs: Inputs, slowdowns: list[float] | None = None) -> Step:
-    """Closed loop over every connection: the rate the server sustains.
-
-    With a request always waiting, the backlog is full and the answer
-    rate is the server's capacity: the highest rate it can be offered
-    without the backlog growing.  Over the whole phase, so the full
-    collections it triggers count in proportion.
+    A capacity chunk is a closed loop over every connection: with a
+    request always waiting, the backlog is full and the answer rate is
+    the server's capacity, the highest rate it can be offered without the
+    backlog growing.
     """
-    first = inputs.warmup + inputs.nominal
-    return run_step(server, inputs, first, len(inputs.requests) - first, None, slowdowns)
+    return [
+        run_step(server, inputs, chunk.first, chunk.count, chunk.offsets, calibrated)
+        for chunk in inputs.chunks
+    ]
+
+
+def traffic(inputs: Inputs, steps: list[Step]) -> dict:
+    """What the traffic assumptions produce over ``steps``.
+
+    The assumed parameters, then shares of the steps' requests: whose
+    exact text was sent earlier in the run (the text memo can answer
+    them), that re-spell an earlier text, and that the response LRU, a
+    coalesced compile or a compile of their own answered
+    (``X-Repro-Served``).
+    """
+    first_sent = inputs.first_sent()
+    outcomes = [o for step in steps for o in step.result.outcomes]
+    answered = [o for o in outcomes if o.status == 200]
+    sent = [(o.index, inputs.requests[o.index]) for o in outcomes]
+
+    def share(count: int, whole: list) -> float:
+        return round(count / max(len(whole), 1), 4)
+
+    return {
+        "zipf_skew": ZIPF_SKEW,
+        "zipf_pool": ZIPF_POOL,
+        "respell_share": RESPELL_SHARE,
+        "requests": len(outcomes),
+        "text_repeat": share(sum(first_sent[r.text] < i for i, r in sent), outcomes),
+        "respelled": share(sum(r.kind != "canonical" for _, r in sent), outcomes),
+        **{
+            f"served_{layer}": share(sum(o.served == layer for o in answered), answered)
+            for layer in ("lru", "coalesced", "compile")
+        },
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -431,9 +567,7 @@ def verify(inputs: Inputs, steps: list[Step]) -> tuple[int, int]:
     spelling sent earlier in the same ``(fingerprint, roles)`` class —
     the dedupe contract of ``DiagramCompiler``.
     """
-    first_sent: dict[str, int] = {}
-    for index, request in enumerate(inputs.requests):
-        first_sent.setdefault(request.text, index)
+    first_sent = inputs.first_sent()
     members: dict[tuple[str, str], list[tuple[int, Reference]]] = {}
     for text, index in first_sent.items():
         reference = inputs.references[text]

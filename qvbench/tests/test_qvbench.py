@@ -12,7 +12,11 @@ import json
 import shutil
 import subprocess
 import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,8 +29,10 @@ import common  # noqa: E402
 common.import_program()
 
 import exec_workload as ew  # noqa: E402
+import loadgen  # noqa: E402
 import run  # noqa: E402
 import serve_workload as sw  # noqa: E402
+import tracing  # noqa: E402
 
 
 def _bench(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
@@ -46,7 +52,8 @@ def test_tiny_run_prints_every_metric(workload: str, trace: int) -> None:
         "--workload", workload, "--seed", "3", "--seconds", "1", "--trace", str(trace)
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     catalogue = common.PER_LAYER if trace else common.END_TO_END
     assert {name: m["unit"] for name, m in result["metrics"].items()} == catalogue
@@ -54,6 +61,15 @@ def test_tiny_run_prints_every_metric(workload: str, trace: int) -> None:
     if not trace:
         assert result["metrics"]["ok_frac"]["value"] == 1.0
         assert all(m["value"] > 0 for m in result["metrics"].values())
+    stamp = json.loads(lines[-2])["provenance"]
+    if workload.startswith("serve"):
+        shares = stamp["traffic"]
+        served = shares["served_lru"] + shares["served_coalesced"] + shares["served_compile"]
+        assert served == pytest.approx(1.0, abs=1e-3)
+        assert 0 < shares["text_repeat"] < 1 and shares["zipf_skew"] == sw.ZIPF_SKEW
+    elif not trace:
+        rounds = ew.rounds_for(workload, 1)
+        assert result["attempted"] == rounds * len(ew.FAMILIES)
 
 
 def test_benchmark_json_names_the_catalogue() -> None:
@@ -97,6 +113,83 @@ def test_respellings_reach_the_caches_at_different_depths() -> None:
                 assert reference.key == base.key
             seen[kind] += 1
     assert all(seen.values())
+
+
+def test_exec_step_fails_once_however_many_engines_disagree() -> None:
+    """Two engines disagreeing on a step is one failed step, not two."""
+    from repro.sql import parse
+
+    def engine(name: str, columns: tuple) -> ew.Engine:
+        result = SimpleNamespace(columns=columns, rows=[], as_set=frozenset)
+        return ew.Engine(name, None, SimpleNamespace(execute=lambda _query: result))
+
+    engines = [engine("rows", ("a",)), engine("columnar", ("b",)), engine("sql", ("c",))]
+    queries = [parse(text) for text in ew.stream(1, 2 * len(ew.FAMILIES))]
+    phase = ew.run_phase(engines, queries, [()] * len(queries), time_limit=60.0)
+    assert phase.steps == len(queries)
+    assert phase.failed == len(queries)
+
+
+def test_serve_calibration_waits_until_nothing_is_in_flight(monkeypatch) -> None:
+    """The speed sample never competes with the server for the CPU."""
+    in_flight = []
+    served = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self) -> None:
+            in_flight.append(1)
+            self.rfile.read(int(self.headers["Content-Length"]))
+            time.sleep(0.001 * (1 + len(served) % 4))
+            served.append(1)
+            in_flight.pop()
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+
+        def log_message(self, *args) -> None:
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setattr(loadgen, "CALIBRATION_PERIOD_S", 0.005)
+    busy_samples = []
+    samples = []
+
+    def calibrate() -> float:
+        samples.append(1)
+        busy_samples.extend(in_flight)
+        return 1.0
+
+    try:
+        payloads = [loadgen.http_post("/compile", b"{}")] * 200
+        result = loadgen.run_phase(
+            "127.0.0.1", server.server_address[1], payloads, [0.0] * 200, 2, calibrate
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert all(o.status == 200 for o in result.outcomes) and len(result.outcomes) == 200
+    assert len(samples) > 2 and not busy_samples
+    assert 0 < result.paused < result.finished - result.started
+    stretches = result.stretches()
+    assert len(stretches) == len(samples) - 1
+    assert stretches[0][0] == result.started and stretches[-1][1] == result.finished
+
+
+def test_watched_span_is_kept_only_when_the_watched_value_moves() -> None:
+    recorder = tracing.Recorder()
+    memo = SimpleNamespace(misses=0)
+
+    def lookup(target, miss: bool) -> None:
+        target.misses += miss
+
+    traced = recorder.wrap("memo", lookup, watch=lambda target, *_args: target.misses)
+    traced(memo, False)
+    traced(memo, True)
+    traced(memo, False)
+    assert [span[tracing.NAME] for span in recorder.spans] == ["memo"]
 
 
 def test_reference_check_counts_a_wrong_answer() -> None:

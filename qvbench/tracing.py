@@ -52,12 +52,18 @@ class Recorder:
     def current_request(self) -> int:
         return getattr(self._local, "request", 0) or self.request.get()
 
-    def wrap(self, name: str, function):
-        """``function`` recording one span named ``name`` per call."""
+    def wrap(self, name: str, function, watch=None):
+        """``function`` recording one span named ``name`` per call.
+
+        With ``watch``, the span is kept only when ``watch(*args)`` reads
+        differently after the call than before it (for example, a miss
+        counter that only moves when the call did the work).
+        """
         clock = time.perf_counter
 
         @functools.wraps(function)
         def traced(*args, **kwargs):
+            before = watch(*args) if watch is not None else None
             stack = self._stack()
             span_id = next(self._ids)
             parent = stack[-1] if stack else 0
@@ -68,9 +74,10 @@ class Recorder:
             finally:
                 end = clock()
                 stack.pop()
-                self.spans.append(
-                    (span_id, name, start, end, parent, self.current_request(), None)
-                )
+                if watch is None or watch(*args) != before:
+                    self.spans.append(
+                        (span_id, name, start, end, parent, self.current_request(), None)
+                    )
 
         return traced
 
@@ -244,9 +251,13 @@ def install_relational(recorder: Recorder) -> None:
     )
     Database.insert = recorder.wrap("relational.database.insert", Database.insert)
 
+    # A subquery span only when the memo missed, that is, the plan ran.
     for method in ("subquery_exists", "subquery_values"):
-        original = getattr(ExecutionContext, method)
-        setattr(ExecutionContext, method, _miss_only(recorder, original))
+        setattr(ExecutionContext, method, recorder.wrap(
+            "relational.executor.subquery",
+            getattr(ExecutionContext, method),
+            watch=lambda context, *_args: context.stats.subquery_misses,
+        ))
 
     seen: dict[int, int] = {}
     original_refresh = ExecutionContext.refresh
@@ -261,31 +272,6 @@ def install_relational(recorder: Recorder) -> None:
         return original_refresh(self)
 
     ExecutionContext.refresh = refresh
-
-
-def _miss_only(recorder: Recorder, original):
-    """Record a subquery span only when the memo missed (it ran the plan)."""
-    clock = time.perf_counter
-
-    @functools.wraps(original)
-    def traced(self, *args, **kwargs):
-        misses = self.stats.subquery_misses
-        stack = recorder._stack()
-        span_id = next(recorder._ids)
-        parent = stack[-1] if stack else 0
-        stack.append(span_id)
-        start = clock()
-        try:
-            return original(self, *args, **kwargs)
-        finally:
-            end = clock()
-            stack.pop()
-            if self.stats.subquery_misses != misses:
-                recorder.spans.append(
-                    (span_id, "relational.executor.subquery", start, end, parent, 0, None)
-                )
-
-    return traced
 
 
 # --------------------------------------------------------------------- #
