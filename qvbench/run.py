@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 import common
@@ -29,6 +30,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
+    # SIGTERM unwinds like an error, so every ``finally`` stops and waits
+    # for the processes it started.
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         common.import_program()
     except common.SetupError as error:
@@ -42,6 +46,10 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({"provenance": report.provenance}), flush=True)
     common.emit(report.correct, report.attempted, report.failed, report.metrics)
     return 0
+
+
+def _exit_on_signal(signum: int, _frame) -> None:
+    raise SystemExit(128 + signum)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ with it for the CPU.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import hashlib
 import http.client
 import json
@@ -198,17 +199,42 @@ def zipf_text(job: tuple[int, str]) -> tuple[Request, Reference]:
     return Request(text, formats, kind), _reference(text, FORMATS)
 
 
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int):
+    """A hook, run first in a child, after which the kernel kills the
+    child when ``parent`` dies, even by SIGKILL, so nothing this
+    benchmark starts outlives it."""
+    libc = ctypes.CDLL(None, use_errno=True)
+
+    def arm() -> None:
+        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the parent died before the call
+            os._exit(1)
+
+    return arm
+
+
 def _pool_map(function, jobs: list) -> list:
-    """``map`` over two spawned worker processes (one when there is one CPU)."""
+    """``map`` over two forked worker processes (one when there is one CPU).
+
+    Forked, not spawned: the ``spawn`` and ``forkserver`` pools start a
+    resource-tracker process that nobody waits for and that outlives the
+    run.  This process runs no threads yet, so forking it is safe.  The
+    workers are stopped and waited for on every path out, and die with
+    this process if it is killed.
+    """
     workers = min(2, os.cpu_count() or 1)
     if workers == 1 or len(jobs) < 64:
         return [function(job) for job in jobs]
-    context = multiprocessing.get_context("spawn")
-    pool = context.Pool(workers)
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_die_with_parent(os.getpid())
+    )
     try:
         return pool.map(function, jobs, chunksize=32)
     finally:
-        pool.close()
+        pool.terminate()
         pool.join()
 
 
@@ -330,6 +356,7 @@ class Server:
             env=program_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
+            preexec_fn=_die_with_parent(os.getpid()),
         )
         line = self._readline(deadline=started + 60.0)
         match = re.search(rb"serving on http://([\d.]+):(\d+)", line)

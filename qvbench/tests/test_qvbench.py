@@ -9,7 +9,9 @@ Tier-1 (``pytest -x -q`` at the root) collects only ``tests/`` and
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -235,6 +237,72 @@ def test_stream_agrees_with_the_naive_oracle(writes: bool) -> None:
             assert ew.agree(query, engines["naive"][0], results["naive"], results[name]), (
                 name, text,
             )
+
+
+def _marked(marker: str) -> dict[int, str]:
+    """Command lines of the live processes whose environment holds ``marker``."""
+    found = {}
+    for entry in Path("/proc").iterdir():
+        try:
+            if marker.encode() in (entry / "environ").read_bytes().split(b"\0"):
+                cmdline = (entry / "cmdline").read_bytes().replace(b"\0", b" ")
+                found[int(entry.name)] = cmdline.decode()
+        except (OSError, ValueError):
+            continue
+    return found
+
+
+def _children() -> list[int]:
+    """Pids of the live child processes of this process."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text()
+        except (OSError, ValueError):
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
+            children.append(int(entry.name))
+    return children
+
+
+def test_reference_pool_leaves_no_process() -> None:
+    """The worker pool starts no helper that outlives it."""
+    jobs = list(range(-100, 0))
+    assert sw._pool_map(abs, jobs) == [-job for job in jobs]
+    assert _children() == []
+
+
+@pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGKILL), ids=("TERM", "KILL"))
+def test_stopped_run_leaves_no_process(signum: int) -> None:
+    """Stopped while its server is serving, a run leaves no process behind."""
+    marker = f"QVBENCH_TEST_RUN={os.getpid()}-{signum}"
+    name, value = marker.split("=")
+    proc = subprocess.Popen(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "serve_zipf",
+         "--seed", "3", "--seconds", "2", "--trace", "0"],
+        cwd=ROOT, env={**os.environ, name: value},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        # The last of the set-up servers is the one that serves the run.
+        servers: set[int] = set()
+        deadline = time.monotonic() + 120
+        while len(servers) < sw.SETUPS:
+            assert proc.poll() is None and time.monotonic() < deadline
+            servers |= {pid for pid, cmd in _marked(marker).items() if "repro serve" in cmd}
+            time.sleep(0.01)
+        time.sleep(1.0)
+        assert proc.poll() is None
+        proc.send_signal(signum)
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode != 0 and b'"metrics"' not in out
+    deadline = time.monotonic() + 10
+    while _marked(marker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _marked(marker) == {}
 
 
 def test_tier1_collects_no_benchmark_test() -> None:
