@@ -68,9 +68,9 @@ class ExecutionBackend(abc.ABC):
     they serve and register an *instance* via :func:`register_backend`.
     Backends share the caller's :class:`~.executor.ExecutionContext` — plans,
     scans and memoized subqueries are engine-independent, and per-engine
-    state (columnar tables, the SQLite store) hangs off the context's
-    version-invalidated caches so database growth invalidates everything
-    uniformly.
+    state (columnar tables, the SQLite store) hangs off the context too.
+    When the database grows the context drops plans and memoized
+    subqueries, while the data mirrors append the new rows.
     """
 
     #: The mode this backend serves (set by subclasses).

@@ -13,18 +13,19 @@ whole run:
   *all* queries of the batch (subquery cache) — frozen AST nodes make the
   subquery itself a safe cache key.
 
-The database is treated as read-only for the duration of a batch; interleave
-inserts only between batches (the scan cache keys on row counts, so plain
-inserts invalidate naturally, but in-place row mutation would not).
+Inserts may come between any two queries: the context drops its plans and
+subquery results when the database grows, and its data mirrors append the
+new rows.  The database API is append-only; mutating rows in place behind
+it is not detected.
 
 ``disk_cache=`` additionally persists query *results* to a
 :class:`~repro.pipeline.diskcache.DiskCache` store, keyed on the query, the
-schema and the database's row-count version — so a fresh process replaying
-yesterday's workload against unchanged data serves results straight from
-disk.  The same trust rules as the diagram pipeline apply: corrupt,
-version-mismatched or foreign entries are evicted and recomputed, and any
-growth of the database invalidates every persisted result naturally (the
-version participates in the key).
+schema and :meth:`~.database.Database.content_digest` — so a fresh process
+replaying yesterday's workload against the same data serves results
+straight from disk, and a database with other rows, even as many of them,
+never shares a result.  The same trust rules as the diagram pipeline
+apply: corrupt, version-mismatched or foreign entries are evicted and
+recomputed.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class BatchExecutor:
             disk_cache = DiskCache(Path(disk_cache))
         self._disk_cache = disk_cache
         # Results are only trustworthy for exactly this schema; the
-        # row-count version participates per lookup (it changes mid-batch
+        # content digest participates per lookup (it changes mid-batch
         # when callers insert between runs).
         self._disk_namespace = f"exec|{database.schema!r}"
         self._result_disk_hits = 0
@@ -155,7 +156,7 @@ class BatchExecutor:
         digest = stable_key_digest(
             self._disk_namespace,
             _RESULT_STAGE,
-            (query, self._db.total_rows()),
+            (query, self._db.content_digest()),
         )
         found, cached = disk.get(digest, _RESULT_STAGE)
         if found and isinstance(cached, ResultSet):

@@ -95,6 +95,15 @@ def _family(value: Value) -> str:
     return "num" if isinstance(value, (int, float)) else "str"
 
 
+def _merge_families(left: str, right: str) -> str:
+    """The family of two vectors placed end to end."""
+    if left == right or right == "empty":
+        return left
+    if left == "empty":
+        return right
+    return "mixed"
+
+
 def _families_of(values: Sequence[Value]) -> str:
     """The family of a materialized vector: num, str, mixed or empty."""
     families = set()
@@ -143,9 +152,30 @@ class Column:
                     pass
         return cls(list(values), family)
 
+    def extended(self, values: list[Value]) -> "Column":
+        """This column followed by ``values``, stored as :meth:`from_values`
+        would store the whole.
+
+        A list column of at least one value stays a list: whatever made it
+        one (a string, a second Python type, an int beyond int64, no NumPy)
+        is still in it.  A NumPy column grows by concatenation while
+        ``values`` fit its dtype, and is loaded again in full otherwise.
+        """
+        if not values:
+            return self
+        if isinstance(self.data, list):
+            if not self.data:
+                return Column.from_values(values)
+            family = _merge_families(self.family, _families_of(values))
+            return Column(self.data + values, family)
+        tail = Column.from_values(values)
+        if isinstance(tail.data, _np.ndarray) and tail.data.dtype == self.data.dtype:
+            return Column(_np.concatenate((self.data, tail.data)), self.family)
+        return Column.from_values(self.data.tolist() + values)
+
 
 class ColumnarTable:
-    """A relation loaded column-major, built once per database version."""
+    """A relation loaded column-major, extended as the relation grows."""
 
     __slots__ = ("name", "columns", "cols", "nrows")
 
@@ -162,6 +192,20 @@ class ColumnarTable:
             for name in relation.columns
         ]
         return cls(relation.name, relation.columns, cols)
+
+    def extend(self, relation: Relation) -> None:
+        """Append ``relation``'s rows beyond the :attr:`nrows` held here.
+
+        The result equals :meth:`from_relation` on the grown relation.
+        Columns get new data objects, so frames built before the call keep
+        reading the rows they started with.
+        """
+        tail = relation.rows[self.nrows:]
+        self.cols = [
+            column.extended([row[name] for row in tail])
+            for name, column in zip(self.columns, self.cols)
+        ]
+        self.nrows += len(tail)
 
 
 # ---------------------------------------------------------------------- #

@@ -5,18 +5,28 @@ attribute order of the schema is preserved for deterministic iteration).  The
 database is deliberately simple — its job is to give the SQL executor and the
 FOL/logic-tree evaluator a common ground truth so we can check that every
 transformation in the QueryVis pipeline preserves query semantics.
+
+Tables are append-only: the API inserts rows and never updates or deletes
+them, so a table's row count is a monotonic per-table version.  Data
+mirrors built from a table (the executors' scan tuples, columnar tables and
+sqlite store, and :meth:`Database.content_digest`) record how many rows
+they hold and later take in only ``relation.rows[held:]``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..catalog.schema import Schema, Table
 from .errors import UnknownColumnError, UnknownTableError
+from .stats import stable_row_hash
 from .values import Value
 
 Row = dict[str, Value]
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -27,8 +37,8 @@ class Relation:
     columns: tuple[str, ...]
     rows: list[Row] = field(default_factory=list)
 
-    def insert(self, values: Sequence[Value] | Mapping[str, Value]) -> Row:
-        """Insert one row given either positional values or a mapping."""
+    def insert(self, values: Sequence[Value] | Mapping[str, Value]) -> None:
+        """Append one row given either positional values or a mapping."""
         if isinstance(values, Mapping):
             unknown = set(values) - set(self.columns)
             if unknown:
@@ -43,7 +53,6 @@ class Relation:
                 )
             row = dict(zip(self.columns, values))
         self.rows.append(row)
-        return row
 
     def column_values(self, column: str) -> list[Value]:
         """All values of one column (bag semantics, in insertion order)."""
@@ -68,13 +77,17 @@ class Database:
             self._relations[table.name.lower()] = Relation(
                 name=table.name, columns=table.attribute_names
             )
+        #: Per table: (rows hashed so far, their hash sum mod 2**64).
+        self._digests: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # loading data
     # ------------------------------------------------------------------ #
 
-    def insert(self, table_name: str, values: Sequence[Value] | Mapping[str, Value]) -> Row:
-        """Insert a single row into ``table_name``.
+    def insert(
+        self, table_name: str, values: Sequence[Value] | Mapping[str, Value]
+    ) -> None:
+        """Append a single row to ``table_name``.
 
         When ``values`` is a mapping, columns that are not mentioned receive a
         type-appropriate default (empty string / 0 / 0.0) because the
@@ -92,8 +105,9 @@ class Database:
                 raise UnknownColumnError(
                     f"columns {sorted(unknown)} do not exist in {table.name}"
                 )
-            return self.relation(table_name).insert(filled)
-        return self.relation(table_name).insert(values)
+            self.relation(table_name).insert(filled)
+        else:
+            self.relation(table_name).insert(values)
 
     def insert_many(
         self, table_name: str, rows: Iterable[Sequence[Value] | Mapping[str, Value]]
@@ -142,3 +156,27 @@ class Database:
 
     def total_rows(self) -> int:
         return sum(len(relation) for relation in self._relations.values())
+
+    def content_digest(self) -> str:
+        """A hex digest of every table's name and rows, in any row order.
+
+        Per table, the digest sums :func:`~.stats.stable_row_hash` over the
+        rows modulo 2**64, so it does not depend on insertion order and
+        extends in O(1) per appended row.  It is computed lazily: each call
+        hashes only the rows appended since the previous call, so inserts
+        pay nothing.  Databases with the same schema and row counts but
+        different rows get different digests (up to 64-bit collisions),
+        which is what makes it safe as a persisted-result key.
+        """
+        digest = hashlib.sha256()
+        for key, relation in self._relations.items():
+            rows = relation.rows
+            held, total = self._digests.get(key, (0, 0))
+            if held > len(rows):  # rows removed behind the API's back
+                held, total = 0, 0
+            for row in rows[held:]:
+                total += stable_row_hash(row.values())
+            total &= _MASK64
+            self._digests[key] = (len(rows), total)
+            digest.update(f"{relation.name}:{len(rows)}:{total:016x};".encode())
+        return digest.hexdigest()

@@ -162,6 +162,10 @@ class ExecutionStats:
     subquery_misses: int = 0
     scan_hits: int = 0
     scan_misses: int = 0
+    # Rows the data mirrors (scan tuples, columnar tables, sqlite store)
+    # took in by appending after an insert; the misses above count only
+    # full builds.
+    rows_appended: int = 0
     # SQL backend: in-memory store (re)builds and lowering-cache traffic.
     sql_store_builds: int = 0
     sql_lower_hits: int = 0
@@ -190,6 +194,7 @@ class ExecutionStats:
             "scan_hits": self.scan_hits,
             "scan_misses": self.scan_misses,
             "sql_store_builds": self.sql_store_builds,
+            "rows_appended": self.rows_appended,
             "sql_lower_hits": self.sql_lower_hits,
             "sql_lower_misses": self.sql_lower_misses,
             "topk_input_rows": self.topk_input_rows,
@@ -203,13 +208,17 @@ class ExecutionContext:
     """Caches shared by planned executions over one database.
 
     * **plan cache** — query AST → compiled :class:`~.plan.BlockPlan`;
-    * **scan cache** — materialized row tuples per relation (invalidated by
-      row-count changes, i.e. inserts);
+    * **scan cache** — materialized row tuples per relation;
+    * **columnar cache** — :class:`~.columnar.ColumnarTable` per relation;
     * **subquery cache** — subquery AST + parameter values → result, shared
       across queries so a batch re-evaluates each distinct subquery once;
     * **backend state** — one opaque bucket per registered backend (the SQL
-      backend's sqlite store + lowering cache live here), invalidated with
-      the data-dependent caches on every version bump.
+      backend's sqlite store + lowering cache live here).
+
+    Plans and subquery results are dropped whenever the database grows.
+    The scan and columnar caches and the sqlite store are data *mirrors*:
+    they survive inserts, record how many rows of each table they hold,
+    and append the new rows when next read.
     """
 
     def __init__(self, database: Database) -> None:
@@ -217,39 +226,36 @@ class ExecutionContext:
         self.stats = ExecutionStats()
         self._planner = Planner(database)
         self._plans: dict[SelectQuery, BlockPlan] = {}
-        self._scans: dict[str, tuple[int, list[tuple[Value, ...]]]] = {}
-        self._columnar: dict[str, tuple[int, "ColumnarTable"]] = {}
+        self._scans: dict[str, list[tuple[Value, ...]]] = {}
+        self._columnar: dict[str, "ColumnarTable"] = {}
         self._subqueries: dict[tuple, object] = {}
         self._backend_state: dict[str, object] = {}
         self._version = database.total_rows()
 
     def refresh(self) -> None:
-        """Drop data-dependent caches if the database grew since last use.
+        """Drop plans and subquery results if the database grew since last use.
 
-        Called at every top-level execution.  Versioning is by total row
-        count, so plain inserts invalidate naturally; in-place mutation of
-        existing rows is not detected (treat relations as append-only while
-        a context is alive).  Plans are invalidated too: join orders are
-        cardinality-guided, so a plan compiled against yesterday's row
-        counts may be arbitrarily bad against today's.
+        Called at every top-level execution.  Plans go because join orders
+        are cardinality-guided, so a plan compiled against yesterday's row
+        counts may be arbitrarily bad against today's.  The data mirrors
+        stay and catch up per table on their next read.  This relies on
+        the :class:`~.database.Database` API being append-only: in-place
+        mutation of existing rows is not detected.
         """
         version = self.database.total_rows()
         if version != self._version:
             self._version = version
             self._plans.clear()
-            self._scans.clear()
-            self._columnar.clear()
             self._subqueries.clear()
-            self._backend_state.clear()
 
     def backend_state(self, key: str, factory: Callable[[], object]) -> object:
-        """Per-backend state bucket, dropped whenever the database grows.
+        """Per-backend state bucket, kept for the life of the context.
 
         ``key`` namespaces one backend (conventionally its mode value);
-        ``factory`` builds the initial state on first use after any
-        invalidation.  This is the generic version of the ``_columnar``
-        table cache: backends park anything derived from the data here and
-        inherit the same version-bump invalidation.
+        ``factory`` builds the initial state on first use.  Anything a
+        backend parks here must keep itself current as the database
+        grows: the SQL backend appends new rows to its sqlite store and
+        re-lowers a query whenever the context recompiles its plan.
         """
         state = self._backend_state.get(key)
         if state is None:
@@ -272,32 +278,42 @@ class ExecutionContext:
     # -- scans ---------------------------------------------------------- #
 
     def scan_rows(self, relation: Relation) -> list[tuple[Value, ...]]:
-        """Rows of ``relation`` as flat tuples, memoized per row count."""
+        """Rows of ``relation`` as flat tuples, extended as the table grows."""
         key = relation.name.lower()
-        count = len(relation.rows)
+        rows = relation.rows
         cached = self._scans.get(key)
-        if cached is not None and cached[0] == count:
+        if cached is not None and len(cached) == len(rows):
             self.stats.scan_hits += 1
-            return cached[1]
-        self.stats.scan_misses += 1
+            return cached
         columns = relation.columns
-        rows = [tuple(row[c] for c in columns) for row in relation.rows]
-        self._scans[key] = (count, rows)
-        return rows
+        if cached is not None and len(cached) < len(rows):
+            self.stats.rows_appended += len(rows) - len(cached)
+            cached.extend(
+                tuple(row[c] for c in columns) for row in rows[len(cached):]
+            )
+            return cached
+        self.stats.scan_misses += 1
+        cached = [tuple(row[c] for c in columns) for row in rows]
+        self._scans[key] = cached
+        return cached
 
     def columnar_table(self, relation: Relation) -> "ColumnarTable":
-        """The relation loaded column-major, memoized per row count."""
+        """The relation loaded column-major, extended as the table grows."""
         key = relation.name.lower()
         count = len(relation.rows)
-        cached = self._columnar.get(key)
-        if cached is not None and cached[0] == count:
+        table = self._columnar.get(key)
+        if table is not None and table.nrows == count:
             self.stats.scan_hits += 1
-            return cached[1]
+            return table
+        if table is not None and table.nrows < count:
+            self.stats.rows_appended += count - table.nrows
+            table.extend(relation)
+            return table
         from .columnar import ColumnarTable
 
         self.stats.scan_misses += 1
         table = ColumnarTable.from_relation(relation)
-        self._columnar[key] = (count, table)
+        self._columnar[key] = table
         return table
 
     # -- subqueries ------------------------------------------------------ #

@@ -1,13 +1,14 @@
 """``ExecutionMode.SQL``: execute lowered plans on stdlib ``sqlite3``.
 
 The backend composes the two halves of this package: the
-:class:`~.store.SQLiteStore` (schema DDL + bulk load, cached per database
-version on the execution context) and :func:`~.lower.lower_query` (plan →
-parameterized SQL, cached per plan).  Execution is then a single
-``connection.execute`` with the bind dictionary, and the cursor's tuples
-*are* the engine's row representation — SQLite adapts ``INTEGER`` /
-``REAL`` / ``TEXT`` back to ``int`` / ``float`` / ``str``, exactly the
-:data:`~repro.relational.values.Value` union.
+:class:`~.store.SQLiteStore` (schema DDL + bulk load, kept on the execution
+context and caught up with appended rows before each query) and
+:func:`~.lower.lower_query` (plan → parameterized SQL, cached per plan).
+Execution is then a single ``connection.execute`` with the bind
+dictionary, and the cursor's tuples *are* the engine's row representation
+— SQLite adapts ``INTEGER`` / ``REAL`` / ``TEXT`` back to ``int`` /
+``float`` / ``str``, exactly the :data:`~repro.relational.values.Value`
+union.
 
 Error taxonomy: anything ``sqlite3`` raises is mapped onto the shared
 :mod:`repro.relational.errors` hierarchy (:func:`map_sqlite_error`), and
@@ -70,7 +71,8 @@ class _SQLState:
 
     def __init__(self) -> None:
         self.store: SQLiteStore | None = None
-        self.lowered: dict[tuple, LoweredQuery] = {}
+        #: plan cache key -> (the plan lowered, its lowering).
+        self.lowered: dict[tuple, tuple[object, LoweredQuery]] = {}
 
 
 class SQLBackend(ExecutionBackend):
@@ -83,21 +85,34 @@ class SQLBackend(ExecutionBackend):
 
     def _store(self, context: ExecutionContext) -> SQLiteStore:
         state = self._state(context)
-        if state.store is None:
-            state.store = SQLiteStore(context.database)
-            context.stats.sql_store_builds += 1
-        return state.store
+        store = state.store
+        # Parked again only once level with the data: a failed catch-up
+        # has closed the store and raised, and must leave nothing behind.
+        state.store = None
+        if store is not None:
+            appended = store.catch_up()
+            if appended is not None:
+                context.stats.rows_appended += appended
+                state.store = store
+                return store
+            store.close()
+        store = SQLiteStore(context.database)
+        context.stats.sql_store_builds += 1
+        state.store = store
+        return store
 
     def _lowered(self, plan, context: ExecutionContext) -> LoweredQuery:
+        # A lowering is as fresh as its plan: the context recompiles plans
+        # when the database grows, and the new plan object misses here.
         state = self._state(context)
         key = plan.cache_key
-        lowered = state.lowered.get(key)
-        if lowered is None:
-            context.stats.sql_lower_misses += 1
-            lowered = lower_query(plan, context.database)
-            state.lowered[key] = lowered
-        else:
+        cached = state.lowered.get(key)
+        if cached is not None and cached[0] is plan:
             context.stats.sql_lower_hits += 1
+            return cached[1]
+        context.stats.sql_lower_misses += 1
+        lowered = lower_query(plan, context.database)
+        state.lowered[key] = (plan, lowered)
         return lowered
 
     def execute(

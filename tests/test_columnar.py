@@ -12,11 +12,13 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog.builtin import sailors_schema
 from repro.relational import (
     CatalogStatistics,
     Database,
+    Relation,
     ExecutionMode,
     KMVSketch,
     ResultSet,
@@ -84,6 +86,96 @@ class TestColumnStorage:
         narrowed = frame.take([4, 2, 0]).take([2, 0])
         assert narrowed.nrows == 2
         assert narrowed.rows() == [frame.rows()[0], frame.rows()[4]]
+
+
+# --------------------------------------------------------------------- #
+# appending to a loaded table
+# --------------------------------------------------------------------- #
+
+_BEYOND_INT64 = 1 << 70
+
+#: Values that move a column between representations: small ints (int64),
+#: floats (float64), an int NumPy cannot hold, and strings.
+_APPENDED_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((0.5, -2.0, 1e300)),
+    st.just(_BEYOND_INT64),
+    st.sampled_from(("x", "y")),
+)
+
+
+def _assert_stored_alike(grown: ColumnarTable, loaded: ColumnarTable) -> None:
+    """``grown`` holds what ``loaded`` holds, in the same representation."""
+    assert grown.nrows == loaded.nrows
+    for mine, theirs in zip(grown.cols, loaded.cols, strict=True):
+        assert mine.family == theirs.family
+        assert type(mine.data) is type(theirs.data)
+        if _np is not None and isinstance(theirs.data, _np.ndarray):
+            assert mine.data.dtype == theirs.data.dtype
+        values = list(mine.data) if isinstance(mine.data, list) else mine.data.tolist()
+        expected = list(theirs.data) if isinstance(theirs.data, list) else theirs.data.tolist()
+        assert [(type(v), v) for v in values] == [(type(v), v) for v in expected]
+
+
+def _grown_and_loaded(rows: list[tuple], split: int):
+    """A table loaded at ``rows[:split]`` then extended, and one loaded whole."""
+    relation = Relation("T", ("a", "b"))
+    for row in rows[:split]:
+        relation.insert(row)
+    grown = ColumnarTable.from_relation(relation)
+    for row in rows[split:]:
+        relation.insert(row)
+    grown.extend(relation)
+    return grown, ColumnarTable.from_relation(relation)
+
+
+class TestColumnarAppend:
+    @given(rows=st.lists(st.tuples(_APPENDED_VALUES, _APPENDED_VALUES), max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_property_extend_equals_load_at_every_split(self, rows):
+        for split in range(len(rows) + 1):
+            _assert_stored_alike(*_grown_and_loaded(rows, split))
+        # One row at a time, as inserts between queries arrive.
+        relation = Relation("T", ("a", "b"))
+        table = ColumnarTable.from_relation(relation)
+        for row in rows:
+            relation.insert(row)
+            table.extend(relation)
+            _assert_stored_alike(table, ColumnarTable.from_relation(relation))
+
+    @pytest.mark.parametrize(
+        "held, appended, representation, family",
+        [
+            ([], [1], "int64", "num"),  # first row into an empty table
+            ([1, 2], [3], "int64", "num"),
+            ([0.5], [1.5], "float64", "num"),
+            ([1, 2], [2.5], "list", "num"),  # int -> float
+            ([1, 2], [_BEYOND_INT64], "list", "num"),
+            ([1, 2], ["x"], "list", "mixed"),  # str into num
+            (["x"], [1], "list", "mixed"),
+            (["x"], ["y"], "list", "str"),
+        ],
+    )
+    def test_representation_after_extend(self, held, appended, representation, family):
+        rows = [(value, value) for value in held + appended]
+        grown, loaded = _grown_and_loaded(rows, len(held))
+        _assert_stored_alike(grown, loaded)
+        column = grown.cols[0]
+        assert column.family == family
+        if _np is None or representation == "list":
+            assert isinstance(column.data, list)
+        else:
+            assert column.data.dtype == getattr(_np, representation)
+
+    def test_frames_built_before_extend_keep_their_rows(self):
+        relation = Relation("T", ("a", "b"))
+        relation.insert((1, "x"))
+        table = ColumnarTable.from_relation(relation)
+        frame = Frame.from_table(table)
+        relation.insert((2, "y"))
+        table.extend(relation)
+        assert frame.rows() == [(1, "x")]
+        assert Frame.from_table(table).rows() == [(1, "x"), (2, "y")]
 
 
 # --------------------------------------------------------------------- #

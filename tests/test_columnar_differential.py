@@ -23,6 +23,7 @@ import math
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog import chinook_schema, sailors_schema
 from repro.paper_queries import FIG24_VARIANTS
@@ -147,49 +148,56 @@ def _assert_sliced_agree(query, db, outcome, mode):
     )
 
 
-def assert_engines_agree(sql_or_query, db, modes=_ALL_MODES):
-    """All engines must agree on columns and the exact row set.
+def _outcome(run):
+    """A result set, or the class of the ``EngineError`` it raised."""
+    try:
+        return run()
+    except EngineError as error:
+        return type(error)
 
-    When the reference (first mode) raises, every engine must raise an
-    ``EngineError`` subclass.  When the reference returns, the SQL engine
-    alone may instead raise :class:`TypeMismatchError` — its lowering
-    rejects ill-typed comparisons statically, before any rows flow
-    (the one generic allowance of the divergence policy).
+
+def _assert_agrees(query, db, reference, outcome, mode):
+    """One engine's outcome agrees with the reference outcome.
+
+    When the reference raised, the engine must raise an ``EngineError``
+    subclass too.  When the reference returned, the SQL engine alone may
+    instead raise :class:`TypeMismatchError` — its lowering rejects
+    ill-typed comparisons statically, before any rows flow (the one
+    generic allowance of the divergence policy).
 
     Ranked queries (ORDER BY present) are compared order-aware: equal tie
     group sequences, set equality within complete tie groups.  A bare
     ``LIMIT`` without ORDER BY is checked as an arbitrary-subset slice.
     """
+    if isinstance(reference, type):
+        assert outcome is reference or (
+            isinstance(outcome, type) and issubclass(outcome, EngineError)
+        ), f"{mode}: expected an engine error, got {outcome}"
+        return
+    if isinstance(outcome, type):
+        assert mode is ExecutionMode.SQL and issubclass(
+            outcome, TypeMismatchError
+        ), f"{mode} raised {outcome}, reference did not"
+        return
+    assert outcome.columns == reference.columns
+    assert len(outcome.as_set()) == len(outcome.rows)  # set semantics
+    if query.order_by:
+        _assert_ranked_agree(query, db, reference, outcome, mode)
+    elif query.limit is not None:
+        _assert_sliced_agree(query, db, outcome, mode)
+    else:
+        assert _rows_match(reference.as_set(), outcome.as_set()), (
+            f"{mode} disagrees with the reference"
+        )
+
+
+def assert_engines_agree(sql_or_query, db, modes=_ALL_MODES):
+    """All engines must agree with the first mode (see :func:`_assert_agrees`)."""
     query = parse(sql_or_query) if isinstance(sql_or_query, str) else sql_or_query
-    results = {}
-    for mode in modes:
-        try:
-            results[mode] = execute(query, db, mode=mode)
-        except EngineError as error:
-            results[mode] = type(error)
-    reference = results[modes[0]]
+    reference = _outcome(lambda: execute(query, db, mode=modes[0]))
     for mode in modes[1:]:
-        outcome = results[mode]
-        if isinstance(reference, type):
-            assert outcome is reference or (
-                isinstance(outcome, type) and issubclass(outcome, EngineError)
-            ), f"{mode}: expected an engine error, got {outcome}"
-            continue
-        if isinstance(outcome, type):
-            assert mode is ExecutionMode.SQL and issubclass(
-                outcome, TypeMismatchError
-            ), f"{mode} raised {outcome}, reference did not"
-            continue
-        assert outcome.columns == reference.columns
-        assert len(outcome.as_set()) == len(outcome.rows)  # set semantics
-        if query.order_by:
-            _assert_ranked_agree(query, db, reference, outcome, mode)
-        elif query.limit is not None:
-            _assert_sliced_agree(query, db, outcome, mode)
-        else:
-            assert _rows_match(reference.as_set(), outcome.as_set()), (
-                f"{mode} disagrees with {modes[0]}"
-            )
+        outcome = _outcome(lambda: execute(query, db, mode=mode))
+        _assert_agrees(query, db, reference, outcome, mode)
     return reference
 
 
@@ -237,6 +245,78 @@ class TestFourEngineDifferential:
         # grouped/global aggregates — the operator surface of the backends.
         for query in chinook_mixed_workload():
             assert_engines_agree(query, scaled_small)
+
+
+# --------------------------------------------------------------------- #
+# long-lived engines while the database grows (the append path)
+# --------------------------------------------------------------------- #
+
+#: The querygen literal pools, so inserted rows meet the generated filters.
+_INSERT_POOLS = {
+    "int": st.sampled_from(QueryGenConfig.int_pool),
+    "float": st.sampled_from(QueryGenConfig.float_pool),
+    "str": st.sampled_from(QueryGenConfig.string_pool),
+}
+
+
+def _rows_of(table):
+    return st.tuples(*(_INSERT_POOLS[attribute.dtype] for attribute in table.attributes))
+
+
+@st.composite
+def _growth(draw, schema):
+    """A start database with one empty table, then (table, row, query seed)
+    steps whose first insert lands in the empty table."""
+    tables = list(schema)
+    empty = draw(st.sampled_from(tables))
+    start = {
+        table.name: [] if table is empty else draw(st.lists(_rows_of(table), max_size=3))
+        for table in tables
+    }
+    seeds = st.integers(0, 10**6)
+    steps = [(empty.name, draw(_rows_of(empty)), draw(seeds))]
+    steps += draw(
+        st.lists(
+            st.sampled_from(tables).flatmap(
+                lambda table: st.tuples(st.just(table.name), _rows_of(table), seeds)
+            ),
+            max_size=5,
+        )
+    )
+    return start, steps
+
+
+class TestAppendPathDifferential:
+    """Rows, columnar and sql ``BatchExecutor``s live through every insert,
+    so their scan tuples, columnar tables and sqlite store grow by appends;
+    after each insert every one of them must agree with the naive oracle
+    run afresh."""
+
+    @pytest.mark.parametrize(
+        "schema, config",
+        [
+            (sailors_schema(), QueryGenConfig(max_depth=2, max_tables_per_block=2)),
+            (chinook_schema(), QueryGenConfig(max_depth=1, max_tables_per_block=2)),
+        ],
+        ids=["sailors", "chinook"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_property_engines_agree_after_every_insert(self, schema, config, data):
+        start, steps = data.draw(_growth(schema))
+        db = Database(schema)
+        for name, rows in start.items():
+            db.insert_many(name, rows)
+        batches = [BatchExecutor(db, mode=mode) for mode in _ALL_MODES[1:]]
+        generator = QueryGenerator(schema, config)
+        for name, row, seed in steps:
+            db.insert(name, row)
+            query = generator.generate(seed)
+            reference = _outcome(lambda: execute(query, db, mode=ExecutionMode.NAIVE))
+            for batch in batches:
+                outcome = _outcome(lambda: batch.execute(query))
+                _assert_agrees(query, db, reference, outcome, batch.mode)
+        assert all(batch.stats().sql_store_builds <= 1 for batch in batches)
 
 
 # --------------------------------------------------------------------- #

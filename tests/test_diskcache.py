@@ -15,9 +15,12 @@ from __future__ import annotations
 import pickle
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pipeline import (
     DiagramBatchCompiler,
@@ -25,7 +28,9 @@ from repro.pipeline import (
     DiskCache,
     stable_key_digest,
 )
-from repro.relational import BatchExecutor
+from repro.catalog import sailors_schema
+from repro.relational import BatchExecutor, Database, ExecutionMode, execute
+from repro.sql import parse
 from repro.workloads import chinook_bench_database, chinook_join_workload
 
 QUERY = (
@@ -35,6 +40,16 @@ QUERY = (
 VARIANT = (
     "SELECT X.sname FROM Sailors X WHERE X.rating > 7 AND NOT EXISTS "
     "(SELECT Y.bid FROM Reserves Y WHERE Y.sid = X.sid)"
+)
+
+#: Small value pools per sailors dtype, so generated databases collide often.
+_POOLS = {"int": st.integers(1, 3), "str": st.sampled_from(("red", "green"))}
+_DIGEST_QUERIES = (
+    "SELECT B.bid FROM Boat B WHERE B.color = 'red'",
+    "SELECT S.sname, R.day FROM Sailor S, Reserves R WHERE S.sid = R.sid",
+    "SELECT B.color, COUNT(*) FROM Boat B GROUP BY B.color",
+    "SELECT S.sid FROM Sailor S WHERE NOT EXISTS "
+    "(SELECT * FROM Reserves R WHERE R.sid = S.sid AND R.bid = 2)",
 )
 
 
@@ -240,6 +255,47 @@ class TestBatchExecutorWarmStart:
         fresh.run(queries)
         # Row count changed → every persisted key misses.
         assert fresh.stats().result_disk_hits == 0
+
+    def test_same_size_other_rows_never_share_a_result(self, tmp_path):
+        # Two one-boat databases, one red boat and one green: the same
+        # schema and row counts must not make the green one read the red
+        # one's answer from disk.
+        query = "SELECT B.bid FROM Boat B WHERE B.color = 'red'"
+        red = Database(sailors_schema())
+        red.insert("Boat", [1, "b1", "red"])
+        green = Database(sailors_schema())
+        green.insert("Boat", [1, "b1", "green"])
+        assert BatchExecutor(red, disk_cache=tmp_path).execute(query).rows == ((1,),)
+        batch = BatchExecutor(green, disk_cache=tmp_path)
+        assert batch.execute(query).rows == ()
+        assert batch.stats().result_disk_hits == 0
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_property_other_contents_never_share_results(self, data):
+        schema = sailors_schema()
+        first, second = Database(schema), Database(schema)
+        for table in schema:
+            row = st.tuples(*(_POOLS[attribute.dtype] for attribute in table.attributes))
+            count = data.draw(st.integers(0, 3))
+            rows = st.lists(row, min_size=count, max_size=count)
+            first.insert_many(table.name, data.draw(rows))
+            second.insert_many(table.name, data.draw(rows))
+
+        def bag(db, name):
+            return Counter(tuple(row.values()) for row in db.relation(name).rows)
+
+        same_rows = all(
+            bag(first, name) == bag(second, name) for name in first.table_names()
+        )
+        with tempfile.TemporaryDirectory() as root:
+            BatchExecutor(first, disk_cache=root).run(_DIGEST_QUERIES)
+            batch = BatchExecutor(second, disk_cache=root)
+            for query, result in zip(_DIGEST_QUERIES, batch.run(_DIGEST_QUERIES)):
+                oracle = execute(parse(query), second, mode=ExecutionMode.NAIVE)
+                assert result.as_set() == oracle.as_set()
+        if not same_rows:
+            assert batch.stats().result_disk_hits == 0
 
     def test_corrupt_result_entry_recomputes(self, tmp_path):
         database = chinook_bench_database(scale=2)

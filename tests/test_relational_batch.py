@@ -80,8 +80,8 @@ class TestBatchExecutor:
         assert batch.stats().subquery_misses == stats.subquery_misses
 
     def test_inserts_between_queries_invalidate_caches(self, db):
-        # The subquery/scan caches must not serve stale results after the
-        # database grows (versioned by total row count).
+        # The subquery memo and the data mirrors must not serve stale
+        # results after the database grows.
         sql = (
             "SELECT S.sname FROM Sailor S WHERE S.sid IN "
             "(SELECT R.sid FROM Reserves R WHERE R.bid = 102)"
@@ -92,6 +92,26 @@ class TestBatchExecutor:
         after = batch.execute(sql).as_set()
         assert after == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
         assert after != before
+
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]
+    )
+    def test_inserts_extend_the_data_mirrors(self, db, mode):
+        sql = "SELECT S.sname, R.day FROM Sailor S, Reserves R WHERE S.sid = R.sid"
+        batch = BatchExecutor(db, mode=mode)
+        batch.execute(sql)
+        loads = batch.stats()
+        db.insert("Reserves", [1, 102, "sun"])
+        db.insert("Reserves", [2, 103, "mon"])
+        after = batch.execute(sql)
+        assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
+        stats = batch.stats()
+        # No table loaded again: Reserves took in just its two new rows.
+        assert (stats.scan_misses, stats.sql_store_builds) == (
+            loads.scan_misses, loads.sql_store_builds
+        )
+        assert batch.context.stats.rows_appended == 2
+        assert stats.plan_misses == 2  # plans still follow the data
 
     def test_iter_run_streams_pairs(self, db):
         batch = BatchExecutor(db)

@@ -104,7 +104,6 @@ class TestSQLiteStore:
                 ).fetchone()[0]
                 assert count == sailors.row_count(table)
             assert store.rows_loaded == sailors.total_rows()
-            assert store.version == sailors.total_rows()
         finally:
             store.close()
 
@@ -119,7 +118,7 @@ class TestSQLiteStore:
         finally:
             store.close()
 
-    def test_store_rebuilt_when_database_grows(self, sailors):
+    def test_store_appends_when_database_grows(self, sailors):
         context = ExecutionContext(sailors)
         executor = Executor(sailors, mode=ExecutionMode.SQL, context=context)
         query = parse("SELECT S.sname FROM Sailor S")
@@ -130,7 +129,66 @@ class TestSQLiteStore:
         after = executor.execute(query)
         assert len(after) == before + 1
         assert "newcomer" in {row[0] for row in after.rows}
-        assert context.stats.sql_store_builds == 2  # one per version
+        assert context.stats.sql_store_builds == 1  # built once, then appended
+        assert context.stats.rows_appended == 1
+
+    def test_appended_rows_get_the_full_load_affinity(self, sailors):
+        # A schema-violating "7" becomes INTEGER 7 whether it arrives in
+        # the full load or in an append.
+        store = SQLiteStore(sailors)
+        try:
+            sailors.insert("Sailor", [900, "late", "7", 30])
+            assert store.catch_up() == 1
+            appended = store.connection.execute(
+                'SELECT rating FROM "Sailor" WHERE sid = 900'
+            ).fetchone()[0]
+        finally:
+            store.close()
+        full = SQLiteStore(sailors)
+        try:
+            loaded = full.connection.execute(
+                'SELECT rating FROM "Sailor" WHERE sid = 900'
+            ).fetchone()[0]
+        finally:
+            full.close()
+        assert appended == loaded == 7
+
+    def test_append_overflow_raises_like_a_full_load(self, sailors):
+        store = SQLiteStore(sailors)
+        sailors.insert("Sailor", [1 << 70, "huge", 5, 30])
+        with pytest.raises(EngineError, match="64-bit") as appended:
+            store.catch_up()
+        with pytest.raises(sqlite3.ProgrammingError):  # closed: no tail survives
+            store.connection.execute('SELECT * FROM "Sailor"')
+        with pytest.raises(EngineError) as loaded:
+            SQLiteStore(sailors)
+        assert str(appended.value) == str(loaded.value)
+
+    def test_failed_append_discards_the_store(self, sailors):
+        context = ExecutionContext(sailors)
+        executor = Executor(sailors, mode=ExecutionMode.SQL, context=context)
+        query = parse("SELECT S.sname FROM Sailor S")
+        executor.execute(query)
+        sailors.insert("Sailor", [1 << 70, "huge", 5, 30])
+        for _ in range(2):  # the append fails, then a full load does
+            with pytest.raises(EngineError, match="64-bit"):
+                executor.execute(query)
+        assert context.stats.sql_store_builds == 1
+        assert context.stats.rows_appended == 0
+
+    def test_store_rebuilt_when_rows_vanish(self, sailors):
+        # Removing rows is outside the append-only API; the mirror notices
+        # a table below its watermark and loads afresh instead of serving
+        # the vanished rows.
+        context = ExecutionContext(sailors)
+        executor = Executor(sailors, mode=ExecutionMode.SQL, context=context)
+        query = parse("SELECT S.sname FROM Sailor S")
+        executor.execute(query)
+        del sailors.relation("Sailor").rows[0]
+        sailors.insert("Reserves", [1, 1, "mon"])  # keep total_rows level
+        result = executor.execute(query)
+        assert result.as_set() == execute(query, sailors).as_set()
+        assert context.stats.sql_store_builds == 2
 
 
 # --------------------------------------------------------------------- #
