@@ -91,10 +91,6 @@ class BoundingBox:
     style: BoxStyle
     table_ids: frozenset[str]
 
-    @property
-    def quantifier_symbol(self) -> str:
-        return self.style.symbol
-
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -117,9 +113,6 @@ class Edge:
     target: Endpoint
     operator: str | None = None
     directed: bool = False
-
-    def touches(self, table_id: str) -> bool:
-        return table_id in (self.source.table_id, self.target.table_id)
 
 
 @dataclass(frozen=True)
@@ -168,9 +161,6 @@ class Diagram:
         return frozenset(
             table.table_id for table in self.data_tables() if table.table_id not in boxed
         )
-
-    def edges_of(self, table_id: str) -> tuple[Edge, ...]:
-        return tuple(edge for edge in self.edges if edge.touches(table_id))
 
     def join_edges(self) -> tuple[Edge, ...]:
         """Edges between two data tables (excludes SELECT-table edges)."""

@@ -1,9 +1,10 @@
 """Vectorized columnar execution backend (``ExecutionMode.COLUMNAR``).
 
-The row pipeline of :mod:`repro.relational.executor` interprets a plan one
-tuple at a time: every row pays generator-resume, ``_eval_pred`` dispatch
-and tuple-concatenation overhead.  This module interprets the *same*
-:class:`~.plan.BlockPlan` batch-at-a-time instead:
+The rows engine of :mod:`repro.relational.executor` compiles a plan into
+closures that still run one tuple at a time: every row pays a Python call
+per predicate and operator, and a tuple concatenation per join match.
+This module runs the *same* :class:`~.plan.BlockPlan` batch-at-a-time
+instead:
 
 * each relation is loaded **once** into a :class:`ColumnarTable` —
   column-major value arrays (NumPy ``int64``/``float64`` when the column is

@@ -8,8 +8,8 @@ selects one of the pluggable engines registered with
 * ``PLANNED`` (default) — the query is compiled by
   :mod:`repro.relational.planner` into a logical plan (predicate pushdown,
   hash equi-joins, semi-/anti-joins for decorrelated ``[NOT] IN``, memoized
-  correlated subqueries) and the plan is interpreted as a pipeline of
-  generators over flat row tuples.  Lives in this module.
+  correlated subqueries) and each plan is compiled once into closures
+  that stream flat row tuples.  Lives in this module.
 * ``COLUMNAR`` — the same compiled plan interpreted batch-at-a-time by the
   vectorized backend (:mod:`repro.relational.columnar`): column-major
   storage, selection-vector filters, cardinality-chosen hash-join build
@@ -42,9 +42,11 @@ from __future__ import annotations
 
 import enum
 import heapq
+import operator
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from itertools import compress, count, islice
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import ColumnarTable
@@ -326,7 +328,7 @@ class ExecutionContext:
 
     def _run_subplan(self, plan: BlockPlan, params: tuple, runner) -> Iterator[tuple]:
         if runner is None:
-            return _iter_node(plan.root, self, params)
+            return iter(_program(plan).run(self, params))
         return iter(runner(plan, self, params))
 
     def subquery_exists(
@@ -469,12 +471,44 @@ class _SubqueryValues:
 
 
 def _family(value: Value) -> str:
-    return "num" if isinstance(value, (int, float)) else "str"
+    return "num" if isinstance(value, _NUMERIC) else "str"
 
 
 # ---------------------------------------------------------------------- #
-# plan interpretation: generator pipelines over flat row tuples
+# plan compilation: each operator becomes a closure over row tuples
 # ---------------------------------------------------------------------- #
+#
+# A block plan is compiled once, on its first run, into closures
+# ``run(context, params) -> iterable of row tuples`` with slots, constants
+# and operators resolved up front; predicates compile to
+# ``bind(context, params) -> test(row)``.  The program is kept on the
+# BlockPlan, so it is dropped together with the plan when the database
+# grows.  Operators that stream keep streaming (generators, ``filter``,
+# ``map``), so a bare LIMIT or an EXISTS probe still stops the scan early.
+#
+# Type errors stay exactly those of ``values.compare``: every comparison,
+# join probe and semi-join probe checks the value family inline before the
+# native operator runs.
+
+_NUMERIC = (int, float)
+_PLAIN_TYPES = frozenset((int, float, str))
+
+_OPERATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _family_type(value: Value):
+    """The ``isinstance`` target of ``value``'s family; ``()`` matches nothing."""
+    if isinstance(value, _NUMERIC):
+        return _NUMERIC
+    return str if isinstance(value, str) else ()
 
 
 def _eval_expr(expr: ScalarExpr, row: tuple, params: tuple) -> Value:
@@ -485,185 +519,319 @@ def _eval_expr(expr: ScalarExpr, row: tuple, params: tuple) -> Value:
     return params[expr.index]
 
 
-def _eval_pred(pred, row: tuple, params: tuple, context: ExecutionContext) -> bool:
-    if type(pred) is CompiledComparison:
-        return compare(
-            _eval_expr(pred.left, row, params),
-            pred.op,
-            _eval_expr(pred.right, row, params),
+def _getter(expr: ScalarExpr, params: tuple) -> Callable[[tuple], Value]:
+    """``row -> value`` of one expression under bound parameters."""
+    if type(expr) is Col:
+        return itemgetter(expr.slot)
+    value = _eval_expr(expr, (), params)
+    return lambda row: value
+
+
+def _tuple_getter(
+    exprs: Sequence[ScalarExpr], params: tuple
+) -> Callable[[tuple], tuple]:
+    """``row -> tuple`` of the expressions' values."""
+    if len(exprs) > 1 and all(type(e) is Col for e in exprs):
+        return itemgetter(*[e.slot for e in exprs])
+    if len(exprs) == 1 and type(exprs[0]) is Col:
+        slot = exprs[0].slot
+        return lambda row: (row[slot],)
+    getters = [_getter(e, params) for e in exprs]
+    return lambda row: tuple([get(row) for get in getters])
+
+
+def _compile_pred(pred) -> Callable:
+    """``bind(context, params) -> test(row) -> bool`` for one predicate."""
+    if type(pred) is not CompiledComparison:
+        return _compile_subquery_pred(pred)
+    left, right, name = pred.left, pred.right, pred.op
+    if type(left) is Col and type(right) is Col:
+        test = _columns_test(left.slot, name, right.slot)
+        return lambda context, params: test
+    if type(left) is not Col and type(right) is not Col:
+        return lambda context, params: lambda row: compare(
+            _eval_expr(left, row, params), name, _eval_expr(right, row, params)
         )
-    return _eval_subquery_pred(pred, row, params, context)
+    flipped = type(left) is not Col
+    column, scalar = (right, left) if flipped else (left, right)
+    if type(scalar) is Const:
+        test = _scalar_test(column.slot, name, scalar.value, flipped)
+        return lambda context, params: test
+    return lambda context, params: _scalar_test(
+        column.slot, name, params[scalar.index], flipped
+    )
 
 
-def _eval_subquery_pred(
-    pred: SubqueryPred, row: tuple, params: tuple, context: ExecutionContext
-) -> bool:
-    actual = tuple(_eval_expr(e, row, params) for e in pred.param_exprs)
-    if pred.kind == "exists":
-        found = context.subquery_exists(pred.plan, actual)
-        return not found if pred.negated else found
-    value = _eval_expr(pred.value_expr, row, params)
-    values = context.subquery_values(pred.plan, actual)
-    if pred.kind == "in":
-        found = values.contains(value)
-        return not found if pred.negated else found
-    holds = values.quantified(value, pred.op, pred.quantifier)
-    return not holds if pred.negated else holds
+def _columns_test(left: int, name: str, right: int) -> Callable[[tuple], bool]:
+    op = _OPERATORS[name]
+
+    def test(row: tuple) -> bool:
+        a = row[left]
+        b = row[right]
+        kind = type(a)
+        if kind is type(b) and kind in _PLAIN_TYPES:
+            return op(a, b)
+        return compare(a, name, b)  # int against float, or a type error
+
+    return test
 
 
-def _prechecks_pass(
-    plan: BlockPlan, context: ExecutionContext, params: tuple
-) -> bool:
-    return all(_eval_pred(p, (), params, context) for p in plan.prechecks)
+def _scalar_test(slot: int, name: str, value: Value, flipped: bool) -> Callable[[tuple], bool]:
+    """Column ``slot`` against a fixed value, with the value's family checked.
+
+    ``flipped`` means the value stands on the left in the source.
+    """
+    family = _family_type(value)
+    op = _OPERATORS[_FLIPPED[name] if flipped else name]
+
+    def test(row: tuple) -> bool:
+        v = row[slot]
+        if isinstance(v, family):
+            return op(v, value)
+        # The families differ, so compare raises its TypeMismatchError.
+        return compare(value, name, v) if flipped else compare(v, name, value)
+
+    return test
 
 
-def _iter_node(
-    node: PlanNode, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    handler = _NODE_HANDLERS.get(type(node))
-    if handler is None:
+def _compile_subquery_pred(pred: SubqueryPred) -> Callable:
+    # The memo methods are looked up on the context at call time, so
+    # wrappers installed on ExecutionContext see every probe.
+    plan, negated, kind = pred.plan, pred.negated, pred.kind
+    op, quantifier = pred.op, pred.quantifier
+
+    def bind(context: ExecutionContext, params: tuple) -> Callable[[tuple], bool]:
+        actual = _tuple_getter(pred.param_exprs, params)
+        if kind == "exists":
+            return lambda row: context.subquery_exists(plan, actual(row)) != negated
+        value = _getter(pred.value_expr, params)
+        if kind == "in":
+            return lambda row: (
+                context.subquery_values(plan, actual(row)).contains(value(row))
+                != negated
+            )
+        return lambda row: (
+            context.subquery_values(plan, actual(row)).quantified(
+                value(row), op, quantifier
+            )
+            != negated
+        )
+
+    return bind
+
+
+def _compile_node(node: PlanNode) -> Callable:
+    compiler = _NODE_COMPILERS.get(type(node))
+    if compiler is None:
         raise EngineError(f"unsupported plan node: {type(node).__name__}")
-    return handler(node, context, params)
+    return compiler(node)
 
 
-def _iter_scan(node: Scan, context: ExecutionContext, params: tuple) -> Iterator[tuple]:
-    yield from context.scan_rows(context.database.relation(node.table))
+def _compile_scan(node: Scan) -> Callable:
+    table = node.table
+    return lambda context, params: context.scan_rows(
+        context.database.relation(table)
+    )
 
 
-def _iter_filter(
-    node: Filter, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    predicates = node.predicates
-    for row in _iter_node(node.child, context, params):
-        if all(_eval_pred(p, row, params, context) for p in predicates):
-            yield row
+def _compile_filter(node: Filter) -> Callable:
+    child = _compile_node(node.child)
+    binds = [_compile_pred(p) for p in node.predicates]
+
+    def run(context: ExecutionContext, params: tuple):
+        # Chained filters test each row in predicate order and stop at the
+        # first failure, exactly as a conjunction would.
+        rows = child(context, params)
+        for bind in binds:
+            rows = filter(bind(context, params), rows)
+        return rows
+
+    return run
 
 
-def _iter_hash_join(
-    node: HashJoin, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    build: dict[tuple, list[tuple]] = {}
-    key_families: list[set[str]] = [set() for _ in node.right_keys]
-    for right_row in _iter_node(node.right, context, params):
-        key = tuple(_eval_expr(e, right_row, params) for e in node.right_keys)
-        for index, value in enumerate(key):
-            key_families[index].add(_family(value))
-        build.setdefault(key, []).append(right_row)
-    if not build:
-        return
-    left_keys = node.left_keys
-    for left_row in _iter_node(node.left, context, params):
-        key = tuple(_eval_expr(e, left_row, params) for e in left_keys)
-        for index, value in enumerate(key):
-            families = key_families[index]
-            # Mirror the naive executor: comparing a string column with a
-            # numeric one is a type error, not an empty join.
-            if len(families) > 1 or _family(value) not in families:
-                raise TypeMismatchError(
-                    f"cannot compare {type(value).__name__} with "
-                    f"values of join key {node.right_keys[index]}"
-                )
-        matches = build.get(key)
-        if matches:
-            for right_row in matches:
-                yield left_row + right_row
-
-
-def _iter_nested_loop(
-    node: NestedLoopJoin, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    right_rows = list(_iter_node(node.right, context, params))
-    if not right_rows:
-        return
-    predicates = node.predicates
-    for left_row in _iter_node(node.left, context, params):
-        for right_row in right_rows:
-            row = left_row + right_row
-            if all(_eval_pred(p, row, params, context) for p in predicates):
-                yield row
-
-
-def _iter_semi_join(
-    node: SemiJoin, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    # The subquery is uncorrelated with this block: its parameters depend
-    # only on enclosing blocks, so the membership set is built exactly once.
-    actual = tuple(_eval_expr(e, (), params) for e in node.param_exprs)
-    values = context.subquery_values(node.plan, actual)
-    anti = type(node) is AntiJoin
-    probe = node.probe
-    for row in _iter_node(node.child, context, params):
-        if values.contains(_eval_expr(probe, row, params)) != anti:
-            yield row
-
-
-def _iter_project(
-    node: Project, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    exprs = node.exprs
-    for row in _iter_node(node.child, context, params):
-        yield tuple(_eval_expr(e, row, params) for e in exprs)
-
-
-def _iter_distinct(
-    node: Distinct, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    seen: set[tuple] = set()
-    for row in _iter_node(node.child, context, params):
-        if row not in seen:
-            seen.add(row)
-            yield row
-
-
-def _iter_aggregate(
-    node: Aggregate, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
-    groups: dict[tuple, list[tuple]] = {}
-    order: list[tuple] = []
-    for row in _iter_node(node.child, context, params):
-        key = tuple(_eval_expr(e, row, params) for e in node.group_exprs)
-        bucket = groups.get(key)
+def _buckets(rows: Iterable[tuple], key_of: Callable) -> dict:
+    """``rows`` grouped by ``key_of(row)``, keys in first-seen order."""
+    buckets: dict = {}
+    get = buckets.get
+    for row in rows:
+        key = key_of(row)
+        bucket = get(key)
         if bucket is None:
-            groups[key] = [row]
-            order.append(key)
+            buckets[key] = [row]
         else:
             bucket.append(row)
-    for key in order:
-        rows = groups[key]
-        out: list[Value] = []
+    return buckets
+
+
+def _compile_hash_join(node: HashJoin) -> Callable:
+    left, right = _compile_node(node.left), _compile_node(node.right)
+    left_keys, right_keys = node.left_keys, node.right_keys
+    # One column on each side: the table is keyed on the bare value.
+    single = len(left_keys) == 1 and type(left_keys[0]) is Col and type(right_keys[0]) is Col
+
+    def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
+        if single:
+            right_key, left_key = itemgetter(right_keys[0].slot), itemgetter(left_keys[0].slot)
+        else:
+            right_key = _tuple_getter(right_keys, params)
+            left_key = _tuple_getter(left_keys, params)
+        build = _buckets(right(context, params), right_key)
+        if not build:
+            return
+        # The families each key position may probe with, from the distinct
+        # build keys: True numeric, False string, None (both) fails every
+        # probe.  Mirrors the naive executor: comparing a string column
+        # with a numeric one is a type error, not an empty join.
+        expected = []
+        for column in [build] if single else zip(*build):
+            families = {_family(value) for value in column}
+            expected.append(families.pop() == "num" if len(families) == 1 else None)
+        numeric = expected[0]
+        get = build.get
+        for left_row in left(context, params):
+            key = left_key(left_row)
+            if single:
+                if isinstance(key, _NUMERIC) is not numeric:
+                    raise _join_mismatch(key, right_keys[0])
+            else:
+                for value, family, expr in zip(key, expected, right_keys):
+                    if isinstance(value, _NUMERIC) is not family:
+                        raise _join_mismatch(value, expr)
+            matches = get(key)
+            if matches:
+                for right_row in matches:
+                    yield left_row + right_row
+
+    return run
+
+
+def _join_mismatch(value: Value, key: ScalarExpr) -> TypeMismatchError:
+    return TypeMismatchError(
+        f"cannot compare {type(value).__name__} with values of join key {key}"
+    )
+
+
+def _compile_nested_loop(node: NestedLoopJoin) -> Callable:
+    left, right = _compile_node(node.left), _compile_node(node.right)
+    binds = [_compile_pred(p) for p in node.predicates]
+
+    def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
+        right_rows = list(right(context, params))
+        if not right_rows:
+            return
+        tests = [bind(context, params) for bind in binds]
+        for left_row in left(context, params):
+            for right_row in right_rows:
+                row = left_row + right_row
+                if all(test(row) for test in tests):
+                    yield row
+
+    return run
+
+
+def _compile_semi_join(node: SemiJoin) -> Callable:
+    # The subquery is uncorrelated with this block: its parameters depend
+    # only on enclosing blocks, so the membership set is built exactly once.
+    child = _compile_node(node.child)
+    plan, param_exprs, probe = node.plan, node.param_exprs, node.probe
+    anti = type(node) is AntiJoin
+
+    def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
+        actual = tuple(_eval_expr(e, (), params) for e in param_exprs)
+        values = context.subquery_values(plan, actual)
+        rows = child(context, params)
+        if type(probe) is Col and values.family in ("num", "str"):
+            slot, members = probe.slot, values.as_set()
+            numeric = values.family == "num"
+            for row in rows:
+                value = row[slot]
+                if isinstance(value, _NUMERIC) is not numeric:
+                    values.contains(value)  # raises the family mismatch
+                if (value in members) is not anti:
+                    yield row
+            return
+        value_of = _getter(probe, params)
+        for row in rows:
+            if values.contains(value_of(row)) != anti:
+                yield row
+
+    return run
+
+
+def _compile_project(node: Project) -> Callable:
+    child = _compile_node(node.child)
+    exprs = node.exprs
+    return lambda context, params: map(
+        _tuple_getter(exprs, params), child(context, params)
+    )
+
+
+def _distinct_rows(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """First occurrence of every row, lazily."""
+    seen: set[tuple] = set()
+    add = seen.add
+    for row in rows:
+        if row not in seen:
+            add(row)
+            yield row
+
+
+def _compile_distinct(node: Distinct) -> Callable:
+    child = _compile_node(node.child)
+    return lambda context, params: _distinct_rows(child(context, params))
+
+
+def _compile_aggregate(node: Aggregate) -> Callable:
+    child = _compile_node(node.child)
+
+    def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
+        groups = _buckets(child(context, params), _tuple_getter(node.group_exprs, params))
+        evaluators = []  # (aggregate function or None for a column, getter)
         for item in node.items:
             if item[0] == "col":
-                out.append(_eval_expr(item[1], rows[0], params))
+                evaluators.append((None, _getter(item[1], params)))
             else:
                 _, func, expr = item
-                if expr is None:
+                evaluators.append((func, None if expr is None else _getter(expr, params)))
+        for rows in groups.values():  # first-seen order
+            out: list[Value] = []
+            for func, get in evaluators:
+                if func is None:
+                    out.append(get(rows[0]))
+                elif get is None:
                     out.append(apply_aggregate("COUNT", [1] * len(rows)))
                 else:
-                    out.append(
-                        apply_aggregate(func, [_eval_expr(expr, r, params) for r in rows])
-                    )
-        yield tuple(out)
+                    out.append(apply_aggregate(func, list(map(get, rows))))
+            yield tuple(out)
+
+    return run
 
 
 class _ReverseRanked:
     """Heap entry whose ordering is reversed, turning heapq into a max-heap.
 
     ``heap[0]`` is then the *worst* of the resident top-k rows — exactly the
-    row a strictly better candidate should evict.
+    row a strictly better candidate should evict.  ``ahead(a, b)`` says
+    whether key ``a`` ranks before key ``b``.
     """
 
-    __slots__ = ("key", "row")
+    __slots__ = ("key", "row", "ahead")
 
-    def __init__(self, key: OrderKey, row: tuple) -> None:
+    def __init__(self, key, row: tuple, ahead) -> None:
         self.key = key
         self.row = row
+        self.ahead = ahead
 
     def __lt__(self, other: "_ReverseRanked") -> bool:
-        return other.key < self.key
+        return self.ahead(other.key, self.key)
 
 
 def _topk_distinct_heap(
-    rows: Iterator[tuple], sort_key, cutoff: int, stats: ExecutionStats
+    rows: Iterator[tuple],
+    sort_key,
+    cutoff: int,
+    stats: ExecutionStats,
+    descending: bool = False,
 ) -> list[tuple]:
     """Top ``cutoff`` *distinct* rows holding at most ``cutoff`` resident.
 
@@ -674,7 +842,10 @@ def _topk_distinct_heap(
     evicted row always compares >= the current worst and is skipped.  Rows
     tied at the boundary are chosen arbitrarily, which only ever truncates
     the final tie group of the output (the contract a LIMIT implies).
+    ``descending`` ranks larger keys first (for native keys; an
+    :class:`~.values.OrderKey` carries its own directions).
     """
+    ahead = operator.gt if descending else operator.lt
     heap: list[_ReverseRanked] = []
     members: set[tuple] = set()
     for row in rows:
@@ -682,110 +853,149 @@ def _topk_distinct_heap(
             continue
         key = sort_key(row)
         if len(heap) < cutoff:
-            heapq.heappush(heap, _ReverseRanked(key, row))
+            heapq.heappush(heap, _ReverseRanked(key, row, ahead))
             members.add(row)
-        elif key < heap[0].key:
+        elif ahead(key, heap[0].key):
             members.discard(heap[0].row)
-            heapq.heapreplace(heap, _ReverseRanked(key, row))
+            heapq.heapreplace(heap, _ReverseRanked(key, row, ahead))
             members.add(row)
     stats.topk_held_rows = max(stats.topk_held_rows, len(heap))
-    return [entry.row for entry in sorted(heap, key=lambda entry: entry.key)]
+    ranked = sorted(heap, key=attrgetter("key"), reverse=descending)
+    return [entry.row for entry in ranked]
 
 
-def _iter_topk(
-    node: TopK, context: ExecutionContext, params: tuple
-) -> Iterator[tuple]:
+def _family_checked(slot: int) -> Callable[[tuple], Value]:
+    """``row -> row[slot]`` that raises once two value families meet.
+
+    With two or more rows an :class:`~.values.OrderKey` ranking compares
+    every family present against another, so it raises on exactly the
+    inputs this key raises on; natively ordered, the values rank the same.
+    """
+    family = None
+
+    def key(row: tuple) -> Value:
+        nonlocal family
+        value = row[slot]
+        if family is None:
+            family = _family_type(value)
+        elif not isinstance(value, family):
+            raise TypeMismatchError(
+                f"cannot order {type(value).__name__} against another "
+                "value family in the same ORDER BY key"
+            )
+        return value
+
+    return key
+
+
+def _compile_topk(node: TopK) -> Callable:
     """Ranked output without materializing beyond the cutoff.
 
     Three shapes, cheapest first:
 
-    * **key-less LIMIT** — a lazy ``islice`` over the child generator; the
-      pipeline stops pulling rows the moment the slice is satisfied, so a
+    * **key-less LIMIT** — a lazy ``islice`` over the child; the pipeline
+      stops pulling rows the moment the slice is satisfied, so a
       ``LIMIT 10`` over a huge join does bounded work end to end;
-    * **heap strategy** — a bounded heap keyed by
-      :class:`~.values.OrderKey`: the whole child is consumed (ordering
-      needs every candidate) but at most ``limit + offset`` rows are ever
-      resident;
+    * **heap strategy** — a bounded heap: the whole child is consumed
+      (ordering needs every candidate) but at most ``limit + offset`` rows
+      are ever resident;
     * **sort strategy** — full sort then slice, chosen by the planner when
       the cutoff would swallow most of the estimated input anyway (or when
       there is no LIMIT at all).
 
-    When the planner fused a Distinct into the node (``node.distinct``),
-    the key-less path dedups lazily (the seen-set is bounded by the
-    cutoff thanks to islice's early exit), the heap path runs the bounded
-    distinct heap of :func:`_topk_distinct_heap`, and the sort path dedups
-    before sorting.
+    A single key ranks on the native values (``heapq.nsmallest`` /
+    ``nlargest``, ``sort(reverse=...)``); several keys rank through
+    :class:`~.values.OrderKey`.  When the planner fused a Distinct into the
+    node (``node.distinct``), the key-less path dedups lazily (the
+    seen-set is bounded by the cutoff thanks to islice's early exit), the
+    heap path runs the bounded distinct heap of
+    :func:`_topk_distinct_heap`, and the sort path dedups before sorting.
+    ``topk_input_rows`` counts the rows pulled from the child: ``compress``
+    over an endless ``count`` passes every row through and advances the
+    tally once per row, without a Python frame per row.
     """
-    stats = context.stats
-    child = _iter_node(node.child, context, params)
+    child = _compile_node(node.child)
+    limit, offset, distinct = node.limit, node.offset, node.distinct
+    stop = None if limit is None else offset + limit
+    heap = limit is not None and node.strategy == "heap"
+    keys, descending = node.keys, node.descending
+    single = len(keys) == 1 and type(keys[0]) is Col
+    reverse = single and descending[0]
 
-    def counted(rows: Iterator[tuple]) -> Iterator[tuple]:
-        for row in rows:
-            stats.topk_input_rows += 1
-            yield row
-
-    def deduped(rows: Iterator[tuple]) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                yield row
-
-    limit, offset = node.limit, node.offset
-    if not node.keys:
-        if limit is None:  # pragma: no cover - planner never emits this
-            yield from counted(child)
-            return
-        # Early exit: islice stops advancing the child once exhausted, so
-        # upstream operators never produce rows beyond the cutoff.
-        source = counted(child)
-        if node.distinct:
-            source = deduped(source)
-        yield from islice(source, offset, offset + limit)
-        return
-
-    descending = node.descending
-    keys = node.keys
-
-    def sort_key(row: tuple) -> OrderKey:
-        return OrderKey(
-            tuple(_eval_expr(key, row, params) for key in keys), descending
-        )
-
-    if limit is not None and node.strategy == "heap":
-        cutoff = limit + offset
-        if node.distinct:
-            top = _topk_distinct_heap(counted(child), sort_key, cutoff, stats)
+    def ranked(rows: Iterable[tuple], params: tuple, stats: ExecutionStats) -> list:
+        if single:
+            sort_key = _family_checked(keys[0].slot)
         else:
-            top = heapq.nsmallest(cutoff, counted(child), key=sort_key)
+            key_of = _tuple_getter(keys, params)
+
+            def sort_key(row: tuple) -> OrderKey:
+                return OrderKey(key_of(row), descending)
+
+        if heap:
+            if distinct:
+                return _topk_distinct_heap(rows, sort_key, stop, stats, reverse)[offset:]
+            pick = heapq.nlargest if reverse else heapq.nsmallest
+            top = pick(stop, rows, key=sort_key)
             stats.topk_held_rows = max(stats.topk_held_rows, len(top))
-        yield from top[offset:]
-        return
-    source = counted(child)
-    if node.distinct:
-        source = deduped(source)
-    rows = sorted(source, key=sort_key)
-    stats.topk_held_rows = max(stats.topk_held_rows, len(rows))
-    if limit is not None:
-        yield from rows[offset : offset + limit]
-    elif offset:  # pragma: no cover - parser requires LIMIT before OFFSET
-        yield from rows[offset:]
-    else:
-        yield from rows
+            return top[offset:]
+        rows = list(dict.fromkeys(rows)) if distinct else list(rows)
+        rows.sort(key=sort_key, reverse=reverse)
+        stats.topk_held_rows = max(stats.topk_held_rows, len(rows))
+        return rows[offset:stop]
+
+    def run(context: ExecutionContext, params: tuple) -> list[tuple]:
+        stats = context.stats
+        tally = count(1)
+        rows = compress(child(context, params), tally)
+        if keys:
+            out = ranked(rows, params, stats)
+        else:
+            # Early exit: islice stops advancing the child once satisfied,
+            # so upstream operators never produce rows beyond the cutoff.
+            out = list(islice(_distinct_rows(rows) if distinct else rows, offset, stop))
+        stats.topk_input_rows += next(tally) - 1
+        return out
+
+    return run
 
 
-_NODE_HANDLERS = {
-    Scan: _iter_scan,
-    Filter: _iter_filter,
-    HashJoin: _iter_hash_join,
-    NestedLoopJoin: _iter_nested_loop,
-    SemiJoin: _iter_semi_join,
-    AntiJoin: _iter_semi_join,
-    Project: _iter_project,
-    Distinct: _iter_distinct,
-    Aggregate: _iter_aggregate,
-    TopK: _iter_topk,
+_NODE_COMPILERS = {
+    Scan: _compile_scan,
+    Filter: _compile_filter,
+    HashJoin: _compile_hash_join,
+    NestedLoopJoin: _compile_nested_loop,
+    SemiJoin: _compile_semi_join,
+    AntiJoin: _compile_semi_join,
+    Project: _compile_project,
+    Distinct: _compile_distinct,
+    Aggregate: _compile_aggregate,
+    TopK: _compile_topk,
 }
+
+
+@dataclass(frozen=True, slots=True)
+class _RowProgram:
+    """A block plan compiled for the rows engine."""
+
+    prechecks: tuple[Callable, ...]
+    run: Callable
+
+
+def _program(plan: BlockPlan) -> _RowProgram:
+    program = plan.compiled
+    if program is None:
+        program = _RowProgram(
+            tuple(_compile_pred(p) for p in plan.prechecks),
+            _compile_node(plan.root),
+        )
+        plan.compiled = program
+    return program
+
+
+def _prechecks_pass(
+    plan: BlockPlan, context: ExecutionContext, params: tuple
+) -> bool:
+    return all(bind(context, params)(()) for bind in _program(plan).prechecks)
 
 
 def run_block(
@@ -794,7 +1004,7 @@ def run_block(
     """Execute a compiled block plan and materialize its result set."""
     if not _prechecks_pass(plan, context, params):
         return ResultSet(columns=plan.columns, rows=())
-    rows = tuple(_iter_node(plan.root, context, params))
+    rows = tuple(_program(plan).run(context, params))
     return ResultSet(columns=plan.columns, rows=rows)
 
 
@@ -1190,7 +1400,7 @@ class _NaiveBackend(ExecutionBackend):
 
 
 class _PlannedRowBackend(ExecutionBackend):
-    """``PLANNED``: compiled plans interpreted tuple-at-a-time."""
+    """``PLANNED``: plans compiled to closures, run tuple-at-a-time."""
 
     mode = ExecutionMode.PLANNED
 

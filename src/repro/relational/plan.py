@@ -2,9 +2,9 @@
 
 The planner (:mod:`repro.relational.planner`) compiles a
 :class:`~repro.sql.ast.SelectQuery` into a tree of the operators defined
-here; the executor (:mod:`repro.relational.executor`) interprets the tree as
-a pipeline of generators.  The vocabulary is the classic relational-algebra
-set:
+here; the rows engine (:mod:`repro.relational.executor`) compiles the tree
+into closures over row tuples.  The vocabulary is the classic
+relational-algebra set:
 
 * :class:`Scan` — enumerate one table under an alias;
 * :class:`Filter` — keep rows satisfying compiled predicates;
@@ -386,6 +386,10 @@ class BlockPlan:
     #: the same AST under different enclosing blocks share cached results
     #: only when their free columns collapsed onto parameters the same way.
     param_shape: tuple[int, ...] = ()
+    #: The rows engine's compiled form of this plan, built on its first
+    #: run.  It lives and dies with the plan, so it is dropped whenever the
+    #: execution context drops its plans.
+    compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cache_key(self) -> tuple:

@@ -23,7 +23,7 @@ from .ast import (
     Star,
     TableRef,
 )
-from .errors import SQLError, SQLSyntaxError, UnsupportedSQLError
+from .errors import QueryTooComplex, SQLError, SQLSyntaxError, UnsupportedSQLError
 from .formatter import format_inline, format_query
 from .lexer import Lexer, tokenize
 from .metrics import SQLTextMetrics, text_metrics, word_count
@@ -41,6 +41,7 @@ __all__ = [
     "Parser",
     "Predicate",
     "QuantifiedComparison",
+    "QueryTooComplex",
     "SQLError",
     "SQLSyntaxError",
     "SQLTextMetrics",

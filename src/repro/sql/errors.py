@@ -40,3 +40,12 @@ class UnsupportedSQLError(SQLError):
     aggregate select items (Appendix C.3).  Disjunctions (OR), NULL handling,
     outer joins, set operations and HAVING are intentionally unsupported.
     """
+
+
+class QueryTooComplex(SQLError):
+    """The query nests more subquery blocks than the front end accepts.
+
+    The parser, the diagram pipeline and the engines all recurse once per
+    query block, so an unbounded nesting depth would end in the
+    interpreter's ``RecursionError`` instead of a typed error.
+    """

@@ -14,7 +14,6 @@ from .ast import (
     Comparison,
     Exists,
     InSubquery,
-    Literal,
     Predicate,
     QuantifiedComparison,
     SelectItem,
@@ -115,7 +114,3 @@ def _format_predicate(predicate: Predicate, depth: int) -> list[str]:
         ]
     raise TypeError(f"unexpected predicate: {predicate!r}")
 
-
-def format_literal(literal: Literal) -> str:
-    """Render a literal exactly as :class:`Literal.__str__` does."""
-    return str(literal)

@@ -16,7 +16,8 @@ The parser accepts:
 Constructs outside the fragment (``OR``, explicit ``JOIN``, ``HAVING``,
 ``UNION``) raise :class:`UnsupportedSQLError` with a message naming the
 offending construct, so that callers can report a precise reason rather
-than a generic syntax error.
+than a generic syntax error.  Queries nested more than
+:data:`MAX_QUERY_DEPTH` blocks deep raise :class:`QueryTooComplex`.
 
 The implementation is written for the cold path: it consumes the lexer's
 :class:`~repro.sql.lexer.TokenStream` parallel arrays directly (no token
@@ -42,9 +43,15 @@ from .ast import (
     Star,
     TableRef,
 )
-from .errors import SQLSyntaxError, UnsupportedSQLError
+from .errors import QueryTooComplex, SQLSyntaxError, UnsupportedSQLError
 from .lexer import TokenStream, scan
 from .tokens import AGGREGATE_FUNCTIONS, Token, TokenType
+
+#: Deepest accepted nesting of query blocks, the outermost block counting
+#: as one.  Every later stage recurses once per block; the deepest of them
+#: (the columnar engine, the SQL lowering) reach the interpreter's
+#: recursion limit near 100 blocks.
+MAX_QUERY_DEPTH = 64
 
 _UNSUPPORTED_KEYWORDS = {
     "OR": "disjunction (OR) is outside the supported fragment",
@@ -85,6 +92,7 @@ class Parser:
         self._values = stream.values
         self._positions = stream.positions
         self._index = 0
+        self._depth = 1  # query blocks open at the current token
         if self._types:
             self._type = self._types[0]
             self._value = self._values[0]
@@ -421,7 +429,13 @@ class Parser:
 
     def _parse_parenthesized_query(self) -> SelectQuery:
         self._expect(_LPAREN)
+        if self._depth == MAX_QUERY_DEPTH:
+            raise QueryTooComplex(
+                f"query blocks nest deeper than {MAX_QUERY_DEPTH} levels"
+            )
+        self._depth += 1
         query = self._parse_select_query()
+        self._depth -= 1
         self._expect(_RPAREN)
         return query
 

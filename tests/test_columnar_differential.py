@@ -26,17 +26,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import chinook_schema, sailors_schema
+from repro.catalog.schema import Schema
 from repro.paper_queries import FIG24_VARIANTS
 from repro.relational import (
     BatchExecutor,
     Database,
     EngineError,
     ExecutionMode,
+    ResultSet,
     TypeMismatchError,
     execute,
+    plan_query,
 )
 from repro.relational.resolve import order_key_position
 from repro.sql import SelectQuery, parse
+from repro.sql.parser import MAX_QUERY_DEPTH
 from repro.workloads import (
     QueryGenConfig,
     QueryGenerator,
@@ -487,3 +491,264 @@ class TestDocumentedDivergences:
         results = {mode: execute(query, db, mode=mode) for mode in _ALL_MODES}
         sets = {mode: result.as_set() for mode, result in results.items()}
         assert len(set(map(frozenset, sets.values()))) == 1
+
+
+# --------------------------------------------------------------------- #
+# type errors: the rows engine raises exactly where the oracle does
+# --------------------------------------------------------------------- #
+
+
+def _planted_database() -> Database:
+    """Three tables of ids, groups, numbers and text, two values planted.
+
+    ``A.num`` holds the string ``"bad"`` at id 3 and ``A.txt`` the number
+    7 at id 4; ``B`` is clean and ``Z`` empty.  A has 24 rows so that a
+    ``LIMIT 1`` or ``2`` ranks with the heap strategy and ``LIMIT 10`` or
+    none with the sort.
+    """
+    schema = Schema("planted")
+    for name in ("A", "B", "Z"):
+        schema.add_table(
+            name, [("id", "int"), ("grp", "int"), ("num", "int"), ("txt", "str")]
+        )
+    db = Database(schema)
+    for i in range(1, 25):
+        db.insert("A", (i, i % 3, "bad" if i == 3 else i * 10, 7 if i == 4 else f"t{i:02}"))
+    for i in (1, 2, 5, 30):
+        db.insert("B", (i, i % 2, i * 10, f"t{i:02}"))
+    return db
+
+
+#: (query, whether the oracle raises TypeMismatchError on it).  Each
+#: raising query has a twin that filters the planted row out first, so
+#: a check that fires too eagerly fails as surely as a missing one.
+_FILTER_CASES = (
+    ("SELECT A.id FROM A WHERE A.num > 15", True),
+    ("SELECT A.id FROM A WHERE A.num > 15 AND A.id < 3", True),
+    ("SELECT A.id FROM A WHERE A.id < 3 AND A.num > 15", False),
+    ("SELECT A.id FROM A WHERE A.txt = 't01'", True),
+    ("SELECT A.id FROM A WHERE A.id <> 4 AND A.txt = 't01'", False),
+    ("SELECT A.id FROM A WHERE 't05' <> A.txt", True),
+    ("SELECT A.id FROM A WHERE 15 < A.num", True),
+    ("SELECT A.id FROM A WHERE A.id > 3 AND 15 < A.num", False),
+    ("SELECT A.id FROM A WHERE A.num = A.id", True),
+    ("SELECT A.id FROM A WHERE A.id < 3 AND A.num = A.id", False),
+    ("SELECT A.id FROM A WHERE A.txt < A.id", True),
+    ("SELECT A.id FROM A, B WHERE A.num < B.num", True),
+    ("SELECT A.id FROM A, B WHERE A.id > 3 AND A.num < B.num", False),
+)
+_JOIN_CASES = (
+    ("SELECT A.id FROM A, B WHERE A.num = B.num", True),
+    ("SELECT B.id FROM B, A WHERE B.num = A.num", True),
+    ("SELECT A.id FROM A, B WHERE A.num = B.num AND A.id <> 3", False),
+    ("SELECT A.id FROM A, B WHERE A.txt = B.txt", True),
+    ("SELECT A.id FROM A, B WHERE A.txt = B.txt AND A.id > 4", False),
+    ("SELECT A.id FROM A, Z WHERE A.num = Z.num", False),
+    ("SELECT A.id FROM A, B WHERE A.num = B.num AND A.id = B.id", True),
+    ("SELECT A.id FROM A, B WHERE A.grp = B.grp AND A.txt = B.txt", True),
+    (
+        "SELECT A.id FROM A, B WHERE A.grp = B.grp AND A.txt = B.txt "
+        "AND A.id <> 4",
+        False,
+    ),
+)
+_SEMI_JOIN_CASES = (
+    ("SELECT A.id FROM A WHERE A.num IN (SELECT Z.num FROM Z)", False),
+    ("SELECT A.id FROM A WHERE A.num NOT IN (SELECT Z.num FROM Z)", False),
+    ("SELECT A.id FROM A WHERE A.num IN (SELECT B.num FROM B)", True),
+    ("SELECT A.id FROM A WHERE A.num NOT IN (SELECT B.num FROM B)", True),
+    (
+        "SELECT A.id FROM A WHERE A.id <> 3 AND A.num IN (SELECT B.num FROM B)",
+        False,
+    ),
+    ("SELECT A.id FROM A WHERE A.txt IN (SELECT B.txt FROM B)", True),
+    (
+        "SELECT A.id FROM A WHERE A.id <> 4 AND A.txt NOT IN "
+        "(SELECT B.txt FROM B)",
+        False,
+    ),
+    ("SELECT B.id FROM B WHERE B.num IN (SELECT A.num FROM A)", True),
+    ("SELECT B.id FROM B WHERE B.txt NOT IN (SELECT A.txt FROM A)", True),
+    (
+        "SELECT B.id FROM B WHERE B.num IN (SELECT A.num FROM A WHERE A.id <> 3)",
+        False,
+    ),
+    (
+        "SELECT B.id FROM B WHERE B.txt IN (SELECT A.num FROM A WHERE A.id <> 3)",
+        True,
+    ),
+)
+_CORRELATED_CASES = (
+    (
+        "SELECT B.id FROM B WHERE EXISTS "
+        "(SELECT A.id FROM A WHERE A.id = B.id AND A.num > 15)",
+        False,
+    ),
+    (
+        "SELECT B.id FROM B WHERE EXISTS "
+        "(SELECT A.id FROM A WHERE A.num > 15 AND A.id = B.id)",
+        True,
+    ),
+    (
+        "SELECT B.id FROM B WHERE NOT EXISTS "
+        "(SELECT A.id FROM A WHERE A.id = B.id AND A.txt = B.txt)",
+        False,
+    ),
+    (
+        "SELECT A.id FROM A WHERE A.num > ANY "
+        "(SELECT B.num FROM B WHERE B.id = A.id)",
+        False,
+    ),
+    (
+        "SELECT B.id FROM B WHERE B.txt > ANY "
+        "(SELECT A.txt FROM A WHERE A.grp = B.grp)",
+        True,
+    ),
+    (
+        "SELECT A.id FROM A WHERE A.num < ALL "
+        "(SELECT B.num FROM B WHERE B.id > A.id)",
+        True,
+    ),
+    (
+        "SELECT A.id FROM A WHERE A.id <> 3 AND A.num < ALL "
+        "(SELECT B.num FROM B WHERE B.id > A.id)",
+        False,
+    ),
+    (
+        "SELECT B.id FROM B WHERE B.num <= ALL "
+        "(SELECT A.num FROM A WHERE A.grp = B.grp AND A.id <> 3)",
+        False,
+    ),
+)
+#: (query, raises, the TopK strategy the planner picks).
+_RANKED_CASES = (
+    ("SELECT A.num FROM A ORDER BY A.num LIMIT 1", True, "heap"),
+    ("SELECT A.num FROM A ORDER BY A.num DESC LIMIT 2", True, "heap"),
+    (
+        "SELECT A.num FROM A WHERE A.id <> 3 ORDER BY A.num DESC LIMIT 2",
+        False,
+        "heap",
+    ),
+    ("SELECT A.num FROM A ORDER BY A.num LIMIT 10", True, "sort"),
+    (
+        "SELECT A.num FROM A WHERE A.id <> 3 ORDER BY A.num DESC LIMIT 10",
+        False,
+        "sort",
+    ),
+    ("SELECT A.txt FROM A ORDER BY A.txt", True, "sort"),
+    ("SELECT A.txt FROM A WHERE A.id > 4 ORDER BY A.txt DESC", False, "sort"),
+    ("SELECT DISTINCT A.num FROM A ORDER BY A.num LIMIT 1", True, "heap"),
+    ("SELECT DISTINCT A.txt FROM A ORDER BY A.txt DESC LIMIT 2", True, "heap"),
+    (
+        "SELECT DISTINCT A.txt FROM A WHERE A.id <> 4 ORDER BY A.txt DESC LIMIT 2",
+        False,
+        "heap",
+    ),
+    ("SELECT DISTINCT A.grp FROM A ORDER BY A.grp DESC LIMIT 2", False, "heap"),
+    ("SELECT DISTINCT A.num FROM A ORDER BY A.num LIMIT 10", True, "sort"),
+    ("SELECT DISTINCT A.grp FROM A ORDER BY A.grp DESC LIMIT 10", False, "sort"),
+    ("SELECT A.num, A.txt FROM A ORDER BY A.num DESC, A.txt LIMIT 2", True, "heap"),
+    ("SELECT A.num, A.txt FROM A ORDER BY A.num DESC, A.txt LIMIT 10", True, "sort"),
+    ("SELECT A.id, A.txt FROM A ORDER BY A.id, A.txt DESC LIMIT 2", False, "heap"),
+    ("SELECT A.id, A.txt FROM A ORDER BY A.id DESC, A.txt LIMIT 10", False, "sort"),
+    (
+        "SELECT A.grp, A.num FROM A WHERE A.id <> 3 "
+        "ORDER BY A.grp DESC, A.num LIMIT 2",
+        False,
+        "heap",
+    ),
+    ("SELECT A.grp, A.num FROM A ORDER BY A.grp, A.num DESC LIMIT 10", True, "sort"),
+    (
+        "SELECT DISTINCT A.grp, A.txt FROM A WHERE A.id <> 4 "
+        "ORDER BY A.grp DESC, A.txt LIMIT 2",
+        False,
+        "heap",
+    ),
+    (
+        "SELECT DISTINCT A.grp, A.txt FROM A ORDER BY A.grp, A.txt DESC LIMIT 10",
+        True,
+        "sort",
+    ),
+)
+
+
+class TestTypeErrorParity:
+    """The rows engine raises TypeMismatchError exactly where the oracle does.
+
+    Covers each place the rows engine checks value families itself:
+    comparisons against a constant or another column, single- and
+    multi-column hash-join probes, semi-/anti-join probes against empty,
+    one-family and mixed subquery results, correlated EXISTS/ANY/ALL,
+    and single- and multi-key ORDER BY under both TopK strategies.
+    """
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        return _planted_database()
+
+    @staticmethod
+    def _agree(sql, db, raises):
+        reference = assert_engines_agree(
+            sql, db, modes=(ExecutionMode.NAIVE, ExecutionMode.PLANNED)
+        )
+        assert (reference is TypeMismatchError) == raises
+        if raises:
+            with pytest.raises(TypeMismatchError):
+                execute(parse(sql), db, mode=ExecutionMode.PLANNED)
+
+    @pytest.mark.parametrize("sql, raises", _FILTER_CASES)
+    def test_filters(self, planted, sql, raises):
+        self._agree(sql, planted, raises)
+
+    @pytest.mark.parametrize("sql, raises", _JOIN_CASES)
+    def test_hash_join_keys(self, planted, sql, raises):
+        self._agree(sql, planted, raises)
+
+    @pytest.mark.parametrize("sql, raises", _SEMI_JOIN_CASES)
+    def test_semi_and_anti_join_probes(self, planted, sql, raises):
+        self._agree(sql, planted, raises)
+
+    @pytest.mark.parametrize("sql, raises", _CORRELATED_CASES)
+    def test_correlated_subqueries(self, planted, sql, raises):
+        self._agree(sql, planted, raises)
+
+    @pytest.mark.parametrize("sql, raises, strategy", _RANKED_CASES)
+    def test_order_by(self, planted, sql, raises, strategy):
+        assert plan_query(parse(sql), planted).root.strategy == strategy
+        self._agree(sql, planted, raises)
+
+
+# --------------------------------------------------------------------- #
+# the parser's nesting limit: every Python engine runs a chain at it
+# --------------------------------------------------------------------- #
+
+
+class TestNestingLimit:
+    @staticmethod
+    def _chain(blocks: int) -> str:
+        """``blocks`` query blocks, each NOT EXISTS correlated on sid."""
+        sql = "SELECT S0.sname FROM Sailor S0"
+        for i in range(1, blocks):
+            sql += (
+                f" {'AND' if i > 1 else 'WHERE'} NOT EXISTS "
+                f"(SELECT * FROM Sailor S{i} WHERE S{i}.sid = S{i - 1}.sid "
+                f"AND S{i}.rating > {i % 7}"
+            )
+        return sql + ")" * (blocks - 1)
+
+    def test_chain_at_the_limit_runs_on_the_python_engines(self):
+        db = sailors_database(n_sailors=6, n_boats=2, n_reservations=2)
+        result = assert_engines_agree(
+            self._chain(MAX_QUERY_DEPTH),
+            db,
+            modes=(ExecutionMode.NAIVE, ExecutionMode.PLANNED, ExecutionMode.COLUMNAR),
+        )
+        assert isinstance(result, ResultSet) and result.rows
+
+    def test_sql_engine_maps_its_own_overflow(self):
+        # SQLite's parser stack is shallower than the limit; the backend
+        # maps its failure to an EngineError instead of crashing.
+        db = sailors_database(n_sailors=6, n_boats=2, n_reservations=2)
+        with pytest.raises(EngineError):
+            execute(parse(self._chain(MAX_QUERY_DEPTH)), db, mode=ExecutionMode.SQL)
+

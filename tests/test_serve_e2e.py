@@ -138,6 +138,20 @@ def test_bench_serve_cli_against_external_server(server, tmp_path):
     assert payload["server_stats"]["compiles"] >= payload["burst_distinct"]
 
 
+def test_overly_nested_query_is_a_bad_request(server):
+    _proc, port = server
+    sql = "SELECT S.sname FROM Sailor S"
+    for level in range(1, 200):
+        sql += f" WHERE NOT EXISTS (SELECT * FROM Sailor S{level}"
+    sql += ")" * 199
+    status, payload = _request(port, "POST", "/compile", {"sql": sql, "formats": ["text"]})
+    assert status == 400
+    assert "nest deeper" in payload["error"]
+    # The server is unharmed: the next request compiles normally.
+    status, payload = _request(port, "POST", "/compile", {"sql": SIMPLE, "formats": ["text"]})
+    assert status == 200 and "Sailor" in payload["outputs"]["text"]
+
+
 def test_sigterm_drains_and_exits_cleanly(server):
     proc, port = server
     assert _request(port, "GET", "/healthz")[0] == 200

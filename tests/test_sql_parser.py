@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sql.parser import MAX_QUERY_DEPTH
 from repro.sql import (
     AggregateCall,
     ColumnRef,
@@ -13,6 +14,8 @@ from repro.sql import (
     Literal,
     OrderItem,
     QuantifiedComparison,
+    QueryTooComplex,
+    SQLError,
     SQLSyntaxError,
     Star,
     UnsupportedSQLError,
@@ -246,6 +249,37 @@ class TestUnsupportedConstructs:
     def test_syntax_error_empty(self):
         with pytest.raises(SQLSyntaxError):
             parse("")
+
+
+def _nested_exists(blocks: int) -> str:
+    """A chain of ``blocks`` query blocks, each nested in a NOT EXISTS."""
+    sql = "SELECT A.x FROM A"
+    for level in range(1, blocks):
+        sql += f" WHERE NOT EXISTS (SELECT * FROM A AS A{level}"
+    return sql + ")" * (blocks - 1)
+
+
+class TestNestingLimit:
+    def test_chain_at_the_limit_parses(self):
+        query = parse(_nested_exists(MAX_QUERY_DEPTH))
+        depth = 1
+        while query.where:
+            query = query.where[0].query
+            depth += 1
+        assert depth == MAX_QUERY_DEPTH
+
+    @pytest.mark.parametrize("blocks", [MAX_QUERY_DEPTH + 1, 200, 2000])
+    def test_deeper_chain_is_a_typed_sql_error(self, blocks):
+        with pytest.raises(QueryTooComplex) as raised:
+            parse(_nested_exists(blocks))
+        assert isinstance(raised.value, SQLError)
+
+    def test_depth_counts_nesting_not_siblings(self):
+        siblings = " AND ".join(
+            f"EXISTS (SELECT * FROM B AS B{i})" for i in range(MAX_QUERY_DEPTH + 5)
+        )
+        query = parse(f"SELECT A.x FROM A WHERE {siblings}")
+        assert len(query.where) == MAX_QUERY_DEPTH + 5
 
 
 class TestPaperQueries:
