@@ -200,6 +200,10 @@ class _DiagramBuilder:
         self._table_name_of_alias: dict[str, str] = {}
         self._parent_child: set[tuple[int, int]] = set()
         self._rows: dict[str, list[TableRow]] = {}
+        # Per alias: lowercased row key -> positions in ``_rows[alias]`` of
+        # the rows with that key, in order.  Rows are only appended or
+        # replaced in place under the same key, so the index stays exact.
+        self._row_keys: dict[str, dict[str, list[int]]] = {}
         self._table_id_of_alias: dict[str, str] = {}
         self._index_tree()
 
@@ -220,6 +224,7 @@ class _DiagramBuilder:
                 self._table_name_of_alias[alias] = table.name
                 self._table_id_of_alias[alias] = table.effective_alias
                 self._rows[alias] = []
+                self._row_keys[alias] = {}
 
     # --------------------------- building ---------------------------- #
 
@@ -320,23 +325,25 @@ class _DiagramBuilder:
         literal: Literal = normalized.right  # type: ignore[assignment]
         alias = self._resolve_alias(column, node)
         label = f"{column.column} {normalized.op} {literal}"
+        if label.lower() not in self._row_keys[alias]:
+            self._append_row(alias, TableRow(kind=RowKind.SELECTION, label=label, key=label))
+
+    def _append_row(self, alias: str, row: TableRow) -> None:
         rows = self._rows[alias]
-        if not any(row.key.lower() == label.lower() for row in rows):
-            rows.append(TableRow(kind=RowKind.SELECTION, label=label, key=label))
+        self._row_keys[alias].setdefault(row.key.lower(), []).append(len(rows))
+        rows.append(row)
 
     def _ensure_attribute_row(
         self, alias: str, column: str, kind: RowKind = RowKind.ATTRIBUTE
     ) -> None:
         rows = self._rows[alias]
-        for index, row in enumerate(rows):
-            if row.key.lower() == column.lower() and row.kind in (
-                RowKind.ATTRIBUTE,
-                RowKind.GROUP_BY,
-            ):
+        for index in self._row_keys[alias].get(column.lower(), ()):
+            row = rows[index]
+            if row.kind in (RowKind.ATTRIBUTE, RowKind.GROUP_BY):
                 if kind is RowKind.GROUP_BY and row.kind is RowKind.ATTRIBUTE:
                     rows[index] = TableRow(kind=RowKind.GROUP_BY, label=row.label, key=row.key)
                 return
-        rows.append(TableRow(kind=kind, label=column, key=column))
+        self._append_row(alias, TableRow(kind=kind, label=column, key=column))
 
     # ---------------------------- SELECT ------------------------------ #
 
@@ -386,15 +393,15 @@ class _DiagramBuilder:
                 rows.append(TableRow(kind=RowKind.AGGREGATE, label=label, key=label))
                 if isinstance(item.argument, ColumnRef):
                     alias = self._resolve_alias(item.argument, self._tree.root)
-                    agg_rows = self._rows[alias]
                     simple_label = f"{item.func}({item.argument.column})"
-                    if not any(r.key.lower() == simple_label.lower() for r in agg_rows):
-                        agg_rows.append(
+                    if simple_label.lower() not in self._row_keys[alias]:
+                        self._append_row(
+                            alias,
                             TableRow(
                                 kind=RowKind.AGGREGATE,
                                 label=simple_label,
                                 key=simple_label,
-                            )
+                            ),
                         )
                     edges.append(
                         Edge(

@@ -19,8 +19,10 @@ instead:
   cardinality** (the smaller input is hashed, the larger streamed), and
   emit matched index pairs instead of concatenated tuples;
 * semi-/anti-joins probe the memoized subquery value set with one
-  vectorized membership pass; grouped aggregation and distinct run over
-  materialized columns at the top of the plan only.
+  vectorized membership pass, and ``v op ANY|ALL (S)`` against an ``S``
+  that reads no column of the row probes ``S`` once per block run and
+  compares ``v`` with its min or max in one kernel; grouped aggregation
+  and distinct run over materialized columns at the top of the plan only.
 
 NumPy is optional: every kernel has a pure-Python fallback, so the engine
 works (more slowly) in environments without it.  Correctness is defined by
@@ -418,10 +420,51 @@ def _comparison_positions(frame: Frame, pred: CompiledComparison, params: tuple)
     return _as_index([i for i, v in enumerate(data) if fn(v, scalar)])
 
 
+def _fixed_quantified_positions(
+    frame: Frame, pred: SubqueryPred, params: tuple, context: "ExecutionContext"
+):
+    """Rows satisfying ``v op ANY|ALL (S)`` where S reads no column of the row.
+
+    S has one result for this run of the block: one memo probe, then one
+    kernel against the result's min or max (a NumPy ufunc, or a list
+    comprehension without NumPy).  A probe column of the other family
+    raises per batch, as the comparison kernels do; ``<> ANY``, ``= ALL``
+    and mixed families test row by row against the one result.
+    """
+    actual = tuple(_scalar_value(e, params) for e in pred.param_exprs)
+    values = context.subquery_values(pred.plan, actual, runner=run_plan_rows)
+    op, quantifier, negated = pred.op, pred.quantifier, pred.negated
+    if not values.values:
+        keep = (quantifier == "ALL") != negated
+        return _as_index(list(range(frame.nrows)) if keep else [])
+    # A probe that is not a column makes the predicate a precheck, so the
+    # planner only leaves column probes in a Filter.
+    slot = pred.value_expr.slot
+    family = frame.family(slot)
+    if "mixed" in (family, values.family) or op in ("=", "<>"):
+        return _as_index([
+            i for i, v in enumerate(frame.values_list(slot))
+            if values.quantified(v, op, quantifier) != negated
+        ])
+    if family != values.family:
+        raise TypeMismatchError(
+            f"cannot compare {family} column with the subquery's {values.family} values"
+        )
+    bound = values.bound(op, quantifier)
+    data = frame.vector(slot)
+    if _np is not None and isinstance(data, _np.ndarray):
+        mask = _NP_OPS[op](data, bound)
+        return _positions_from_mask(~mask if negated else mask)
+    fn = _PY_OPS[op]
+    return _as_index([i for i, v in enumerate(data) if fn(v, bound) != negated])
+
+
 def _subquery_positions(
     frame: Frame, pred: SubqueryPred, params: tuple, context: "ExecutionContext"
 ) -> list[int]:
     """Rows satisfying a residual subquery predicate (memoized per params)."""
+    if pred.kind == "quantified" and not pred.subquery_reads_row:
+        return _fixed_quantified_positions(frame, pred, params, context)
     columns = [_expr_values(e, frame, params) for e in pred.param_exprs]
     value_column = (
         _expr_values(pred.value_expr, frame, params)

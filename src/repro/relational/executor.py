@@ -389,6 +389,20 @@ class _SubqueryValues:
 
     __slots__ = ("values", "family", "_set", "_min", "_max")
 
+    #: For an ordered ``op``, ``v op ANY|ALL (values)`` is ``v op`` one end
+    #: of the non-empty values: ``v > ANY`` holds iff ``v > min``, ``v >= ALL``
+    #: iff ``v >= max``.  Both Python engines and the SQL lowering read it.
+    DECIDING_END = {
+        ("<", "ANY"): "max",
+        ("<=", "ANY"): "max",
+        (">", "ANY"): "min",
+        (">=", "ANY"): "min",
+        ("<", "ALL"): "min",
+        ("<=", "ALL"): "min",
+        (">", "ALL"): "max",
+        (">=", "ALL"): "max",
+    }
+
     def __init__(self, values: tuple[Value, ...]) -> None:
         self.values = values
         families = {_family(v) for v in values}
@@ -437,37 +451,48 @@ class _SubqueryValues:
         self._check(value)
         return value in self.as_set()
 
+    def bound(self, op: str, quantifier: str) -> Value:
+        """The end of the (non-empty, one-family) values deciding ``op``."""
+        lo, hi = self._bounds()
+        return lo if self.DECIDING_END[op, quantifier] == "min" else hi
+
     def quantified(self, value: Value, op: str, quantifier: str) -> bool:
-        """``value op ANY/ALL (values)`` with min/max shortcuts."""
+        """``value op ANY/ALL (values)`` with set and min/max shortcuts."""
         if not self.values:
             return quantifier == "ALL"
         self._check(value)
-        lo, hi = self._bounds()
-        if quantifier == "ANY":
-            if op == "=":
-                return value in self.as_set()
-            if op == "<>":
-                members = self.as_set()
-                return len(members) > 1 or value not in members
-            if op == "<":
-                return value < hi
-            if op == "<=":
-                return value <= hi
-            if op == ">":
-                return value > lo
-            return value >= lo  # ">="
-        # ALL
         if op == "=":
-            return self.as_set() == {value}
+            members = self.as_set()
+            return value in members if quantifier == "ANY" else members == {value}
         if op == "<>":
-            return value not in self.as_set()
-        if op == "<":
-            return value < lo
-        if op == "<=":
-            return value <= lo
-        if op == ">":
-            return value > hi
-        return value >= hi  # ">="
+            members = self.as_set()
+            if quantifier == "ANY":
+                return len(members) > 1 or value not in members
+            return value not in members
+        return _OPERATORS[op](value, self.bound(op, quantifier))
+
+    def quantified_test(self, op: str, quantifier: str) -> Callable[[Value], bool]:
+        """``value -> value op ANY/ALL (values)``, with the bound fixed once.
+
+        Each value is checked as :meth:`quantified` checks it: an empty
+        result answers without a check, a mixed-family result or a probe
+        of the other family raises.
+        """
+        if not self.values:
+            holds = quantifier == "ALL"
+            return lambda value: holds
+        if op in ("=", "<>") or self.family == "mixed":
+            return lambda value: self.quantified(value, op, quantifier)
+        bound = self.bound(op, quantifier)
+        family = _family_type(bound)
+        compare_to = _OPERATORS[op]
+
+        def test(value: Value) -> bool:
+            if isinstance(value, family):
+                return compare_to(value, bound)
+            return self.quantified(value, op, quantifier)  # raises the mismatch
+
+        return test
 
 
 def _family(value: Value) -> str:
@@ -599,6 +624,26 @@ def _compile_subquery_pred(pred: SubqueryPred) -> Callable:
     # wrappers installed on ExecutionContext see every probe.
     plan, negated, kind = pred.plan, pred.negated, pred.kind
     op, quantifier = pred.op, pred.quantifier
+
+    if kind == "quantified" and not pred.subquery_reads_row:
+        # The subquery result is fixed for this run of the block: probe
+        # the memo once, on the first row that reaches the predicate.
+        def bind_fixed(context: ExecutionContext, params: tuple) -> Callable[[tuple], bool]:
+            actual = tuple(_eval_expr(e, (), params) for e in pred.param_exprs)
+            value = _getter(pred.value_expr, params)
+            holds = None
+
+            def test(row: tuple) -> bool:
+                nonlocal holds
+                if holds is None:
+                    holds = context.subquery_values(plan, actual).quantified_test(
+                        op, quantifier
+                    )
+                return holds(value(row)) != negated
+
+            return test
+
+        return bind_fixed
 
     def bind(context: ExecutionContext, params: tuple) -> Callable[[tuple], bool]:
         actual = _tuple_getter(pred.param_exprs, params)

@@ -96,13 +96,19 @@ class CompiledComparison:
 
 @dataclass(frozen=True)
 class SubqueryPred:
-    """A residual (correlated) subquery predicate evaluated per row.
+    """A subquery predicate over the rows of its block.
 
     ``kind`` is ``"exists"``, ``"in"`` or ``"quantified"``.  ``param_exprs``
     are evaluated in the *enclosing* frame to produce the actual parameter
     tuple; results are memoized per distinct parameter tuple, so a subquery
     correlated on a low-cardinality outer column is executed only once per
     distinct value rather than once per outer row.
+
+    A subquery that reads no column of the current row
+    (:attr:`subquery_reads_row` false) has one result per run of the
+    block.  The planner turns such predicates into prechecks or semi-/
+    anti-joins where it can; the quantified comparisons left in a
+    :class:`Filter` are probed once per block run, not once per row.
     """
 
     kind: str
@@ -123,9 +129,14 @@ class SubqueryPred:
         return f"NOT {text}" if self.negated else text
 
     @property
+    def subquery_reads_row(self) -> bool:
+        """True when a parameter of the subquery is a column of the row."""
+        return any(isinstance(e, Col) for e in self.param_exprs)
+
+    @property
     def is_row_independent(self) -> bool:
         value_free = self.value_expr is None or not isinstance(self.value_expr, Col)
-        return value_free and not any(isinstance(e, Col) for e in self.param_exprs)
+        return value_free and not self.subquery_reads_row
 
 
 Predicate = Union[CompiledComparison, SubqueryPred]

@@ -478,7 +478,7 @@ class _BlockPlanner:
             elif (
                 compiled.kind == "in"
                 and isinstance(compiled.value_expr, Col)
-                and not any(isinstance(e, Col) for e in compiled.param_exprs)
+                and not compiled.subquery_reads_row
             ):
                 join_cls = AntiJoin if compiled.negated else SemiJoin
                 tree = join_cls(

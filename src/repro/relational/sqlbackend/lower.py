@@ -29,10 +29,15 @@ Correlated subqueries re-correlate: a child block's ``Param(i)`` is
 substituted with the SQL text of the enclosing frame's ``param_exprs[i]``,
 so what the Python engines evaluate via memoized parameter tuples becomes
 an ordinary correlated subquery in SQLite.  Quantified comparisons, which
-SQLite lacks, rewrite to ``EXISTS`` forms that are correct on empty
-subqueries: ``v op ANY (S)`` → ``EXISTS(SELECT 1 FROM (S) q WHERE v op
-q.c0)`` and ``v op ALL (S)`` → ``NOT EXISTS(SELECT 1 FROM (S) q WHERE NOT
-(v op q.c0))``.
+SQLite lacks, rewrite to forms that are correct on empty subqueries.  An
+uncorrelated ``S`` under ``<``, ``<=``, ``>`` or ``>=`` becomes one scalar
+subquery SQLite runs once: ``v > ANY (S)`` → ``COALESCE(v > (SELECT
+MIN(q.c0) FROM (S) q), 0)``, ``v >= ALL (S)`` → ``COALESCE(v >= (SELECT
+MAX(q.c0) FROM (S) q), 1)`` (schema-typed columns carry no NULLs, so the
+bound is NULL only for an empty ``S``).  ``= ANY`` and ``<> ALL`` become
+``IN`` / ``NOT IN``; the rest re-run per outer row as ``v op ANY (S)`` →
+``EXISTS(SELECT 1 FROM (S) q WHERE v op q.c0)`` and ``v op ALL (S)`` →
+``NOT EXISTS(SELECT 1 FROM (S) q WHERE NOT (v op q.c0))``.
 
 The lowering also propagates a static **type family** (``"num"`` or
 ``"str"``) per output slot, derived from the schema's declared dtypes.
@@ -49,6 +54,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import EngineError, TypeMismatchError
+from ..executor import _SubqueryValues
 from ..plan import (
     Aggregate,
     AntiJoin,
@@ -194,14 +200,23 @@ class _Lowering:
         if pred.kind == "in":
             text = f"{value_sql} IN ({sub.sql})"
         else:
-            text = self._quantified(value_sql, pred.op, pred.quantifier, sub)
+            text = self._quantified(
+                value_sql, pred.op, pred.quantifier, sub, not pred.param_exprs
+            )
         return f"NOT ({text})" if pred.negated else text
 
-    def _quantified(self, value_sql: str, op: str, quantifier: str, sub: _Rel) -> str:
-        """Rewrite ANY/ALL (absent from SQLite) into EXISTS forms.
+    def _quantified(
+        self, value_sql: str, op: str, quantifier: str, sub: _Rel, uncorrelated: bool
+    ) -> str:
+        """Rewrite ANY/ALL (absent from SQLite) into forms SQLite runs.
 
-        Both rewrites are vacuously correct on an empty subquery result:
-        ``ANY`` over nothing is false, ``ALL`` over nothing is true.
+        An uncorrelated subquery under an ordered operator becomes one
+        scalar subquery over its min or max, which SQLite evaluates once:
+        schema-typed columns carry no NULLs, so the bound is NULL exactly
+        when the result is empty, and ``COALESCE`` answers that case.  The
+        other shapes rewrite to ``EXISTS`` forms, re-run per outer row.
+        Every form is correct on an empty subquery result: ``ANY`` over
+        nothing is false, ``ALL`` over nothing is true.
         """
         if op not in _COMPARISON_OPS:
             raise EngineError(f"unsupported operator {op!r}")
@@ -210,6 +225,13 @@ class _Lowering:
         if quantifier == "ALL" and op == "<>":
             return f"{value_sql} NOT IN ({sub.sql})"
         alias = self._alias()
+        end = _SubqueryValues.DECIDING_END.get((op, quantifier))
+        if uncorrelated and end is not None:
+            empty = 1 if quantifier == "ALL" else 0
+            return (
+                f"COALESCE({value_sql} {op} (SELECT {end.upper()}({alias}.c0) "
+                f"FROM ({sub.sql}) AS {alias}), {empty})"
+            )
         if quantifier == "ANY":
             return (
                 f"EXISTS (SELECT 1 FROM ({sub.sql}) AS {alias} "

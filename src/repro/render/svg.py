@@ -118,13 +118,23 @@ def _render_boxes(diagram: Diagram, layout: Layout) -> list[str]:
 
 def _render_edges(diagram: Diagram, layout: Layout) -> list[str]:
     parts: list[str] = []
+    row_indexes: dict[str, dict[str, int]] = {}
+
+    def row_index(table_id: str, row_key: str) -> int:
+        """Position of the table's first row with ``row_key`` (any case), else 0."""
+        index = row_indexes.get(table_id)
+        if index is None:
+            index = {}
+            for position, row in enumerate(diagram.table(table_id).rows):
+                index.setdefault(row.key.lower(), position)
+            row_indexes[table_id] = index
+        return index.get(row_key.lower(), 0)
+
     for edge in diagram.edges:
-        source_table = diagram.table(edge.source.table_id)
-        target_table = diagram.table(edge.target.table_id)
         source_placement = layout.placement(edge.source.table_id)
         target_placement = layout.placement(edge.target.table_id)
-        source_index = _row_index(source_table, edge.source.row_key)
-        target_index = _row_index(target_table, edge.target.row_key)
+        source_index = row_index(edge.source.table_id, edge.source.row_key)
+        target_index = row_index(edge.target.table_id, edge.target.row_key)
         _, source_y = source_placement.row_anchor(source_index)
         _, target_y = target_placement.row_anchor(target_index)
         if source_placement.x <= target_placement.x:
@@ -146,14 +156,6 @@ def _render_edges(diagram: Diagram, layout: Layout) -> list[str]:
                 f"{_escape(edge.operator)}</text>"
             )
     return parts
-
-
-def _row_index(table, row_key: str) -> int:
-    lowered = row_key.lower()
-    for index, row in enumerate(table.rows):
-        if row.key.lower() == lowered:
-            return index
-    return 0
 
 
 def _escape(text: str) -> str:

@@ -20,7 +20,7 @@ an explicit test in :class:`TestDocumentedDivergences` — none are skipped.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,12 +33,16 @@ from repro.relational import (
     Database,
     EngineError,
     ExecutionMode,
+    Executor,
     ResultSet,
     TypeMismatchError,
     execute,
     plan_query,
 )
+from repro.relational.plan import Filter, SubqueryPred
 from repro.relational.resolve import order_key_position
+from repro.relational.sqlbackend import lower_query
+from repro.relational.values import compare as compare_values
 from repro.sql import SelectQuery, parse
 from repro.sql.parser import MAX_QUERY_DEPTH
 from repro.workloads import (
@@ -716,6 +720,198 @@ class TestTypeErrorParity:
     def test_order_by(self, planted, sql, raises, strategy):
         assert plan_query(parse(sql), planted).root.strategy == strategy
         self._agree(sql, planted, raises)
+
+
+# --------------------------------------------------------------------- #
+# ANY/ALL against a subquery that reads no column of the current row
+# --------------------------------------------------------------------- #
+
+_QUANTIFIED_OPS = ("=", "<>", "<", "<=", ">", ">=")
+#: Probes of P: (v int, f float, s str).  They tie the minimum and the
+#: maximum of group 2 and the single value of groups 1 and 3, in each
+#: family, and an int ties a float (5 against 5.0).
+_PROBES = ((2, 2.5, "a"), (3, 3.0, "c"), (4, 5.0, "k"), (5, 5.5, "m"),
+           (6, 7.5, "p"), (8, 8.0, "t"), (9, 9.5, "z"))
+#: Subquery values of Q by group: 0 empty, 1 one value, 2 several values,
+#: 3 one value twice.
+_GROUPS = {
+    0: (),
+    1: ((5, 5.0, "m"),),
+    2: ((3, 2.5, "c"), (5, 5.0, "m"), (8, 7.5, "t")),
+    3: ((5, 5.0, "m"), (5, 5.0, "m")),
+}
+#: (probe column of P, value column of Q): same type, int against float,
+#: float against int, strings.
+_COLUMN_PAIRS = (("v", "v"), ("v", "f"), ("f", "v"), ("s", "s"))
+
+
+def _quantified_database(bad_value=None, bad_probe=None) -> Database:
+    """P probes, Q groups of subquery values, R (id, grp) outer rows.
+
+    ``bad_value`` adds group 4 to Q holding 3 and this value in ``Q.v``;
+    ``bad_probe`` replaces ``P.v`` of P's last row.  Both violate the
+    schema on purpose.
+    """
+    schema = Schema("quantified")
+    schema.add_table("P", [("id", "int"), ("v", "int"), ("f", "float"), ("s", "str")])
+    schema.add_table(
+        "Q", [("id", "int"), ("grp", "int"), ("v", "int"), ("f", "float"), ("s", "str")]
+    )
+    schema.add_table("R", [("id", "int"), ("grp", "int")])
+    db = Database(schema)
+    for i, (v, f, s) in enumerate(_PROBES, 1):
+        if bad_probe is not None and i == len(_PROBES):
+            v = bad_probe
+        db.insert("P", (i, v, f, s))
+    groups = dict(_GROUPS)
+    if bad_value is not None:
+        groups[4] = ((3, 3.0, "c"), (bad_value, 3.0, "c"))
+    rows = [(grp, *values) for grp, members in groups.items() for values in members]
+    for i, row in enumerate(rows, 1):
+        db.insert("Q", (i, *row))
+    for i in range(1, len(_PROBES) + 1):
+        for grp in _GROUPS:
+            db.insert("R", (i, grp))
+    return db
+
+
+def _holds(value, op, quantifier, members) -> bool:
+    """``value op ANY|ALL (members)``, straight from the definition."""
+    tests = (compare_values(value, op, member) for member in members)
+    return any(tests) if quantifier == "ANY" else all(tests)
+
+
+def _subquery_preds(plan) -> list:
+    """The subquery predicates filtering ``plan``'s operator tree."""
+    return [
+        pred
+        for node in plan.root.walk()
+        if isinstance(node, Filter)
+        for pred in node.predicates
+        if isinstance(pred, SubqueryPred)
+    ]
+
+
+class TestRowIndependentQuantified:
+    """``v op ANY|ALL (S)`` where S reads no column of the current row.
+
+    The rows and columnar engines probe S once per run of the block and
+    test every row against its min, max or set; the sql engine lowers the
+    ordered operators to one ``COALESCE(v op (SELECT MIN|MAX ...), 0|1)``.
+    """
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return _quantified_database()
+
+    @pytest.mark.parametrize("quantifier", ("ANY", "ALL"))
+    @pytest.mark.parametrize("op", _QUANTIFIED_OPS)
+    def test_every_operator_group_and_family(self, db, op, quantifier):
+        for (probe, column), grp, negated in product(_COLUMN_PAIRS, _GROUPS, (False, True)):
+            sql = (
+                f"SELECT P.id FROM P WHERE {'NOT ' if negated else ''}P.{probe} "
+                f"{op} {quantifier} (SELECT Q.{column} FROM Q WHERE Q.grp = {grp})"
+            )
+            members = [values["vfs".index(column)] for values in _GROUPS[grp]]
+            expected = {
+                (i,) for i, values in enumerate(_PROBES, 1)
+                if _holds(values["vfs".index(probe)], op, quantifier, members) != negated
+            }
+            result = assert_engines_agree(sql, db)
+            assert result.as_set() == expected, sql
+
+    @pytest.mark.parametrize("quantifier", ("ANY", "ALL"))
+    @pytest.mark.parametrize("op", _QUANTIFIED_OPS)
+    def test_bound_follows_the_enclosing_row(self, db, op, quantifier):
+        # Inside the EXISTS block the subquery's only parameter is R.grp,
+        # a parameter of that block: one result per block run, a new one
+        # for every outer row.
+        sql = (
+            "SELECT R.id, R.grp FROM R WHERE EXISTS (SELECT P.id FROM P "
+            f"WHERE P.id = R.id AND P.v {op} {quantifier} "
+            "(SELECT Q.v FROM Q WHERE Q.grp = R.grp))"
+        )
+        if (op, quantifier) not in (("=", "ANY"), ("<>", "ALL")):  # else a semi-join
+            inner = _subquery_preds(plan_query(parse(sql), db))[0].plan
+            (quantified,) = _subquery_preds(inner)
+            assert quantified.param_exprs and not quantified.subquery_reads_row
+        expected = {
+            (i, grp)
+            for i, values in enumerate(_PROBES, 1)
+            for grp, members in _GROUPS.items()
+            if _holds(values[0], op, quantifier, [m[0] for m in members])
+        }
+        # Some probe row holds against some groups and fails against others.
+        assert any(
+            0 < sum((i, grp) in expected for grp in _GROUPS) < len(_GROUPS)
+            for i in range(1, len(_PROBES) + 1)
+        )
+        assert assert_engines_agree(sql, db).as_set() == expected
+
+    @pytest.mark.parametrize("grp", (0, 2))
+    @pytest.mark.parametrize("quantifier", ("ANY", "ALL"))
+    @pytest.mark.parametrize("op", _QUANTIFIED_OPS)
+    def test_probe_of_the_other_family(self, db, op, quantifier, grp):
+        sql = (
+            f"SELECT P.id FROM P WHERE P.s {op} {quantifier} "
+            f"(SELECT Q.v FROM Q WHERE Q.grp = {grp})"
+        )
+        query = parse(sql)
+        # The sql engine raises at lowering, whatever the data.
+        with pytest.raises(TypeMismatchError):
+            lower_query(plan_query(query, db), db)
+        if grp == 2:
+            for mode in _ALL_MODES:
+                with pytest.raises(TypeMismatchError):
+                    execute(query, db, mode=mode)
+        else:  # an empty result answers without a family check
+            holds = quantifier == "ALL"
+            for mode in _ALL_MODES[:3]:
+                assert len(execute(query, db, mode=mode).rows) == (
+                    len(_PROBES) if holds else 0
+                )
+
+    @pytest.mark.parametrize("quantifier", ("ANY", "ALL"))
+    @pytest.mark.parametrize("op", ("<>", "<", ">="))
+    def test_probe_column_holding_the_other_family(self, op, quantifier):
+        # The last probe row holds a string in P.v (schema violation, so
+        # the sql engine's type affinity sits this one out).
+        db = _quantified_database(bad_probe="bad")
+        modes = (ExecutionMode.NAIVE, ExecutionMode.PLANNED, ExecutionMode.COLUMNAR)
+        for where, raises in (("", True), (f"P.id < {len(_PROBES)} AND ", False)):
+            for grp in (1, 2):
+                sql = (
+                    f"SELECT P.id FROM P WHERE {where}P.v {op} {quantifier} "
+                    f"(SELECT Q.v FROM Q WHERE Q.grp = {grp})"
+                )
+                reference = assert_engines_agree(sql, db, modes=modes)
+                assert (reference is TypeMismatchError) == raises, sql
+
+    @pytest.mark.parametrize("mode", (ExecutionMode.PLANNED, ExecutionMode.COLUMNAR))
+    @pytest.mark.parametrize("op", (">", "<>"))
+    def test_mixed_family_result_raises_when_a_row_reaches_it(self, mode, op):
+        # Only data that violates its schema gives a mixed result; the
+        # oracle may short-circuit before the odd member (docs/executor.md).
+        db = _quantified_database(bad_value="bad")
+        for quantifier in ("ANY", "ALL"):
+            subquery = f"{op} {quantifier} (SELECT Q.v FROM Q WHERE Q.grp = 4)"
+            with pytest.raises(TypeMismatchError):
+                execute(parse(f"SELECT P.id FROM P WHERE P.v {subquery}"), db, mode=mode)
+            unreached = f"SELECT P.id FROM P WHERE P.v > 100 AND P.v {subquery}"
+            assert execute(parse(unreached), db, mode=mode).rows == ()
+
+    @pytest.mark.parametrize("mode", (ExecutionMode.PLANNED, ExecutionMode.COLUMNAR))
+    def test_one_probe_per_block_run_and_none_when_no_row_reaches(self, db, mode):
+        subquery = "P.v >= ALL (SELECT Q.v FROM Q WHERE Q.grp = 2)"
+        executor = Executor(db, mode=mode)
+        assert executor.execute(parse(f"SELECT P.id FROM P WHERE {subquery}")).rows
+        stats = executor.context.stats
+        assert (stats.subquery_misses, stats.subquery_hits) == (1, 0)
+
+        executor = Executor(db, mode=mode)
+        unreached = f"SELECT P.id FROM P WHERE P.v > 100 AND {subquery}"
+        assert executor.execute(parse(unreached)).rows == ()
+        assert executor.context.stats.subquery_misses == 0
 
 
 # --------------------------------------------------------------------- #

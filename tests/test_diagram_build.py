@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 
 from repro import queryvis
@@ -15,6 +18,7 @@ from repro.diagram import (
     validate_diagram,
 )
 from repro.logic import Quantifier, simplify_logic_tree, sql_to_logic_tree
+from repro.pipeline import compile_sql
 from repro.sql import parse
 
 
@@ -175,6 +179,58 @@ class TestGroupByAndAggregates:
             row for _table, row in diagram.iter_rows() if row.kind is RowKind.GROUP_BY
         ]
         assert len(group_rows) == 2
+
+
+class TestLargeQueries:
+    """Rows are found by lowercased key in a dict, not by scanning the
+    table, so a table with many rows builds and renders in linear time."""
+
+    #: Generous: both shapes take well under a second on a 2-vCPU machine,
+    #: and tens of seconds when every lookup scans the table's rows.
+    BOUND_S = 5.0
+
+    @staticmethod
+    def _compile(sql):
+        start = time.perf_counter()
+        compiled = compile_sql(sql, formats=("text", "svg", "dot"))
+        return compiled, time.perf_counter() - start
+
+    def test_many_selection_predicates(self):
+        n = 20_000
+        sql = "SELECT S.sname FROM Sailor S WHERE " + " AND ".join(
+            f"S.rating > {i}" for i in range(n)
+        )
+        compiled, seconds = self._compile(sql)
+        assert seconds < self.BOUND_S
+        rows = compiled.diagram.table("S").rows
+        selections = [row.label for row in rows if row.kind is RowKind.SELECTION]
+        assert selections == [f"rating > {i}" for i in range(n)]
+        assert [row.label for row in rows if row.kind is RowKind.ATTRIBUTE] == ["sname"]
+
+    def test_many_join_columns(self):
+        m = 4_000
+        sql = "SELECT S.x FROM Sx S, Ty T WHERE " + " AND ".join(
+            f"S.a{i} = T.b{i}" for i in range(m)
+        )
+        compiled, seconds = self._compile(sql)
+        assert seconds < self.BOUND_S
+        diagram = compiled.diagram
+        assert [row.key for row in diagram.table("T").rows] == [f"b{i}" for i in range(m)]
+        assert len(diagram.join_edges()) == m
+        # Each join edge leaves from its own attribute row of S.
+        heights = re.findall(r'<line x1="[^"]*" y1="([^"]*)"', compiled.outputs["svg"])
+        assert len(set(heights)) >= m
+
+    def test_predicates_differing_only_in_case_share_a_row(self):
+        diagram = queryvis(
+            "SELECT B.bname FROM Boat B WHERE B.color = 'red' AND B.COLOR = 'RED' "
+            "AND B.Color = 'Red' AND B.bid > 3"
+        )
+        assert [(row.kind, row.label) for row in diagram.table("B").rows] == [
+            (RowKind.SELECTION, "color = 'red'"),
+            (RowKind.SELECTION, "bid > 3"),
+            (RowKind.ATTRIBUTE, "bname"),
+        ]
 
 
 class TestPreprocessing:

@@ -236,7 +236,7 @@ class TestLowering:
     def test_quantified_any_rewrites_to_exists(self, sailors):
         lowered = self._lower(
             "SELECT S.sname FROM Sailor S WHERE S.rating > ANY "
-            "(SELECT S2.rating FROM Sailor S2)",
+            "(SELECT S2.rating FROM Sailor S2 WHERE S2.sid <> S.sid)",
             sailors,
         )
         assert "EXISTS (SELECT 1 FROM (" in lowered.sql
@@ -244,10 +244,30 @@ class TestLowering:
     def test_quantified_all_rewrites_to_not_exists(self, sailors):
         lowered = self._lower(
             "SELECT S.sname FROM Sailor S WHERE S.rating >= ALL "
-            "(SELECT S2.rating FROM Sailor S2)",
+            "(SELECT S2.rating FROM Sailor S2 WHERE S2.sid <> S.sid)",
             sailors,
         )
         assert "NOT EXISTS (SELECT 1 FROM (" in lowered.sql
+
+    def test_uncorrelated_any_lowers_to_coalesced_min(self, sailors):
+        lowered = self._lower(
+            "SELECT S.sname FROM Sailor S WHERE S.rating > ANY "
+            "(SELECT S2.rating FROM Sailor S2)",
+            sailors,
+        )
+        assert "COALESCE(" in lowered.sql and "(SELECT MIN(" in lowered.sql
+        assert lowered.sql.count("SELECT MIN(") == 1
+        assert "EXISTS" not in lowered.sql and "MAX(" not in lowered.sql
+
+    def test_uncorrelated_all_lowers_to_coalesced_max(self, sailors):
+        lowered = self._lower(
+            "SELECT S.sname FROM Sailor S WHERE S.rating >= ALL "
+            "(SELECT S2.rating FROM Sailor S2)",
+            sailors,
+        )
+        assert "COALESCE(" in lowered.sql and "(SELECT MAX(" in lowered.sql
+        assert lowered.sql.count("SELECT MAX(") == 1
+        assert "EXISTS" not in lowered.sql and "MIN(" not in lowered.sql
 
     def test_equality_any_becomes_in(self, sailors):
         lowered = self._lower(
