@@ -13,8 +13,8 @@ diagrams help users understand complicated SQL queries faster" (SIGMOD 2020):
   (:class:`repro.pipeline.DiagramBatchCompiler`);
 * :mod:`repro.render` — DOT / SVG / text renderers;
 * :mod:`repro.relational` — an in-memory engine used to verify semantics,
-  with a plan-based executor (pushdown, hash joins, semi-joins) and a batch
-  pipeline API (:class:`repro.relational.BatchExecutor`);
+  with a plan-based executor (pushdown, hash joins, semi-joins) that runs
+  whole workloads over shared caches (:class:`repro.relational.Executor`);
 * :mod:`repro.study` and :mod:`repro.stats` — the user-study simulation and
   the pre-registered analysis pipeline of Section 6.
 """
@@ -22,7 +22,6 @@ diagrams help users understand complicated SQL queries faster" (SIGMOD 2020):
 from __future__ import annotations
 
 from .catalog import Schema
-from .diagram.build import sql_to_diagram
 from .diagram.model import Diagram
 from .logic.simplify import simplify_logic_tree
 from .logic.translate import sql_to_logic_tree
@@ -83,6 +82,5 @@ __all__ = [
     "parse",
     "queryvis",
     "simplify_logic_tree",
-    "sql_to_diagram",
     "sql_to_logic_tree",
 ]

@@ -517,7 +517,7 @@ def _run_bench_exec(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from .relational import BatchExecutor, ExecutionMode
+    from .relational import ExecutionMode, Executor
     from .workloads import (
         chinook_bench_database,
         chinook_join_workload,
@@ -576,7 +576,7 @@ def _run_bench_exec(args: argparse.Namespace) -> int:
     results: dict[str, list] = {}
     for mode in engines:
         name = engine_names[mode]
-        batch = BatchExecutor(database, mode=mode, fallback=args.fallback)
+        batch = Executor(database, mode=mode, fallback=args.fallback)
         start = time.perf_counter()
         cold_results = batch.run(queries)
         cold = time.perf_counter() - start
@@ -644,10 +644,10 @@ def _run_bench_exec(args: argparse.Namespace) -> int:
     triples = chinook_topk_workload()
     ranked_queries = [ranked for _, ranked, _ in triples]
     full_queries = [full for _, _, full in triples]
-    batch_ranked = BatchExecutor(database, mode=topk_mode)
-    batch_full = BatchExecutor(database, mode=topk_mode)
+    batch_ranked = Executor(database, mode=topk_mode)
+    batch_full = Executor(database, mode=topk_mode)
 
-    def _timed(batch: BatchExecutor, batch_queries: list) -> tuple[float, list]:
+    def _timed(batch: Executor, batch_queries: list) -> tuple[float, list]:
         start = time.perf_counter()
         batch_results = batch.run(batch_queries)
         return time.perf_counter() - start, batch_results
@@ -690,7 +690,7 @@ def _run_bench_exec(args: argparse.Namespace) -> int:
         return 1
 
     if args.naive:
-        oracle = BatchExecutor(database, mode=ExecutionMode.NAIVE)
+        oracle = Executor(database, mode=ExecutionMode.NAIVE)
         start = time.perf_counter()
         naive_results = oracle.run(queries)
         naive_elapsed = time.perf_counter() - start

@@ -5,7 +5,6 @@ from .build import (
     build_diagram,
     ensure_unique_aliases,
     flatten_existential_blocks,
-    sql_to_diagram,
 )
 from .inverse import (
     AmbiguousDiagramError,
@@ -62,6 +61,5 @@ __all__ = [
     "pattern_signature",
     "recover_logic_tree",
     "same_pattern",
-    "sql_to_diagram",
     "validate_diagram",
 ]

@@ -37,7 +37,6 @@ from ..sql.ast import (
     Comparison,
     FLIPPED_OP,
     Literal,
-    SelectQuery,
     TableRef,
 )
 from ..logic.errors import TranslationError
@@ -54,21 +53,6 @@ from .model import (
 )
 
 SELECT_TABLE_ID = "__select__"
-
-
-def sql_to_diagram(
-    query: SelectQuery, schema: Schema | None = None, simplify: bool = True
-) -> Diagram:
-    """Build a QueryVis diagram straight from a parsed SQL query.
-
-    Thin wrapper over the staged pipeline (:mod:`repro.pipeline`); corpus
-    callers should use :class:`repro.pipeline.DiagramBatchCompiler` directly
-    to share stage caches across queries.
-    """
-    # Imported lazily: the pipeline consumes build_diagram from this module.
-    from ..pipeline.compiler import compile_sql
-
-    return compile_sql(query, schema=schema, simplify=simplify, formats=()).diagram
 
 
 def build_diagram(tree: LogicTree, schema: Schema | None = None) -> Diagram:

@@ -1,6 +1,6 @@
 """Corpus-scale diagram compilation: many queries, shared stage caches.
 
-The diagram-side counterpart of :class:`repro.relational.batch.BatchExecutor`:
+The diagram-side counterpart of :class:`repro.relational.Executor`:
 one :class:`DiagramBatchCompiler` keeps a single :class:`DiagramCompiler`
 (and therefore one set of content-addressed stage caches) alive across a
 whole corpus.  Workload-scale corpora repeat queries verbatim and contain

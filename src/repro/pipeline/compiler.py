@@ -36,11 +36,11 @@ output always shows the right labels in the right places.
 
 The fingerprint pass makes a one-shot compile ~3.5x the bare
 ``translate → simplify → build`` chain (~0.4 ms vs ~0.1 ms per query on a
-paper-sized query).  One-shot wrappers (``queryvis``, ``sql_to_diagram``,
-``compile_sql``) pay it even though their fresh caches cannot hit — a
-deliberate trade: every artifact carries its fingerprint, and the corpus
-paths that matter at scale amortize the cost across the batch.  Layout is
-only computed when an output format is requested (or lazily on first
+paper-sized query).  One-shot wrappers (``queryvis``, ``compile_sql``)
+pay it even though their fresh caches cannot hit — a deliberate trade:
+every artifact carries its fingerprint, and the corpus paths that matter
+at scale amortize the cost across the batch.  Layout is only computed
+when an output format is requested (or lazily on first
 ``CompiledDiagram.layout`` access).
 """
 

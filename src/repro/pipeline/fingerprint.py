@@ -20,9 +20,16 @@ structural signature (table name, depth, quantifier, its selection
 predicates), iteratively refined with the signatures of its join neighbours
 — a tiny Weisfeiler-Leman pass, ample for the fragment's small trees.
 Canonical names ``t1, t2, …`` are then assigned in a canonical traversal
-(children ordered by subtree signature).  Symmetric ties fall back to input
-order: that can only *split* an equivalence class (missing a dedup
-opportunity), never merge two inequivalent queries.
+(children ordered by subtree signature).  Refinement cannot tell twins
+apart (two ``∃`` blocks of one shape flattened into the root, say), and
+naming each tied class by input order on its own can pair one twin with
+the other twin's join partner, so predicate order would leak into the
+fingerprint.  Joined twins are instead told apart one at a time: one is
+ranked first and the ranks are refined again, which carries that choice
+to its partners.  Ties refinement misses for other reasons (it is not a
+complete isomorphism test) fall back to input order: that can only
+*split* an equivalence class (missing a dedup opportunity), never merge
+two inequivalent queries.
 
 This is the single hottest cold-path stage, so the implementation avoids
 per-node hashing entirely: refinement signatures are *rank-compressed* each
@@ -38,15 +45,21 @@ reported fingerprint itself stays SHA-256 over the canonical form.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 from ..sql.ast import ColumnRef, Comparison, FLIPPED_OP, SelectQuery
 from ..logic.logic_tree import LogicTree, LogicTreeNode
 from ..logic.translate import sql_to_logic_tree
 from ..logic.simplify import simplify_logic_tree
+from ..diagram.build import ensure_unique_aliases, flatten_existential_blocks
 
 #: Minimum refinement rounds (actual count adapts to alias count and stops
 #: early once the partition into signature classes is stable).
 _REFINEMENT_ROUNDS = 3
+
+#: Most twin ties broken per tree, each costing one more refinement; ties
+#: left after that fall back to input order.
+_MAX_TWIN_CHOICES = 8
 
 #: Quantifier → feature string (``str(Quantifier)`` is a Python call per
 #: node per use; this is one dict probe).  ``None`` maps exactly like the
@@ -116,22 +129,10 @@ def canonical_form(tree: LogicTree) -> str:
     return _canonical_data(tree)[0]
 
 
-_PREPROCESS = None
-
-
 def _canonical_data(
     tree: LogicTree,
 ) -> tuple[str, dict[str, str], dict[str, str]]:
-    global _PREPROCESS
-    if _PREPROCESS is None:
-        # Imported here: diagram.build imports this package's compiler
-        # lazily, so a module-level import would be circular.  Bound once —
-        # the import-machinery probe is measurable on the per-query path.
-        from ..diagram.build import ensure_unique_aliases, flatten_existential_blocks
-
-        _PREPROCESS = (ensure_unique_aliases, flatten_existential_blocks)
-    ensure_unique, flatten = _PREPROCESS
-    tree = flatten(ensure_unique(tree))
+    tree = flatten_existential_blocks(ensure_unique_aliases(tree))
     index = _TreeIndex(tree)
     ranks = _alias_ranks(tree, index)
     order = _ordered_children_map(tree, index, ranks)
@@ -383,14 +384,37 @@ def _alias_ranks(tree: LogicTree, index: _TreeIndex) -> dict[str, int]:
         )
         for alias in owner
     }
-    ranks, classes = _compress(initial)
+    ranks, classes = _refine(*_compress(initial), joins)
+    # Twins left tied: rank the first of the lowest tied class ahead of the
+    # rest and refine again, so its join partners follow the choice.  The
+    # choice itself cannot matter when the twins are interchangeable.
+    # Tied aliases without joins need none: swapping them changes nothing.
+    for _choice in range(_MAX_TWIN_CHOICES):
+        if classes == len(owner):
+            break
+        sizes = Counter(ranks.values())
+        twins = [alias for alias, rank in ranks.items() if sizes[rank] > 1 and joins[alias]]
+        if not twins:
+            break
+        first = min(twins, key=lambda alias: (ranks[alias], alias))
+        split = {alias: (rank, alias != first) for alias, rank in ranks.items()}
+        ranks, classes = _refine(*_compress(split), joins)
+    return ranks
+
+
+def _refine(
+    ranks: dict[str, int],
+    classes: int,
+    joins: dict[str, list[tuple[str, str, str, str]]],
+) -> tuple[dict[str, int], int]:
+    """``ranks`` refined by the ranks of each alias's join partners."""
     # One round per alias guarantees a distinguishing feature propagates
     # across the whole join graph (Weisfeiler-Leman converges in <= n);
     # refinement is monotone, so it stops as soon as every alias sits in
     # its own class (fully discriminated — the common case, checked before
     # the first join round even runs) or a round fails to split any class.
-    for _round in range(max(_REFINEMENT_ROUNDS, len(owner))):
-        if classes == len(owner):
+    for _round in range(max(_REFINEMENT_ROUNDS, len(ranks))):
+        if classes == len(ranks):
             break
         refined: dict[str, object] = {
             alias: (
@@ -408,7 +432,7 @@ def _alias_ranks(tree: LogicTree, index: _TreeIndex) -> dict[str, int]:
         if new_classes == classes:
             break
         classes = new_classes
-    return ranks
+    return ranks, classes
 
 
 # ---------------------------------------------------------------------- #

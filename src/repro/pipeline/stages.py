@@ -8,8 +8,8 @@ each of which is individually cacheable: a stage's cache key is the content
 of its input (token text, frozen AST/Logic Tree, canonical fingerprint), so
 repeated or semantically equivalent inputs hit the cache no matter which
 query of a corpus produced them first.  The same idea drives the relational
-side's :class:`~repro.relational.batch.BatchExecutor`; this is its diagram
-counterpart.
+side's :class:`~repro.relational.executor.ExecutionContext`; this is its
+diagram counterpart.
 
 One extra pseudo-stage, ``artifact``, sits in front of the chain: it
 memoizes the whole compilation keyed on the verbatim input (stripped SQL

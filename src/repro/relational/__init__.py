@@ -14,7 +14,6 @@ from .backends import (
     reset_breakers,
     with_fallback,
 )
-from .batch import BatchExecutor, BatchStats, execute_batch
 from .columnar import ColumnarTable
 from .database import Database, Relation, Row
 from .errors import (
@@ -37,11 +36,13 @@ from .planner import Planner, plan_query
 from .stats import CatalogStatistics, KMVSketch, TableStats, stable_hash
 from .values import Value, compare, values_comparable
 
+#: Another name for :class:`Executor`, which runs whole workloads itself.
+BatchExecutor = Executor
+
 __all__ = [
     "AGGREGATES",
     "AmbiguousColumnError",
     "BatchExecutor",
-    "BatchStats",
     "BlockPlan",
     "BreakerState",
     "CatalogStatistics",
@@ -71,7 +72,6 @@ __all__ = [
     "breaker_states",
     "compare",
     "execute",
-    "execute_batch",
     "is_recoverable",
     "plan_query",
     "register_backend",

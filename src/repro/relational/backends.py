@@ -5,10 +5,10 @@ Historically :class:`~repro.relational.executor.Executor` branched on
 That worked for three engines but made every new engine a cross-cutting
 edit (executor, batch, CLI, benchmarks all knew the mode list).  This
 module inverts the dependency: an engine implements
-:class:`ExecutionBackend` and registers itself; the executor facade, the
-batch pipeline and the CLI all dispatch through :func:`backend_for` and
-never name a concrete engine again — the `lsst.daf.relation` pattern of
-compiling one plan vocabulary to interchangeable engines.
+:class:`ExecutionBackend` and registers itself; the executor facade and
+the CLI dispatch through :func:`backend_for` and never name a concrete
+engine again — the `lsst.daf.relation` pattern of compiling one plan
+vocabulary to interchangeable engines.
 
 Backends registered out of the box:
 

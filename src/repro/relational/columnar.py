@@ -41,7 +41,6 @@ row-at-a-time loop so errors surface exactly as in the oracle.
 from __future__ import annotations
 
 import heapq
-import operator
 import os
 from typing import TYPE_CHECKING, Sequence
 
@@ -52,6 +51,7 @@ try:  # NumPy accelerates the numeric kernels but is not required.
 except ImportError:
     _np = None
 
+from ..sql.ast import FLIPPED_OP
 from .aggregates import apply_aggregate
 from .database import Relation
 from .errors import EngineError, TypeMismatchError
@@ -74,29 +74,13 @@ from .plan import (
     SubqueryPred,
     TopK,
 )
-from .values import OrderKey, Value, compare
+from .values import OPERATORS, OrderKey, Value, compare, value_family
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .executor import ExecutionContext, ResultSet
 
 #: Cap on materialized (left, right) index pairs per nested-loop chunk.
 _NESTED_LOOP_CHUNK_PAIRS = 4_000_000
-
-_PY_OPS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _family(value: Value) -> str:
-    return "num" if isinstance(value, (int, float)) else "str"
-
 
 def _merge_families(left: str, right: str) -> str:
     """The family of two vectors placed end to end."""
@@ -374,7 +358,7 @@ def _comparison_positions(frame: Frame, pred: CompiledComparison, params: tuple)
 
     # Normalize "scalar op vector" to "vector op scalar" by flipping.
     if type(left) is not Col and type(right) is Col:
-        left, right, op = right, left, _FLIP[op]
+        left, right, op = right, left, FLIPPED_OP[op]
 
     if type(left) is not Col:  # row-independent: evaluate once
         holds = compare(_scalar_value(left, params), op, _scalar_value(right, params))
@@ -399,13 +383,13 @@ def _comparison_positions(frame: Frame, pred: CompiledComparison, params: tuple)
             and isinstance(rdata, _np.ndarray)
         ):
             return _positions_from_mask(_NP_OPS[op](ldata, rdata))
-        fn = _PY_OPS[op]
+        fn = OPERATORS[op]
         lvec = frame.values_list(left.slot)
         rvec = frame.values_list(right.slot)
         return _as_index([i for i, (a, b) in enumerate(zip(lvec, rvec)) if fn(a, b)])
 
     scalar = _scalar_value(right, params)
-    sfam = _family(scalar)
+    sfam = value_family(scalar)
     if lfam == "mixed":
         lvec = frame.values_list(left.slot)
         return _as_index([i for i, v in enumerate(lvec) if compare(v, op, scalar)])
@@ -416,7 +400,7 @@ def _comparison_positions(frame: Frame, pred: CompiledComparison, params: tuple)
     data = frame.vector(left.slot)
     if _np is not None and isinstance(data, _np.ndarray):
         return _positions_from_mask(_NP_OPS[op](data, scalar))
-    fn = _PY_OPS[op]
+    fn = OPERATORS[op]
     return _as_index([i for i, v in enumerate(data) if fn(v, scalar)])
 
 
@@ -455,7 +439,7 @@ def _fixed_quantified_positions(
     if _np is not None and isinstance(data, _np.ndarray):
         mask = _NP_OPS[op](data, bound)
         return _positions_from_mask(~mask if negated else mask)
-    fn = _PY_OPS[op]
+    fn = OPERATORS[op]
     return _as_index([i for i, v in enumerate(data) if fn(v, bound) != negated])
 
 
@@ -557,12 +541,12 @@ def _check_join_families(
         bfam = (
             build_frame.family(bk.slot)
             if type(bk) is Col
-            else _family(_scalar_value(bk, ()))
+            else value_family(_scalar_value(bk, ()))
         )
         pfam = (
             probe_frame.family(pk.slot)
             if type(pk) is Col
-            else _family(_scalar_value(pk, ()))
+            else value_family(_scalar_value(pk, ()))
         )
         if bfam == "mixed":
             raise TypeMismatchError(
@@ -746,7 +730,7 @@ def _run_project(node: Project, context: "ExecutionContext", params: tuple) -> F
             slots.append(child.slots[expr.slot])
         else:
             value = _scalar_value(expr, params)
-            slots.append(_Slot([value] * child.nrows, _family(value)))
+            slots.append(_Slot([value] * child.nrows, value_family(value)))
     return Frame(child.nrows, slots)
 
 

@@ -9,24 +9,20 @@ transformation in the QueryVis pipeline preserves query semantics.
 Tables are append-only: the API inserts rows and never updates or deletes
 them, so a table's row count is a monotonic per-table version.  Data
 mirrors built from a table (the executors' scan tuples, columnar tables and
-sqlite store, and :meth:`Database.content_digest`) record how many rows
-they hold and later take in only ``relation.rows[held:]``.
+sqlite store) record how many rows they hold and later take in only
+``relation.rows[held:]``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..catalog.schema import Schema, Table
 from .errors import UnknownColumnError, UnknownTableError
-from .stats import stable_row_hash
 from .values import Value
 
 Row = dict[str, Value]
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -77,8 +73,6 @@ class Database:
             self._relations[table.name.lower()] = Relation(
                 name=table.name, columns=table.attribute_names
             )
-        #: Per table: (rows hashed so far, their hash sum mod 2**64).
-        self._digests: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # loading data
@@ -156,27 +150,3 @@ class Database:
 
     def total_rows(self) -> int:
         return sum(len(relation) for relation in self._relations.values())
-
-    def content_digest(self) -> str:
-        """A hex digest of every table's name and rows, in any row order.
-
-        Per table, the digest sums :func:`~.stats.stable_row_hash` over the
-        rows modulo 2**64, so it does not depend on insertion order and
-        extends in O(1) per appended row.  It is computed lazily: each call
-        hashes only the rows appended since the previous call, so inserts
-        pay nothing.  Databases with the same schema and row counts but
-        different rows get different digests (up to 64-bit collisions),
-        which is what makes it safe as a persisted-result key.
-        """
-        digest = hashlib.sha256()
-        for key, relation in self._relations.items():
-            rows = relation.rows
-            held, total = self._digests.get(key, (0, 0))
-            if held > len(rows):  # rows removed behind the API's back
-                held, total = 0, 0
-            for row in rows[held:]:
-                total += stable_row_hash(row.values())
-            total &= _MASK64
-            self._digests[key] = (len(rows), total)
-            digest.update(f"{relation.name}:{len(rows)}:{total:016x};".encode())
-        return digest.hexdigest()

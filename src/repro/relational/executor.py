@@ -33,9 +33,10 @@ semantics apply (Appendix C.3 extension).  The modes return identical
 (documented edge divergences live in ``docs/sql_backend.md``).
 
 Compiled plans, materialized scans, subquery results and per-backend state
-are cached on an :class:`ExecutionContext`, which can be shared across many
-queries — see :mod:`repro.relational.batch` for the batch pipeline built on
-top.
+are cached on an :class:`ExecutionContext`.  An :class:`Executor` keeps
+one context for its whole life, so a workload run through it
+(:meth:`Executor.run`) plans each distinct query once, loads each table
+once and evaluates each distinct subquery once across all its queries.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, count, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -56,6 +57,7 @@ from ..sql.ast import (
     ColumnRef,
     Comparison,
     Exists,
+    FLIPPED_OP,
     InSubquery,
     Literal,
     Predicate,
@@ -63,6 +65,7 @@ from ..sql.ast import (
     SelectQuery,
     Star,
 )
+from ..sql.parser import parse
 from ..faults import fault_point
 from .aggregates import apply_aggregate
 from .backends import ExecutionBackend, backend_for, register_backend, with_fallback
@@ -95,7 +98,7 @@ from .plan import (
 from .planner import Planner
 from .resolve import match_column as _match_column
 from .resolve import matches_group_key, order_key_position, result_columns
-from .values import OrderKey, Value, compare
+from .values import OPERATORS, OrderKey, Value, compare, value_family
 
 
 class ExecutionMode(enum.Enum):
@@ -135,8 +138,8 @@ class ResultSet:
 
     def __reduce__(self):
         # Pickle only the payload: the cache is derivable, and dropping it
-        # keeps persisted results (e.g. the batch disk cache) compact and
-        # independent of whether as_set() happened to have been called.
+        # keeps a pickled result compact and independent of whether
+        # as_set() happened to have been called.
         return (type(self), (self.columns, self.rows))
 
     def __len__(self) -> int:
@@ -158,6 +161,8 @@ class ResultSet:
 class ExecutionStats:
     """Counters for the context's caches (useful for batch diagnostics)."""
 
+    # Top-level queries run through every executor sharing the context.
+    queries: int = 0
     plan_hits: int = 0
     plan_misses: int = 0
     subquery_hits: int = 0
@@ -189,6 +194,7 @@ class ExecutionStats:
 
     def snapshot(self) -> dict[str, int]:
         return {
+            "queries": self.queries,
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
             "subquery_hits": self.subquery_hits,
@@ -204,6 +210,24 @@ class ExecutionStats:
             "fallbacks": self.fallbacks,
             "breaker_skips": self.breaker_skips,
         }
+
+    def describe(self) -> str:
+        """One line of query count and cache hit rates."""
+        text = (
+            f"{self.queries} queries: "
+            f"plans {self.plan_hits}/{self.plan_hits + self.plan_misses} cached, "
+            f"subqueries {self.subquery_hits}/"
+            f"{self.subquery_hits + self.subquery_misses} cached, "
+            f"scans {self.scan_hits}/{self.scan_hits + self.scan_misses} cached"
+        )
+        if self.sql_lower_hits or self.sql_lower_misses:
+            text += (
+                f", lowerings {self.sql_lower_hits}/"
+                f"{self.sql_lower_hits + self.sql_lower_misses} cached "
+                f"({self.sql_store_builds} sqlite load"
+                f"{'s' if self.sql_store_builds != 1 else ''})"
+            )
+        return text
 
 
 class ExecutionContext:
@@ -405,7 +429,7 @@ class _SubqueryValues:
 
     def __init__(self, values: tuple[Value, ...]) -> None:
         self.values = values
-        families = {_family(v) for v in values}
+        families = {value_family(v) for v in values}
         if not families:
             self.family = "empty"
         elif len(families) == 1:
@@ -423,7 +447,7 @@ class _SubqueryValues:
                 "subquery result mixes string and numeric values; "
                 "comparing against it is not well-typed"
             )
-        if _family(value) != self.family:
+        if value_family(value) != self.family:
             raise TypeMismatchError(
                 f"cannot compare {type(value).__name__} with the subquery's "
                 f"{self.family} values"
@@ -469,7 +493,7 @@ class _SubqueryValues:
             if quantifier == "ANY":
                 return len(members) > 1 or value not in members
             return value not in members
-        return _OPERATORS[op](value, self.bound(op, quantifier))
+        return OPERATORS[op](value, self.bound(op, quantifier))
 
     def quantified_test(self, op: str, quantifier: str) -> Callable[[Value], bool]:
         """``value -> value op ANY/ALL (values)``, with the bound fixed once.
@@ -485,7 +509,7 @@ class _SubqueryValues:
             return lambda value: self.quantified(value, op, quantifier)
         bound = self.bound(op, quantifier)
         family = _family_type(bound)
-        compare_to = _OPERATORS[op]
+        compare_to = OPERATORS[op]
 
         def test(value: Value) -> bool:
             if isinstance(value, family):
@@ -493,10 +517,6 @@ class _SubqueryValues:
             return self.quantified(value, op, quantifier)  # raises the mismatch
 
         return test
-
-
-def _family(value: Value) -> str:
-    return "num" if isinstance(value, _NUMERIC) else "str"
 
 
 # ---------------------------------------------------------------------- #
@@ -517,16 +537,6 @@ def _family(value: Value) -> str:
 
 _NUMERIC = (int, float)
 _PLAIN_TYPES = frozenset((int, float, str))
-
-_OPERATORS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _family_type(value: Value):
@@ -588,7 +598,7 @@ def _compile_pred(pred) -> Callable:
 
 
 def _columns_test(left: int, name: str, right: int) -> Callable[[tuple], bool]:
-    op = _OPERATORS[name]
+    op = OPERATORS[name]
 
     def test(row: tuple) -> bool:
         a = row[left]
@@ -607,7 +617,7 @@ def _scalar_test(slot: int, name: str, value: Value, flipped: bool) -> Callable[
     ``flipped`` means the value stands on the left in the source.
     """
     family = _family_type(value)
-    op = _OPERATORS[_FLIPPED[name] if flipped else name]
+    op = OPERATORS[FLIPPED_OP[name] if flipped else name]
 
     def test(row: tuple) -> bool:
         v = row[slot]
@@ -729,7 +739,7 @@ def _compile_hash_join(node: HashJoin) -> Callable:
         # with a numeric one is a type error, not an empty join.
         expected = []
         for column in [build] if single else zip(*build):
-            families = {_family(value) for value in column}
+            families = {value_family(value) for value in column}
             expected.append(families.pop() == "num" if len(families) == 1 else None)
         numeric = expected[0]
         get = build.get
@@ -1116,11 +1126,19 @@ class _Environment:
 class Executor:
     """Evaluates queries of the supported fragment against a database.
 
+    >>> executor = Executor(database)
+    >>> results = executor.run(queries)       # list[ResultSet]
+    >>> executor.stats().describe()
+    '12 queries: plans 4/12 cached, ...'
+
+    Accepts SQL text or parsed :class:`~repro.sql.ast.SelectQuery` objects.
     ``mode`` selects the evaluation strategy — dispatched through the
     backend registry (:mod:`repro.relational.backends`), so any registered
-    engine is reachable here without this facade naming it; ``context``
-    lets callers share plan/subquery caches across executors (see
-    :class:`ExecutionContext`).
+    engine is reachable here without this facade naming it.  The
+    executor's :class:`ExecutionContext` caches plans, scans and subquery
+    results across every query it runs; ``context`` lets callers share
+    one context between executors.  The naive oracle bypasses those
+    caches.
 
     ``fallback=True`` wraps the engine in a breaker-guarded
     :class:`~.backends.FallbackBackend`: recoverable engine failures
@@ -1145,6 +1163,10 @@ class Executor:
         )
 
     @property
+    def database(self) -> Database:
+        return self._db
+
+    @property
     def mode(self) -> ExecutionMode:
         return self._mode
 
@@ -1152,18 +1174,39 @@ class Executor:
     def context(self) -> ExecutionContext:
         return self._context
 
-    def execute(self, query: SelectQuery) -> ResultSet:
-        """Execute ``query`` and return its result set."""
+    def execute(self, query: SelectQuery | str) -> ResultSet:
+        """Execute ``query`` (SQL text or AST) and return its result set."""
+        if isinstance(query, str):
+            query = parse(query)
+        self._context.stats.queries += 1
         backend = self._backend if self._backend is not None else backend_for(self._mode)
         return backend.execute(query, self._context)
 
-    def explain(self, query: SelectQuery) -> str:
+    def run(self, queries: Iterable[SelectQuery | str]) -> list[ResultSet]:
+        """Execute a whole workload, returning one result set per query."""
+        return [self.execute(query) for query in queries]
+
+    def iter_run(
+        self, queries: Iterable[SelectQuery | str]
+    ) -> Iterator[tuple[SelectQuery | str, ResultSet]]:
+        """Lazily yield ``(query, result)`` pairs — streaming-friendly."""
+        for query in queries:
+            yield query, self.execute(query)
+
+    def explain(self, query: SelectQuery | str) -> str:
         """EXPLAIN-style rendering of the plan the query would execute.
 
         Backends may append engine-specific detail — the SQL backend adds
         the generated SQL text and its bound parameters.
         """
+        if isinstance(query, str):
+            query = parse(query)
         return backend_for(self._mode).explain(query, self._context)
+
+    def stats(self) -> ExecutionStats:
+        """A copy of the context's counters accumulated so far."""
+        stats = self._context.stats
+        return replace(stats, breaker_state=dict(stats.breaker_state))
 
 
 class _NaiveInterpreter:

@@ -74,12 +74,11 @@ from ..plan import (
     SubqueryPred,
     TopK,
 )
+from ..values import OPERATORS, value_family
 from .store import quote_identifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..database import Database
-
-_COMPARISON_OPS = frozenset(("=", "<>", "<", "<=", ">", ">="))
 
 _FAMILY_NAMES = {"num": "numeric", "str": "string"}
 
@@ -116,10 +115,6 @@ _Frame = list
 _Params = list
 
 
-def _value_family(value) -> str:
-    return "num" if isinstance(value, (int, float)) else "str"
-
-
 class _Lowering:
     """One lowering pass: owns the alias counter and the bind dictionary."""
 
@@ -151,7 +146,7 @@ class _Lowering:
                 offset -= len(families)
             raise EngineError(f"column slot {expr.slot} escapes the frame")
         if type(expr) is Const:
-            return self._bind(expr.value), _value_family(expr.value)
+            return self._bind(expr.value), value_family(expr.value)
         if type(expr) is Param:
             if expr.index >= len(params):
                 raise EngineError(
@@ -164,7 +159,7 @@ class _Lowering:
 
     def _pred(self, pred, frame: _Frame, params: _Params) -> str:
         if type(pred) is CompiledComparison:
-            if pred.op not in _COMPARISON_OPS:
+            if pred.op not in OPERATORS:
                 raise EngineError(f"unsupported operator {pred.op!r}")
             left_sql, left_family = self._expr(pred.left, frame, params)
             right_sql, right_family = self._expr(pred.right, frame, params)
@@ -218,7 +213,7 @@ class _Lowering:
         Every form is correct on an empty subquery result: ``ANY`` over
         nothing is false, ``ALL`` over nothing is true.
         """
-        if op not in _COMPARISON_OPS:
+        if op not in OPERATORS:
             raise EngineError(f"unsupported operator {op!r}")
         if quantifier == "ANY" and op == "=":
             return f"{value_sql} IN ({sub.sql})"

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from typing import TYPE_CHECKING, Iterable
 
+from .database import Database, Relation
 from .values import Value
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from .database import Database, Relation
 
 #: Columns at or below this many rows get exact distinct counts (a Python
 #: set); longer columns use the KMV sketch, which bounds working memory.
@@ -41,7 +38,6 @@ RANGE_SELECTIVITY = 1.0 / 3.0
 
 _HASH_SPACE = float(1 << 64)
 _MASK64 = (1 << 64) - 1
-_FLOAT_TAG = 0x5BD1E9955BD1E995
 
 
 def stable_hash(value: Value) -> int:
@@ -63,29 +59,11 @@ def stable_hash(value: Value) -> int:
             x = hash(value) & _MASK64  # float hash is not salted
         else:
             x = value & _MASK64
-    return _splitmix64(x)
-
-
-def _splitmix64(x: int) -> int:
-    """The splitmix64 finalizer: a bijective 64-bit mix."""
+    # splitmix64 finalizer
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def stable_row_hash(values: Iterable[Value]) -> int:
-    """A process-stable 64-bit hash of one row, sensitive to column order.
-
-    Built on :func:`stable_hash`, but unlike it tells ``1`` from ``1.0``:
-    rows that compare equal yet print differently must not share a
-    persisted result.
-    """
-    x = 0
-    for value in values:
-        tag = _FLOAT_TAG if isinstance(value, float) else 0
-        x = _splitmix64(x ^ stable_hash(value) ^ tag)
-    return x
 
 
 class KMVSketch:

@@ -8,6 +8,7 @@ type error rather than silently false.
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 from .errors import TypeMismatchError
@@ -15,6 +16,21 @@ from .errors import TypeMismatchError
 Value = Union[int, float, str]
 
 _NUMERIC_TYPES = (int, float)
+
+#: The fragment's six comparison operators as native functions.
+OPERATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def value_family(value: Value) -> str:
+    """The comparison family of a value: ``"num"`` or ``"str"``."""
+    return "num" if isinstance(value, _NUMERIC_TYPES) else "str"
 
 
 def values_comparable(left: Value, right: Value) -> bool:
@@ -80,16 +96,7 @@ def compare(left: Value, op: str, right: Value) -> bool:
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}"
         )
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(f"unsupported operator {op!r}")
+    apply = OPERATORS.get(op)
+    if apply is None:
+        raise ValueError(f"unsupported operator {op!r}")
+    return apply(left, right)

@@ -15,12 +15,9 @@ from __future__ import annotations
 import pickle
 import subprocess
 import sys
-import tempfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.pipeline import (
     DiagramBatchCompiler,
@@ -28,10 +25,6 @@ from repro.pipeline import (
     DiskCache,
     stable_key_digest,
 )
-from repro.catalog import sailors_schema
-from repro.relational import BatchExecutor, Database, ExecutionMode, execute
-from repro.sql import parse
-from repro.workloads import chinook_bench_database, chinook_join_workload
 
 QUERY = (
     "SELECT S.sname FROM Sailors S WHERE S.rating > 7 AND NOT EXISTS "
@@ -41,17 +34,6 @@ VARIANT = (
     "SELECT X.sname FROM Sailors X WHERE X.rating > 7 AND NOT EXISTS "
     "(SELECT Y.bid FROM Reserves Y WHERE Y.sid = X.sid)"
 )
-
-#: Small value pools per sailors dtype, so generated databases collide often.
-_POOLS = {"int": st.integers(1, 3), "str": st.sampled_from(("red", "green"))}
-_DIGEST_QUERIES = (
-    "SELECT B.bid FROM Boat B WHERE B.color = 'red'",
-    "SELECT S.sname, R.day FROM Sailor S, Reserves R WHERE S.sid = R.sid",
-    "SELECT B.color, COUNT(*) FROM Boat B GROUP BY B.color",
-    "SELECT S.sid FROM Sailor S WHERE NOT EXISTS "
-    "(SELECT * FROM Reserves R WHERE R.sid = S.sid AND R.bid = 2)",
-)
-
 
 class TestDiskCacheStore:
     def test_put_get_roundtrip(self, tmp_path):
@@ -229,86 +211,6 @@ class TestCompilerWarmStart:
         assert stats.counter("render").disk_hits == 1
         assert artifact.fingerprint == original.fingerprint
         assert artifact.output("svg") == original.output("svg")
-
-
-class TestBatchExecutorWarmStart:
-    def test_results_come_from_disk_across_instances(self, tmp_path):
-        database = chinook_bench_database(scale=2)
-        queries = chinook_join_workload(repeat=1)
-        first = BatchExecutor(database, disk_cache=tmp_path)
-        results = first.run(queries)
-        assert first.stats().result_disk_hits == 0
-
-        second = BatchExecutor(database, disk_cache=tmp_path)
-        warmed = second.run(queries)
-        assert second.stats().result_disk_hits == len(queries)
-        assert [r.as_set() for r in warmed] == [r.as_set() for r in results]
-
-    def test_database_growth_invalidates_results(self, tmp_path):
-        database = chinook_bench_database(scale=2)
-        queries = chinook_join_workload(repeat=1)
-        BatchExecutor(database, disk_cache=tmp_path).run(queries)
-        database.insert(
-            "Artist", {"ArtistId": 999_999, "Name": "Fresh Band"}
-        )
-        fresh = BatchExecutor(database, disk_cache=tmp_path)
-        fresh.run(queries)
-        # Row count changed → every persisted key misses.
-        assert fresh.stats().result_disk_hits == 0
-
-    def test_same_size_other_rows_never_share_a_result(self, tmp_path):
-        # Two one-boat databases, one red boat and one green: the same
-        # schema and row counts must not make the green one read the red
-        # one's answer from disk.
-        query = "SELECT B.bid FROM Boat B WHERE B.color = 'red'"
-        red = Database(sailors_schema())
-        red.insert("Boat", [1, "b1", "red"])
-        green = Database(sailors_schema())
-        green.insert("Boat", [1, "b1", "green"])
-        assert BatchExecutor(red, disk_cache=tmp_path).execute(query).rows == ((1,),)
-        batch = BatchExecutor(green, disk_cache=tmp_path)
-        assert batch.execute(query).rows == ()
-        assert batch.stats().result_disk_hits == 0
-
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_property_other_contents_never_share_results(self, data):
-        schema = sailors_schema()
-        first, second = Database(schema), Database(schema)
-        for table in schema:
-            row = st.tuples(*(_POOLS[attribute.dtype] for attribute in table.attributes))
-            count = data.draw(st.integers(0, 3))
-            rows = st.lists(row, min_size=count, max_size=count)
-            first.insert_many(table.name, data.draw(rows))
-            second.insert_many(table.name, data.draw(rows))
-
-        def bag(db, name):
-            return Counter(tuple(row.values()) for row in db.relation(name).rows)
-
-        same_rows = all(
-            bag(first, name) == bag(second, name) for name in first.table_names()
-        )
-        with tempfile.TemporaryDirectory() as root:
-            BatchExecutor(first, disk_cache=root).run(_DIGEST_QUERIES)
-            batch = BatchExecutor(second, disk_cache=root)
-            for query, result in zip(_DIGEST_QUERIES, batch.run(_DIGEST_QUERIES)):
-                oracle = execute(parse(query), second, mode=ExecutionMode.NAIVE)
-                assert result.as_set() == oracle.as_set()
-        if not same_rows:
-            assert batch.stats().result_disk_hits == 0
-
-    def test_corrupt_result_entry_recomputes(self, tmp_path):
-        database = chinook_bench_database(scale=2)
-        queries = chinook_join_workload(repeat=1)[:3]
-        first = BatchExecutor(database, disk_cache=tmp_path)
-        expected = [r.as_set() for r in first.run(queries)]
-        for entry in Path(tmp_path).rglob("*.pkl"):
-            entry.write_bytes(entry.read_bytes()[:10])
-        second = BatchExecutor(database, disk_cache=tmp_path)
-        results = second.run(queries)
-        assert [r.as_set() for r in results] == expected
-        assert second.stats().result_disk_hits == 0
-        assert second.disk_cache.stats.evictions == len(queries)
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -6,7 +6,6 @@ import pytest
 
 from repro import queryvis
 from repro.catalog import sailors_schema
-from repro.diagram.build import sql_to_diagram
 from repro.paper_queries import FIG24_VARIANTS, Q_ONLY_SQL, Q_SOME_SQL
 from repro.pipeline import (
     DiagramBatchCompiler,
@@ -18,6 +17,28 @@ from repro.pipeline import (
 )
 from repro.render.layout import LayoutConfig
 from repro.sql import parse
+
+
+def _twins(pair: str, single: str, single_first: bool = False) -> str:
+    """Two ∃ blocks whose tables are twins once flattened into the root.
+
+    ``S1`` joins the Reserves alias ``single``, ``S2`` the alias ``pair``.
+    """
+    blocks = [
+        f"EXISTS (SELECT * FROM Sailor S2, Reserves {pair} "
+        f"WHERE {pair}.sid = S2.sid AND S2.age = S1.age)",
+        f"EXISTS (SELECT * FROM Reserves {single} WHERE {single}.sid = S1.sid)",
+    ]
+    if single_first:
+        blocks.reverse()
+    return "SELECT B.color FROM Boat B, Sailor S1 WHERE " + " AND ".join(blocks)
+
+
+TWINS = _twins("R2", "R1")
+TWINS_REORDERED = _twins("R2", "R1", single_first=True)
+#: Reordered, and the Reserves twins swap names, so name order no longer
+#: follows which Sailor each one joins.
+TWINS_RENAMED = _twins("R1", "R2", single_first=True)
 
 
 class TestCompiler:
@@ -59,7 +80,7 @@ class TestCompiler:
         """The old one-shot helpers are thin wrappers over the pipeline."""
         artifact = compile_sql(Q_ONLY_SQL, formats=())
         assert queryvis(Q_ONLY_SQL) == artifact.diagram
-        assert sql_to_diagram(parse(Q_ONLY_SQL)) == artifact.diagram
+        assert queryvis(parse(Q_ONLY_SQL)) == artifact.diagram
 
     def test_layout_config_is_threaded_through(self):
         small = LayoutConfig(row_height=10, header_height=12, table_width=80)
@@ -74,7 +95,7 @@ class TestCompiler:
         assert artifact.layout.order == tuple(artifact.diagram.reading_order())
 
     def test_layout_is_lazy_without_formats(self):
-        """formats=() callers (queryvis, sql_to_diagram) skip the layout stage."""
+        """formats=() callers (queryvis) skip the layout stage."""
         compiler = DiagramCompiler()
         artifact = compiler.compile(Q_ONLY_SQL, formats=())
         assert compiler.stats().counter("layout").lookups == 0
@@ -186,6 +207,23 @@ class TestFingerprint:
         a = "SELECT T.a FROM T, U WHERE T.a = U.a AND T.b = 1"
         b = "SELECT T.a FROM T, U WHERE T.b = 1 AND T.a = U.a"
         assert fingerprint_sql(a) == fingerprint_sql(b)
+
+    def test_predicate_order_is_invisible_for_symmetric_twins(self):
+        # Flattening both ∃ blocks into the root leaves S1/S2 and R1/R2 as
+        # twins that refinement cannot tell apart; input order must not
+        # decide which of them gets the first canonical name.
+        fingerprints = {fingerprint_sql(q) for q in (TWINS, TWINS_REORDERED, TWINS_RENAMED)}
+        assert len(fingerprints) == 1
+
+    def test_symmetric_twins_in_either_order_share_one_diagram(self):
+        """Same aliases in the same roles: the second spelling reuses the first's."""
+        compiler = DiagramCompiler()
+        first = compiler.compile(TWINS, formats=("text",))
+        second = compiler.compile(TWINS_REORDERED, formats=("text",))
+        assert (first.fingerprint, first.roles) == (second.fingerprint, second.roles)
+        assert compiler.stats().counter("diagram").hits == 1
+        cold = DiagramCompiler(cache=False).compile(TWINS, formats=("text",))
+        assert second.output("text") == cold.output("text")
 
     def test_comparison_orientation_is_invisible(self):
         a = "SELECT T.a FROM T, U WHERE T.a < U.b"

@@ -6,9 +6,10 @@ import pytest
 
 from repro.relational import (
     BatchExecutor,
+    ExecutionContext,
     ExecutionMode,
+    Executor,
     execute,
-    execute_batch,
 )
 from repro.sql import parse
 from repro.workloads import (
@@ -36,7 +37,7 @@ class TestBatchExecutor:
             "SELECT S.sname FROM Sailor S, Reserves R WHERE S.sid = R.sid",
             "SELECT B.color, COUNT(*) FROM Boat B GROUP BY B.color",
         ]
-        batch_results = execute_batch(queries, db)
+        batch_results = BatchExecutor(db).run(queries)
         for sql, result in zip(queries, batch_results):
             assert result.as_set() == execute(parse(sql), db).as_set()
 
@@ -139,14 +140,51 @@ class TestBatchExecutor:
         text = batch.stats().describe()
         assert "1 queries" in text and "plans" in text
 
+    def test_batch_executor_is_another_name_for_executor(self):
+        assert BatchExecutor is Executor
+
+    def test_database_is_the_one_it_runs_on(self, db):
+        assert Executor(db).database is db
+
+    def test_explain_accepts_sql_text_and_asts(self, db):
+        executor = Executor(db)
+        sql = "SELECT S.sname FROM Sailor S, Reserves R WHERE S.sid = R.sid"
+        assert executor.explain(sql) == executor.explain(parse(sql))
+
+    def test_stats_is_a_copy_not_a_live_view(self, db):
+        executor = Executor(db)
+        executor.execute("SELECT S.sname FROM Sailor S")
+        before = executor.stats()
+        before.breaker_state["rows"] = "open"
+        executor.execute("SELECT B.bname FROM Boat B")
+        assert before.queries == 1
+        assert executor.stats().queries == 2
+        assert "rows" not in executor.context.stats.breaker_state
+
+    def test_queries_count_every_executor_sharing_a_context(self, db):
+        context = ExecutionContext(db)
+        rows = Executor(db, context=context)
+        columnar = Executor(db, mode=ExecutionMode.COLUMNAR, context=context)
+        rows.run(["SELECT S.sname FROM Sailor S"] * 2)
+        columnar.execute("SELECT S.sname FROM Sailor S")
+        assert rows.stats().queries == columnar.stats().queries == 3
+        assert context.stats.snapshot()["queries"] == 3
+
+    def test_stats_describe_counts_sql_lowerings(self, db):
+        executor = Executor(db, mode=ExecutionMode.SQL)
+        executor.run(["SELECT S.sname FROM Sailor S"] * 2)
+        text = executor.stats().describe()
+        assert text.startswith("2 queries")
+        assert "lowerings 1/2 cached (1 sqlite load)" in text
+
 
 class TestChinookWorkload:
     def test_workload_queries_parse_and_agree(self):
         db = chinook_bench_database(scale=1)
         queries = chinook_join_workload()
         assert len(queries) == 12
-        planned = execute_batch(queries, db)
-        naive = execute_batch(queries, db, mode=ExecutionMode.NAIVE)
+        planned = BatchExecutor(db).run(queries)
+        naive = BatchExecutor(db, mode=ExecutionMode.NAIVE).run(queries)
         for p, n in zip(planned, naive):
             assert p.as_set() == n.as_set()
 
