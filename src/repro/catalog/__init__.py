@@ -10,9 +10,17 @@ from .builtin import (
 from .chinook import chinook_schema
 from .schema import Attribute, ForeignKey, Schema, SchemaError, Table
 
+#: The schemas the CLI and the workload generators take by name.
+SCHEMAS = {
+    "sailors": sailors_schema,
+    "beers": beers_schema,
+    "chinook": chinook_schema,
+}
+
 __all__ = [
     "Attribute",
     "ForeignKey",
+    "SCHEMAS",
     "Schema",
     "SchemaError",
     "Table",

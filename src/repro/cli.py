@@ -43,6 +43,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .catalog import SCHEMAS
 from .logic.simplify import simplify_logic_tree
 from .logic.translate import sql_to_logic_tree
 from .logic.trc import logic_tree_to_trc
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("sql_file", help="path to a .sql file, or - for stdin")
     explain.add_argument(
         "--schema",
-        choices=("chinook", "sailors", "beers"),
+        choices=tuple(SCHEMAS),
         default="chinook",
         help="schema the query's tables belong to",
     )
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_diagram.add_argument(
         "--schema",
-        choices=("sailors", "beers", "chinook"),
+        choices=tuple(SCHEMAS),
         default="sailors",
         help="schema the generated queries range over",
     )
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_serve.add_argument(
         "--schema",
-        choices=("sailors", "beers", "chinook"),
+        choices=tuple(SCHEMAS),
         default="sailors",
         help="schema the generated queries range over",
     )
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     warm.add_argument(
         "--schema",
-        choices=("sailors", "beers", "chinook"),
+        choices=tuple(SCHEMAS),
         default="sailors",
         help="schema the generated queries range over",
     )
@@ -497,16 +498,9 @@ def _run_trc(args: argparse.Namespace) -> int:
 
 
 def _run_explain(args: argparse.Namespace) -> int:
-    from .catalog.builtin import beers_schema, sailors_schema
-    from .catalog.chinook import chinook_schema
     from .relational import Database, ExecutionMode, Executor
 
-    schemas = {
-        "chinook": chinook_schema,
-        "sailors": sailors_schema,
-        "beers": beers_schema,
-    }
-    database = Database(schemas[args.schema]())
+    database = Database(SCHEMAS[args.schema]())
     query = parse(_read_sql(args.sql_file))
     mode = ExecutionMode.SQL if args.engine == "sql" else ExecutionMode.PLANNED
     print(Executor(database, mode=mode).explain(query))
@@ -728,18 +722,11 @@ def _resolve_formats(args: argparse.Namespace) -> tuple[str, ...] | None:
 
 def _generated_corpus(args: argparse.Namespace) -> tuple[list[str], int]:
     """The benchmark/warm-up corpus: generated queries + the Fig. 24 trio."""
-    from .catalog.builtin import beers_schema, sailors_schema
-    from .catalog.chinook import chinook_schema
     from .paper_queries import FIG24_VARIANTS
     from .sql.formatter import format_query
     from .workloads import QueryGenConfig, QueryGenerator
 
-    schemas = {
-        "sailors": sailors_schema,
-        "beers": beers_schema,
-        "chinook": chinook_schema,
-    }
-    schema = schemas[args.schema]()
+    schema = SCHEMAS[args.schema]()
     generator = QueryGenerator(
         schema, QueryGenConfig(max_depth=2, max_tables_per_block=2)
     )

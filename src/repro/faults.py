@@ -55,7 +55,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from random import Random
@@ -154,7 +154,7 @@ class PointStats:
     fires: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {"calls": self.calls, "fires": self.fires}
+        return asdict(self)
 
 
 class _RuleState:

@@ -10,7 +10,7 @@ stage     cache key                                                product
 ========  =======================================================  =========
 artifact  (stripped SQL text | frozen AST, formats)                everything
 lex       stripped SQL text                                        tokens
-parse     token stream (types + values, positions ignored)         AST
+parse     (token types, token values), positions ignored           AST
 logic     frozen AST                                               Logic Tree
 simplify  frozen Logic Tree                                        Logic Tree
 fingerprint  frozen (simplified) Logic Tree                        hex digest
@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Mapping
 
 from ..catalog.schema import Schema
 from ..diagram.build import build_diagram
@@ -302,20 +302,6 @@ class DiagramCompiler:
         _, _, _, fingerprint, roles = self._front_half(query)
         return fingerprint, roles
 
-    def bound_caches(self, max_entries: int) -> bool:
-        """Clear the in-memory stage caches once they outgrow a bound.
-
-        Returns whether a clear happened.  Batch runs want unbounded stage
-        caches (the corpus is finite); a long-running server does not —
-        unbounded distinct traffic would grow them forever.  Clearing is
-        cheap to recover from when a persistent disk cache is configured:
-        the next compile of any evicted input warm-starts from disk.
-        """
-        if sum(self._cache.sizes().values()) <= max_entries:
-            return False
-        self._cache.clear()
-        return True
-
     # ------------------------------------------------------------------ #
     # stages
     # ------------------------------------------------------------------ #
@@ -326,13 +312,10 @@ class DiagramCompiler:
             return query
         text = query.strip()
         stream = self._cache.get_or_compute("lex", text, scan, text)
-        if not self._cache.enabled:
-            # A disabled cache ignores keys, so don't build the (type, value)
-            # tuple the parse stage would key on — the cold path parses
-            # every query anyway.
-            token_key: Hashable = None
-        else:
-            token_key = tuple(zip(stream.types, stream.values))
+        # Two flat tuples, not one (type, value) pair per token: the key
+        # then holds a fixed number of GC-tracked containers whatever the
+        # query's length, and costs a disabled cache two tuple copies.
+        token_key = (tuple(stream.types), tuple(stream.values))
         return self._cache.get_or_compute("parse", token_key, _parse_stream, stream)
 
 

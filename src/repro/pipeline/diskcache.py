@@ -47,7 +47,7 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable
@@ -160,16 +160,7 @@ class DiskCacheStats:
     disk_degraded: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt_evictions": self.corrupt_evictions,
-            "stale_evictions": self.stale_evictions,
-            "write_errors": self.write_errors,
-            "disk_degraded": self.disk_degraded,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -19,13 +19,19 @@ dictionary lookup instead of eight cache probes over recursively hashed
 trees; the per-stage caches earn their keep on inputs that are *new text
 but equivalent structure* (whitespace variants, alias renamings, the
 Fig. 24 trio).
+
+Each stage is an :class:`~repro.lru.LRUCache` of :data:`STAGE_CACHE_ENTRIES`
+entries, so a long-running server holds a fixed number of entries however
+many distinct queries it sees; an evicted entry is one disk-cache probe
+or one recomputation away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
+from ..lru import LRUCache
 from .diskcache import DiskCache, stable_key_digest
 
 #: Stage names, in pipeline order (render appears once per output format).
@@ -41,19 +47,27 @@ STAGE_NAMES: tuple[str, ...] = (
     "render",
 )
 
+#: In-memory entries per stage.  A replay of the ``serve_zipf`` benchmark's
+#: 30 s inputs peaks at ~3,400 entries in its largest stage.
+STAGE_CACHE_ENTRIES = 8192
+
+_MISSING = object()
+
 
 @dataclass
 class StageCounter:
-    """Hit/miss counters of one stage cache.
+    """Hit/miss/eviction counters of one stage cache.
 
     ``disk_hits`` counts the subset of ``hits`` that were served from the
     persistent second-level store (:mod:`repro.pipeline.diskcache`) rather
-    than from this process's memory.
+    than from this process's memory.  ``evictions`` counts entries the
+    stage's in-memory bound pushed out.
     """
 
     hits: int = 0
     misses: int = 0
     disk_hits: int = 0
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -115,6 +129,7 @@ class PipelineStats:
             mine.hits += counter.hits
             mine.misses += counter.misses
             mine.disk_hits += counter.disk_hits
+            mine.evictions += counter.evictions
         for key, value in other.disk.items():
             self.disk[key] = self.disk.get(key, 0) + value
 
@@ -124,14 +139,12 @@ class PipelineStats:
             "queries": self.queries,
             "hit_rate": round(self.hit_rate, 4),
             "stages": {
-                name: (
-                    {"hits": counter.hits, "misses": counter.misses}
-                    | (
-                        {"disk_hits": counter.disk_hits}
-                        if counter.disk_hits
-                        else {}
-                    )
-                )
+                name: {
+                    "hits": counter.hits,
+                    "misses": counter.misses,
+                    **({"disk_hits": counter.disk_hits} if counter.disk_hits else {}),
+                    **({"evictions": counter.evictions} if counter.evictions else {}),
+                }
                 for name, counter in self.counters.items()
                 if counter.lookups
             },
@@ -142,13 +155,13 @@ class PipelineStats:
 
 
 class StageCache:
-    """One content-addressed cache per stage, with shared counters.
+    """One content-addressed, bounded cache per stage, with shared counters.
 
     ``enabled=False`` turns every lookup into a miss without storing the
     result — that is how the benchmarks measure a truly cold pipeline while
     exercising identical code paths.
 
-    ``disk`` plugs a persistent second level behind the in-memory dicts
+    ``disk`` plugs a persistent second level behind the in-memory LRUs
     (see :mod:`repro.pipeline.diskcache`): memory miss → disk probe →
     compute + write-through.  ``disk_namespace`` isolates entries of
     compilers with different fixed configuration (schema, simplify flag,
@@ -163,24 +176,15 @@ class StageCache:
         disk: "DiskCache | None" = None,
         disk_namespace: str = "",
     ) -> None:
-        self._stats = stats
         # Direct reference: get_or_compute runs several times per query and
         # should not pay a method call + attribute hop to find its counter.
         self._counters = stats.counters
         self._enabled = enabled
         self._disk = disk
         self._namespace = disk_namespace
-        self._caches: dict[str, dict[Hashable, Any]] = {
-            name: {} for name in STAGE_NAMES
+        self._caches: dict[str, LRUCache] = {
+            name: LRUCache(STAGE_CACHE_ENTRIES) for name in STAGE_NAMES
         }
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @property
-    def disk(self) -> "DiskCache | None":
-        return self._disk
 
     def get_or_compute(
         self, stage: str, key: Hashable, compute: Callable[..., Any], *args: Any
@@ -195,32 +199,27 @@ class StageCache:
             counter.misses += 1
             return compute(*args)
         cache = self._caches[stage]
-        if key in cache:
+        value = cache.get(key, _MISSING)
+        if value is not _MISSING:
             counter.hits += 1
-            return cache[key]
+            return value
         disk = self._disk
+        digest = None
         if disk is not None and disk.persists(stage):
             digest = stable_key_digest(self._namespace, stage, key)
             found, value = disk.get(digest, stage)
             if found:
                 counter.hits += 1
                 counter.disk_hits += 1
-                cache[key] = value
+                counter.evictions += cache.put(key, value)
                 return value
-            counter.misses += 1
-            value = compute(*args)
-            cache[key] = value
-            disk.put(digest, stage, value)
-            return value
         counter.misses += 1
         value = compute(*args)
-        cache[key] = value
+        counter.evictions += cache.put(key, value)
+        if digest is not None:
+            disk.put(digest, stage, value)
         return value
 
     def sizes(self) -> dict[str, int]:
         """Entries currently held per stage (content-addressed footprint)."""
         return {name: len(cache) for name, cache in self._caches.items() if cache}
-
-    def clear(self, stages: Iterable[str] | None = None) -> None:
-        for name in stages if stages is not None else STAGE_NAMES:
-            self._caches[name].clear()

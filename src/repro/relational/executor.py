@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import compress, count, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -67,6 +67,7 @@ from ..sql.ast import (
 )
 from ..sql.parser import parse
 from ..faults import fault_point
+from ..lru import LRUCache
 from .aggregates import apply_aggregate
 from .backends import ExecutionBackend, backend_for, register_backend, with_fallback
 from .database import Database, Relation, Row
@@ -157,6 +158,15 @@ class ResultSet:
 # ---------------------------------------------------------------------- #
 
 
+#: Plans one :class:`ExecutionContext` keeps before evicting the least
+#: recently used.  The repository benchmark's engine streams hold 69.
+PLAN_MEMO_ENTRIES = 4096
+#: Subquery results one :class:`ExecutionContext` keeps.  A correlated
+#: ``NOT EXISTS`` over n outer rows memoizes about n results per run, so
+#: repeated runs stay warm up to n ≈ 60k.
+SUBQUERY_MEMO_ENTRIES = 65_536
+
+
 @dataclass
 class ExecutionStats:
     """Counters for the context's caches (useful for batch diagnostics)."""
@@ -165,15 +175,20 @@ class ExecutionStats:
     queries: int = 0
     plan_hits: int = 0
     plan_misses: int = 0
+    # Entries the plan and subquery memos' bounds pushed out (not the
+    # clears when the database grows).
+    plan_evictions: int = 0
     subquery_hits: int = 0
     subquery_misses: int = 0
+    subquery_evictions: int = 0
     scan_hits: int = 0
     scan_misses: int = 0
     # Rows the data mirrors (scan tuples, columnar tables, sqlite store)
     # took in by appending after an insert; the misses above count only
     # full builds.
     rows_appended: int = 0
-    # SQL backend: in-memory store (re)builds and lowering-cache traffic.
+    # SQL backend: in-memory store (re)builds, and lowerings reused from
+    # their plan vs lowered afresh.
     sql_store_builds: int = 0
     sql_lower_hits: int = 0
     sql_lower_misses: int = 0
@@ -193,23 +208,9 @@ class ExecutionStats:
     breaker_state: dict[str, str] = field(default_factory=dict)
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "queries": self.queries,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "subquery_hits": self.subquery_hits,
-            "subquery_misses": self.subquery_misses,
-            "scan_hits": self.scan_hits,
-            "scan_misses": self.scan_misses,
-            "sql_store_builds": self.sql_store_builds,
-            "rows_appended": self.rows_appended,
-            "sql_lower_hits": self.sql_lower_hits,
-            "sql_lower_misses": self.sql_lower_misses,
-            "topk_input_rows": self.topk_input_rows,
-            "topk_held_rows": self.topk_held_rows,
-            "fallbacks": self.fallbacks,
-            "breaker_skips": self.breaker_skips,
-        }
+        counters = asdict(self)
+        del counters["breaker_state"]
+        return counters
 
     def describe(self) -> str:
         """One line of query count and cache hit rates."""
@@ -233,13 +234,17 @@ class ExecutionStats:
 class ExecutionContext:
     """Caches shared by planned executions over one database.
 
-    * **plan cache** — query AST → compiled :class:`~.plan.BlockPlan`;
+    * **plan cache** — query AST → compiled :class:`~.plan.BlockPlan`, an
+      LRU of :data:`PLAN_MEMO_ENTRIES` plans.  What engines derive from a
+      plan (the rows engine's closures, the SQL backend's lowering) lives
+      on the plan and is evicted with it;
     * **scan cache** — materialized row tuples per relation;
     * **columnar cache** — :class:`~.columnar.ColumnarTable` per relation;
-    * **subquery cache** — subquery AST + parameter values → result, shared
-      across queries so a batch re-evaluates each distinct subquery once;
+    * **subquery cache** — subquery AST + parameter values → result, an LRU
+      of :data:`SUBQUERY_MEMO_ENTRIES` results shared across queries, so a
+      batch re-evaluates each distinct subquery once;
     * **backend state** — one opaque bucket per registered backend (the SQL
-      backend's sqlite store + lowering cache live here).
+      backend's sqlite store lives here).
 
     Plans and subquery results are dropped whenever the database grows.
     The scan and columnar caches and the sqlite store are data *mirrors*:
@@ -251,10 +256,10 @@ class ExecutionContext:
         self.database = database
         self.stats = ExecutionStats()
         self._planner = Planner(database)
-        self._plans: dict[SelectQuery, BlockPlan] = {}
+        self._plans = LRUCache(PLAN_MEMO_ENTRIES)
         self._scans: dict[str, list[tuple[Value, ...]]] = {}
         self._columnar: dict[str, "ColumnarTable"] = {}
-        self._subqueries: dict[tuple, object] = {}
+        self._subqueries = LRUCache(SUBQUERY_MEMO_ENTRIES)
         self._backend_state: dict[str, object] = {}
         self._version = database.total_rows()
 
@@ -280,8 +285,7 @@ class ExecutionContext:
         ``key`` namespaces one backend (conventionally its mode value);
         ``factory`` builds the initial state on first use.  Anything a
         backend parks here must keep itself current as the database
-        grows: the SQL backend appends new rows to its sqlite store and
-        re-lowers a query whenever the context recompiles its plan.
+        grows: the SQL backend appends new rows to its sqlite store.
         """
         state = self._backend_state.get(key)
         if state is None:
@@ -296,7 +300,7 @@ class ExecutionContext:
         if plan is None:
             self.stats.plan_misses += 1
             plan = self._planner.plan(query)
-            self._plans[query] = plan
+            self.stats.plan_evictions += self._plans.put(query, plan)
         else:
             self.stats.plan_hits += 1
         return plan
@@ -369,7 +373,7 @@ class ExecutionContext:
                 cached = next(self._run_subplan(plan, params, runner), None) is not None
             else:
                 cached = False
-            self._subqueries[key] = cached
+            self.stats.subquery_evictions += self._subqueries.put(key, cached)
         else:
             self.stats.subquery_hits += 1
         return cached
@@ -391,7 +395,7 @@ class ExecutionContext:
             else:
                 values = ()
             cached = _SubqueryValues(values)
-            self._subqueries[key] = cached
+            self.stats.subquery_evictions += self._subqueries.put(key, cached)
         else:
             self.stats.subquery_hits += 1
         return cached

@@ -383,7 +383,9 @@ class BlockPlan:
     cache key (AST nodes are frozen, hashable dataclasses); ``prechecks``
     are row-independent predicates evaluated once per invocation, before
     any table is scanned — the planner routes predicates that reference
-    only enclosing blocks (or only constants) here.
+    only enclosing blocks (or only constants) here.  ``compiled`` and
+    ``lowered`` hold what the rows engine and the SQL backend derive from
+    the plan, so the plan memo's bound bounds them too.
     """
 
     ast: "SelectQuery"
@@ -397,10 +399,11 @@ class BlockPlan:
     #: the same AST under different enclosing blocks share cached results
     #: only when their free columns collapsed onto parameters the same way.
     param_shape: tuple[int, ...] = ()
-    #: The rows engine's compiled form of this plan, built on its first
-    #: run.  It lives and dies with the plan, so it is dropped whenever the
-    #: execution context drops its plans.
+    #: The rows engine's compiled form of this plan and the SQL backend's
+    #: lowering of it, each built on first use.  Both live and die with
+    #: the plan, so they go whenever the context drops or evicts the plan.
     compiled: object = field(default=None, init=False, repr=False, compare=False)
+    lowered: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cache_key(self) -> tuple:
@@ -408,8 +411,7 @@ class BlockPlan:
 
         ``BlockPlan`` itself is mutable (and therefore unhashable); the
         frozen source AST plus the parameter shape pin down what the plan
-        computes.  Both the context's subquery memo and the SQL backend's
-        lowering cache key on this.
+        computes.  The context's subquery memo keys on this.
         """
         return (self.ast, self.param_shape)
 

@@ -3,7 +3,7 @@
 The backend composes the two halves of this package: the
 :class:`~.store.SQLiteStore` (schema DDL + bulk load, kept on the execution
 context and caught up with appended rows before each query) and
-:func:`~.lower.lower_query` (plan → parameterized SQL, cached per plan).
+:func:`~.lower.lower_query` (plan → parameterized SQL, kept on the plan).
 Execution is then a single ``connection.execute`` with the bind
 dictionary, and the cursor's tuples *are* the engine's row representation
 — SQLite adapts ``INTEGER`` / ``REAL`` / ``TEXT`` back to ``int`` /
@@ -65,14 +65,12 @@ def map_sqlite_error(error: BaseException) -> EngineError:
 
 
 class _SQLState:
-    """Per-context backend state: the store plus the lowering cache."""
+    """Per-context backend state: the sqlite store."""
 
-    __slots__ = ("store", "lowered")
+    __slots__ = ("store",)
 
     def __init__(self) -> None:
         self.store: SQLiteStore | None = None
-        #: plan cache key -> (the plan lowered, its lowering).
-        self.lowered: dict[tuple, tuple[object, LoweredQuery]] = {}
 
 
 class SQLBackend(ExecutionBackend):
@@ -102,17 +100,16 @@ class SQLBackend(ExecutionBackend):
         return store
 
     def _lowered(self, plan, context: ExecutionContext) -> LoweredQuery:
-        # A lowering is as fresh as its plan: the context recompiles plans
-        # when the database grows, and the new plan object misses here.
-        state = self._state(context)
-        key = plan.cache_key
-        cached = state.lowered.get(key)
-        if cached is not None and cached[0] is plan:
+        # The lowering lives on its plan, so it is as fresh as the plan and
+        # leaves memory with it: the context replans when the database
+        # grows and evicts plans past its bound.
+        lowered = plan.lowered
+        if lowered is not None:
             context.stats.sql_lower_hits += 1
-            return cached[1]
+            return lowered
         context.stats.sql_lower_misses += 1
         lowered = lower_query(plan, context.database)
-        state.lowered[key] = (plan, lowered)
+        plan.lowered = lowered
         return lowered
 
     def execute(

@@ -5,12 +5,12 @@ compiles a corpus, and exits.  This package turns those caches into a
 *serving* tier — a long-running asyncio HTTP server in front of
 :class:`~repro.pipeline.DiagramCompiler`:
 
-* :mod:`repro.serve.lru` — the bounded in-memory LRU that caps the serving
-  tier's memory no matter how many distinct queries traffic brings;
 * :mod:`repro.serve.service` — the transport-free application core:
   request coalescing keyed by canonical fingerprint (N concurrent requests
   for equivalent SQL await one compile), the LRU → stage-cache → disk-cache
-  hierarchy, overload shedding and structured counters;
+  hierarchy, overload shedding and structured counters.  Its response LRU
+  and text memo are :class:`repro.lru.LRUCache` instances, re-exported
+  here as ``repro.serve.LRUCache``;
 * :mod:`repro.serve.http` — the stdlib asyncio HTTP/1.1 layer exposing
   ``/compile``, ``/fingerprint``, ``/render``, ``/stats`` and ``/healthz``
   as JSON endpoints, plus graceful drain on shutdown;
@@ -25,8 +25,8 @@ compiles a corpus, and exits.  This package turns those caches into a
 (:mod:`repro.workloads.servebench`) load-tests it.  See ``docs/serving.md``.
 """
 
+from ..lru import LRUCache
 from .http import CompileServer
-from .lru import LRUCache
 from .service import (
     BadRequest,
     CompileService,

@@ -33,6 +33,7 @@ import json
 from typing import Any
 
 from .service import (
+    DEFAULT_FORMATS,
     BadRequest,
     CompileService,
     ServedResponse,
@@ -281,7 +282,7 @@ class CompileServer:
         if path == "/compile":
             self._require(method, "POST")
             document = self._json_body(body)
-            formats = document.get("formats", list(service.config.default_formats))
+            formats = document.get("formats", DEFAULT_FORMATS)
             if not isinstance(formats, (list, tuple)) or not all(
                 isinstance(fmt, str) for fmt in formats
             ):

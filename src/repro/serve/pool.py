@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import socket
@@ -117,20 +118,11 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes]:
 
 def service_config_from_spec(spec: dict) -> ServiceConfig:
     """Rebuild a :class:`ServiceConfig` from its JSON form."""
-    fields = dict(spec)
-    if "default_formats" in fields:
-        fields["default_formats"] = tuple(fields["default_formats"])
-    return ServiceConfig(**fields)
+    return ServiceConfig(**spec)
 
 
 def service_config_to_spec(config: ServiceConfig) -> dict:
-    return {
-        "lru_entries": config.lru_entries,
-        "max_pending": config.max_pending,
-        "request_timeout": config.request_timeout,
-        "stage_cache_bound": config.stage_cache_bound,
-        "default_formats": list(config.default_formats),
-    }
+    return dataclasses.asdict(config)
 
 
 def _worker_health(service: CompileService, slot: int) -> dict:

@@ -4,7 +4,7 @@
 and answers the questions the HTTP layer (:mod:`repro.serve.http`) routes
 to it.  It layers three caches, probed in order:
 
-1. **Response LRU** (:mod:`repro.serve.lru`) — bounded, in-memory, keyed
+1. **Response LRU** (:mod:`repro.lru`) — bounded, in-memory, keyed
    by ``(fingerprint, roles, formats)``.  A hit returns a fully rendered
    JSON payload without touching the compiler thread.
 2. **In-flight table** — the coalescing layer.  The first request for a
@@ -13,9 +13,10 @@ to it.  It layers three caches, probed in order:
    Fig. 24 trio…) awaits *that same task* instead of compiling again.
 3. **Compiler caches** — the pipeline's stage caches backed by the shared
    persistent :class:`~repro.pipeline.DiskCache`, exactly as in batch
-   runs.  Stage caches are bounded here (``stage_cache_bound``): a
-   long-running server clears them when they outgrow the bound and
-   warm-starts from disk.
+   runs.  Each stage is an LRU of a fixed number of entries
+   (:data:`~repro.pipeline.stages.STAGE_CACHE_ENTRIES`), so a long-running
+   server evicts one least-recently-used entry at a time; an evicted entry
+   warm-starts from disk when a disk cache is configured.
 
 Coalescing needs the canonical key *before* the expensive back half, so
 every request first runs the cheap front half (lex → … → fingerprint) on a
@@ -48,16 +49,19 @@ import asyncio
 import json
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..catalog.schema import Schema
 from ..faults import InjectedCrash, fault_point
+from ..lru import LRUCache
 from ..pipeline import RENDERERS, DiagramCompiler, DiskCache
 from ..relational.backends import breaker_states, is_recoverable
 from ..render.layout import LayoutConfig
 from ..sql.errors import SQLError
-from .lru import LRUCache
+
+#: Formats compiled when a /compile request names none.
+DEFAULT_FORMATS: tuple[str, ...] = ("text",)
 
 
 class BadRequest(Exception):
@@ -83,11 +87,6 @@ class ServiceConfig:
     max_pending: int = 64
     #: Per-request wall-clock budget in seconds; exceeding it sheds 503.
     request_timeout: float = 10.0
-    #: Clear the compiler's in-memory stage caches beyond this many
-    #: entries (summed across stages); the disk cache absorbs the cost.
-    stage_cache_bound: int = 50_000
-    #: Formats compiled when a /compile request names none.
-    default_formats: tuple[str, ...] = ("text",)
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ class ServiceStats:
     timeouts: int = 0
     bad_requests: int = 0
     internal_errors: int = 0
-    stage_cache_clears: int = 0
     compile_retries: int = 0
     executor_restarts: int = 0
 
@@ -339,17 +337,7 @@ class CompileService(RequestFrontEnd):
             "draining": self._draining,
             "in_flight": len(self._inflight),
             "pending": self._pending,
-            "requests": dict(self.stats.requests),
-            "compiles": self.stats.compiles,
-            "lru_hits": self.stats.lru_hits,
-            "coalesced": self.stats.coalesced,
-            "shed": self.stats.shed,
-            "timeouts": self.stats.timeouts,
-            "bad_requests": self.stats.bad_requests,
-            "internal_errors": self.stats.internal_errors,
-            "stage_cache_clears": self.stats.stage_cache_clears,
-            "compile_retries": self.stats.compile_retries,
-            "executor_restarts": self.stats.executor_restarts,
+            **asdict(self.stats),
             "lru": {"entries": len(self._lru), **self._lru.stats.as_dict()},
             "pipeline": compiler.stats().as_dict(),
         }
@@ -469,10 +457,7 @@ class CompileService(RequestFrontEnd):
         # Chaos stand-in for everything that can kill a compile mid-flight
         # (worker thread death, cache IO errors surfacing as exceptions).
         fault_point("serve.compile")
-        artifact = self._compiler.compile(sql, formats=formats)
-        if self._compiler.bound_caches(self.config.stage_cache_bound):
-            self.stats.stage_cache_clears += 1
-        return artifact
+        return self._compiler.compile(sql, formats=formats)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -79,7 +79,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from ..faults import current_plan, fault_point, InjectedFault
@@ -164,18 +164,7 @@ class PoolStats:
     reload_min_ready: int = -1
 
     def as_dict(self) -> dict:
-        return {
-            "dispatched": self.dispatched,
-            "worker_crashes": self.worker_crashes,
-            "worker_restarts": self.worker_restarts,
-            "failovers": self.failovers,
-            "heartbeat_timeouts": self.heartbeat_timeouts,
-            "deadline_kills": self.deadline_kills,
-            "spawn_failures": self.spawn_failures,
-            "dispatch_faults": self.dispatch_faults,
-            "reloads": self.reloads,
-            "reload_min_ready": self.reload_min_ready,
-        }
+        return asdict(self)
 
 
 class _Pending:
@@ -970,7 +959,6 @@ class PoolService(RequestFrontEnd):
             "internal_errors": self.stats.internal_errors,
             "front_shed": self.stats.shed,
             "front_timeouts": self.stats.timeouts,
-            "stage_cache_clears": self.stats.stage_cache_clears,
             "pool": self.supervisor.stats.as_dict(),
             "workers_stats": workers_stats,
         }

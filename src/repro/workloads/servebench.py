@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
+from ..catalog import SCHEMAS
 from ..faults import FaultPlan, active_plan
 from ..paper_queries import FIG24_VARIANTS
 from ..serve import (
@@ -88,16 +89,8 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 
 def _corpus(config: ServeBenchConfig) -> tuple[list[str], list[str]]:
     """(cold/warm distinct queries, burst distinct queries)."""
-    from ..catalog.builtin import beers_schema, sailors_schema
-    from ..catalog.chinook import chinook_schema
-
-    schemas = {
-        "sailors": sailors_schema,
-        "beers": beers_schema,
-        "chinook": chinook_schema,
-    }
     generator = QueryGenerator(
-        schemas[config.schema](),
+        SCHEMAS[config.schema](),
         # Depth-4 blocks (the nesting the paper's unique-set example needs)
         # keep one compile meaningfully more expensive than one LRU hit —
         # the contrast the cold/warm phases exist to measure.
@@ -309,16 +302,8 @@ def _pool_corpus(config: ServeBenchConfig) -> tuple[list[str], list[str]]:
     runs a full compile (plus, in pool mode, one learned-affinity key
     lookup) — the traffic shape the pool exists for.
     """
-    from ..catalog.builtin import beers_schema, sailors_schema
-    from ..catalog.chinook import chinook_schema
-
-    schemas = {
-        "sailors": sailors_schema,
-        "beers": beers_schema,
-        "chinook": chinook_schema,
-    }
     generator = QueryGenerator(
-        schemas[config.schema](),
+        SCHEMAS[config.schema](),
         QueryGenConfig(max_depth=6, max_tables_per_block=4),
     )
     timed = [

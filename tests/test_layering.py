@@ -6,6 +6,9 @@ from, and the pipeline, renderers and server sit on top of all three.  An
 import upward, even a lazy one inside a function or one only for type
 checking, would make a lower layer depend on what it is meant to check.
 
+``repro.lru``, the bounded cache under every layer's memos, is a leaf:
+it imports no ``repro`` module at all, so any layer may use it.
+
 The tree is found through ``repro.__file__``, so a run against an
 installed package checks the code that run actually imports.
 """
@@ -72,3 +75,11 @@ def test_layer_imports_nothing_above_it(layer):
         if _top_level(module) in FORBIDDEN[layer]
     )
     assert not upward, "\n".join(upward)
+
+
+def test_lru_imports_no_repro_module():
+    path = PACKAGE / "lru.py"
+    internal = sorted(
+        module for module in set(_imports(path)) if module.split(".")[0] == "repro"
+    )
+    assert not internal, f"{path.relative_to(PACKAGE)} imports {internal}"

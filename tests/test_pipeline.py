@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import queryvis
@@ -17,6 +19,7 @@ from repro.pipeline import (
 )
 from repro.render.layout import LayoutConfig
 from repro.sql import parse
+from repro.sql.lexer import scan
 
 
 def _twins(pair: str, single: str, single_first: bool = False) -> str:
@@ -148,6 +151,30 @@ class TestStageCaches:
         stats = compiler.stats()
         assert stats.total_hits == 0
         assert compiler.cache_sizes() == {}
+
+    def test_parse_key_holds_a_fixed_number_of_tracked_tuples(self):
+        def tracked_tuples(key) -> int:
+            count, stack = 0, [key]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, tuple):
+                    count += gc.is_tracked(item)
+                    stack.extend(item)
+            return count
+
+        def parse_key(sql: str):
+            compiler = DiagramCompiler()
+            compiler.compile(sql, formats=())
+            (key,) = compiler._cache._caches["parse"]._entries
+            return key
+
+        short = parse_key("SELECT T.a FROM T WHERE T.a = 1")
+        conditions = " AND ".join(f"T.a <> {n}" for n in range(125))
+        long_sql = f"SELECT T.a FROM T WHERE {conditions}"
+        assert len(scan(long_sql).types) > 500
+        long = parse_key(long_sql)
+        gc.collect()  # untracks tuples that hold only atomic values
+        assert tracked_tuples(short) == tracked_tuples(long) <= 3
 
     def test_stage_names_cover_all_counters(self):
         compiler = DiagramCompiler()

@@ -74,7 +74,7 @@ def test_frame_roundtrip_with_and_without_body():
 
 
 def test_service_config_spec_roundtrip():
-    config = ServiceConfig(lru_entries=3, default_formats=("svg", "text"))
+    config = ServiceConfig(lru_entries=3, max_pending=7, request_timeout=2.5)
     assert service_config_from_spec(service_config_to_spec(config)) == config
 
 

@@ -112,9 +112,7 @@ def test_concurrent_equivalent_requests_coalesce_to_one_compile():
 
 
 def test_response_lru_hit_and_bounded_eviction():
-    service = CompileService(
-        config=ServiceConfig(lru_entries=2, default_formats=("text",))
-    )
+    service = CompileService(config=ServiceConfig(lru_entries=2))
 
     async def scenario():
         first = await service.compile(DISTINCT[0], ("text",))
@@ -475,9 +473,7 @@ def test_healthz_reports_degraded_on_open_breaker_but_stays_up(_clean_faults):
 
 
 def test_concurrent_distinct_requests_evict_without_corruption():
-    service = CompileService(
-        config=ServiceConfig(lru_entries=2, default_formats=("text",))
-    )
+    service = CompileService(config=ServiceConfig(lru_entries=2))
 
     async def scenario():
         tasks = [
