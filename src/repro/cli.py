@@ -871,48 +871,41 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .serve import (
         CompileServer,
         CompileService,
+        LocalCompiler,
         PoolConfig,
-        PoolService,
         ServiceConfig,
+        WorkerSupervisor,
     )
 
     pooled = args.workers and args.workers > 1
-    service_config = ServiceConfig(
-        lru_entries=args.lru_size,
-        max_pending=args.max_pending,
-        request_timeout=args.timeout,
-    )
     if pooled:
-        # The front end admits; workers get generous bounds plus the
-        # per-request knobs the operator chose.  A fault plan reaches the
-        # workers too (the front end never compiles, so a serve.* plan
-        # that only lived in this process would inject nothing).
-        service = PoolService(
-            config=ServiceConfig(
-                max_pending=args.max_pending, request_timeout=args.timeout
-            ),
-            pool_config=PoolConfig(
+        # A fault plan reaches the workers too: they compile, so a
+        # serve.* plan that only lived in this process would inject
+        # nothing there.
+        backend = WorkerSupervisor(
+            PoolConfig(
                 workers=args.workers,
                 simplify=not args.no_simplify,
                 disk_cache=args.disk_cache,
-                worker_service=ServiceConfig(
-                    lru_entries=args.lru_size,
-                    max_pending=max(args.max_pending, 1024),
-                    request_timeout=max(args.timeout, 30.0),
-                ),
                 worker_fault_plan=args.fault_plan,
-            ),
+            )
         )
     else:
-        service = CompileService(
-            simplify=not args.no_simplify,
-            disk_cache=args.disk_cache,
-            config=service_config,
+        backend = LocalCompiler(
+            simplify=not args.no_simplify, disk_cache=args.disk_cache
         )
+    service = CompileService(
+        backend=backend,
+        config=ServiceConfig(
+            lru_entries=args.lru_size,
+            max_pending=args.max_pending,
+            request_timeout=args.timeout,
+        ),
+    )
 
     async def _serve() -> int:
         if pooled:
-            ready = await service.start()
+            ready = await backend.start()
             print(f"pool: {ready}/{args.workers} workers ready", flush=True)
         server = CompileServer(service, host=args.host, port=args.port)
         await server.start()
@@ -936,13 +929,13 @@ def _run_serve(args: argparse.Namespace) -> int:
                 print(
                     f"reload complete: {len(result['replaced'])} workers "
                     f"replaced (min ready "
-                    f"{service.supervisor.stats.reload_min_ready})",
+                    f"{backend.stats.reload_min_ready})",
                     flush=True,
                 )
 
             def _on_hup() -> None:
                 print("SIGHUP: rolling workers one at a time...", flush=True)
-                loop.create_task(service.reload()).add_done_callback(
+                loop.create_task(backend.reload()).add_done_callback(
                     _reload_done
                 )
 

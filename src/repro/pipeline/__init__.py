@@ -13,7 +13,7 @@ report — lives in :mod:`repro.pipeline.batch`; see ``docs/pipeline.md`` for
 the stage graph and cache-key definitions.
 """
 
-from .batch import DiagramBatchCompiler, EquivalenceClass, compile_corpus
+from .batch import DiagramBatchCompiler, EquivalenceClass
 from .compiler import RENDERERS, CompiledDiagram, DiagramCompiler, compile_sql
 from .diskcache import (
     DEFAULT_DISK_STAGES,
@@ -46,7 +46,6 @@ __all__ = [
     "StageCache",
     "StageCounter",
     "canonical_form",
-    "compile_corpus",
     "compile_sql",
     "default_cache_version",
     "fingerprint_and_roles",

@@ -34,7 +34,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from ..catalog.schema import Schema
 from ..render.layout import LayoutConfig
@@ -154,15 +154,6 @@ class DiagramBatchCompiler:
         if workers is not None and workers > 1:
             return self._run_parallel(list(corpus), formats, workers)
         return [self.compile(query, formats=formats) for query in corpus]
-
-    def iter_run(
-        self,
-        corpus: Iterable[SelectQuery | str],
-        formats: tuple[str, ...] = ("text",),
-    ) -> Iterator[tuple[SelectQuery | str, CompiledDiagram]]:
-        """Lazily yield ``(query, artifact)`` pairs — streaming-friendly."""
-        for query in corpus:
-            yield query, self.compile(query, formats=formats)
 
     # ------------------------------------------------------------------ #
     # process-parallel execution
@@ -321,22 +312,3 @@ def _compile_chunk(
     )
     artifacts = [compiler.compile(query, formats=formats) for query in chunk]
     return artifacts, compiler.stats()
-
-
-def compile_corpus(
-    corpus: Sequence[SelectQuery | str],
-    schema: Schema | None = None,
-    simplify: bool = True,
-    layout_config: LayoutConfig | None = None,
-    formats: tuple[str, ...] = ("text",),
-    workers: int | None = None,
-    disk_cache: DiskCache | str | Path | None = None,
-) -> list[CompiledDiagram]:
-    """One-call batch compilation (see :class:`DiagramBatchCompiler`)."""
-    batch = DiagramBatchCompiler(
-        schema=schema,
-        simplify=simplify,
-        layout_config=layout_config,
-        disk_cache=disk_cache,
-    )
-    return batch.run(corpus, formats=formats, workers=workers)

@@ -10,7 +10,6 @@ from .backends import (
     breaker_states,
     is_recoverable,
     register_backend,
-    registered_modes,
     reset_breakers,
     with_fallback,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "is_recoverable",
     "plan_query",
     "register_backend",
-    "registered_modes",
     "reset_breakers",
     "stable_hash",
     "values_comparable",

@@ -117,11 +117,6 @@ def backend_for(mode: "ExecutionMode") -> ExecutionBackend:
     return backend
 
 
-def registered_modes() -> tuple["ExecutionMode", ...]:
-    """Modes with a live backend (lazy ones appear once first used)."""
-    return tuple(_REGISTRY)
-
-
 # ---------------------------------------------------------------------- #
 # graceful degradation: recoverability, circuit breakers, fallback
 # ---------------------------------------------------------------------- #

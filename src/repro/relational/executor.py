@@ -1190,13 +1190,6 @@ class Executor:
         """Execute a whole workload, returning one result set per query."""
         return [self.execute(query) for query in queries]
 
-    def iter_run(
-        self, queries: Iterable[SelectQuery | str]
-    ) -> Iterator[tuple[SelectQuery | str, ResultSet]]:
-        """Lazily yield ``(query, result)`` pairs — streaming-friendly."""
-        for query in queries:
-            yield query, self.execute(query)
-
     def explain(self, query: SelectQuery | str) -> str:
         """EXPLAIN-style rendering of the plan the query would execute.
 

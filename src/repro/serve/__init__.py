@@ -5,20 +5,22 @@ compiles a corpus, and exits.  This package turns those caches into a
 *serving* tier — a long-running asyncio HTTP server in front of
 :class:`~repro.pipeline.DiagramCompiler`:
 
-* :mod:`repro.serve.service` — the transport-free application core:
+* :mod:`repro.serve.service` — the transport-free application core and the
+  one service of both serving modes: admission and overload shedding,
   request coalescing keyed by canonical fingerprint (N concurrent requests
-  for equivalent SQL await one compile), the LRU → stage-cache → disk-cache
-  hierarchy, overload shedding and structured counters.  Its response LRU
-  and text memo are :class:`repro.lru.LRUCache` instances, re-exported
-  here as ``repro.serve.LRUCache``;
+  for equivalent SQL await one compile), the response LRU, one retry on a
+  recoverable failure, drain and structured counters, in front of a
+  compile backend.  :class:`LocalCompiler` is the in-process backend.  The
+  response LRU and text memo are :class:`repro.lru.LRUCache` instances,
+  re-exported here as ``repro.serve.LRUCache``;
 * :mod:`repro.serve.http` — the stdlib asyncio HTTP/1.1 layer exposing
   ``/compile``, ``/fingerprint``, ``/render``, ``/stats`` and ``/healthz``
   as JSON endpoints, plus graceful drain on shutdown;
 * :mod:`repro.serve.supervisor` / :mod:`repro.serve.pool` — the
-  multi-process worker pool: a supervisor that spawns N worker processes
-  (each running a :class:`CompileService`), dispatches with
-  fingerprint-affinity routing, restarts crashed workers with exponential
-  backoff, and hot-reloads them one at a time on SIGHUP
+  multi-process compile backend: a supervisor that spawns N worker
+  processes (each a frame loop around a :class:`LocalCompiler`), routes
+  compiles by fingerprint affinity, restarts crashed workers with
+  exponential backoff, and hot-reloads them one at a time on SIGHUP
   (``repro serve --workers N``).
 
 ``repro serve`` runs the server; ``repro bench-serve``
@@ -30,26 +32,22 @@ from .http import CompileServer
 from .service import (
     BadRequest,
     CompileService,
+    LocalCompiler,
     ServedResponse,
     ServiceConfig,
     ServiceStats,
     ServiceUnavailable,
-)
-from .supervisor import (
-    PoolConfig,
-    PoolService,
-    PoolStats,
     WorkerCrashed,
-    WorkerSupervisor,
 )
+from .supervisor import PoolConfig, PoolStats, WorkerSupervisor
 
 __all__ = [
     "BadRequest",
     "CompileServer",
     "CompileService",
     "LRUCache",
+    "LocalCompiler",
     "PoolConfig",
-    "PoolService",
     "PoolStats",
     "ServedResponse",
     "ServiceConfig",

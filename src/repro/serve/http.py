@@ -1,5 +1,8 @@
 """Stdlib asyncio HTTP/1.1 front end for :class:`CompileService`.
 
+The same server runs in both serving modes: the service behind it fronts
+either the in-process compiler or the worker pool.
+
 A deliberately small HTTP server — request line, headers, Content-Length
 body, keep-alive — built directly on :func:`asyncio.start_server`, because
 the stdlib's ``http.server`` is thread-per-connection and cannot share the
@@ -28,7 +31,6 @@ timed-out or draining → 503 with a ``Retry-After`` header.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 from typing import Any
 
@@ -64,14 +66,7 @@ class _HttpError(Exception):
 
 
 class CompileServer:
-    """Binds a serving façade to a TCP port with graceful drain.
-
-    ``service`` is duck-typed: the single-process
-    :class:`~repro.serve.service.CompileService` or the multi-process
-    :class:`~repro.serve.supervisor.PoolService` — whose ``stats_payload``
-    is a coroutine (it polls worker processes), which is why ``_dispatch``
-    awaits awaitable results.
-    """
+    """Binds a :class:`CompileService` to a TCP port with graceful drain."""
 
     def __init__(
         self,
@@ -275,10 +270,10 @@ class CompileServer:
         path = path.split("?", 1)[0]
         if path == "/healthz":
             self._require(method, "GET")
-            return await self._maybe_await(service.healthz())
+            return service.healthz()
         if path == "/stats":
             self._require(method, "GET")
-            return await self._maybe_await(service.stats_payload())
+            return await service.stats_payload()
         if path == "/compile":
             self._require(method, "POST")
             document = self._json_body(body)
@@ -303,13 +298,6 @@ class CompileServer:
                 raise _HttpError(400, '"format" must be a string')
             return await service.render(self._sql_field(document), fmt)
         raise _HttpError(404, f"no such endpoint: {path}")
-
-    @staticmethod
-    async def _maybe_await(result):
-        """Await a coroutine result (PoolService endpoints) or pass through."""
-        if inspect.isawaitable(result):
-            return await result
-        return result
 
     @staticmethod
     def _require(method: str, expected: str) -> None:

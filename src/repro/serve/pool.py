@@ -1,13 +1,16 @@
 """Worker side of the multi-process serving pool + its wire protocol.
 
-One pool worker is an ordinary OS process running today's
-:class:`~repro.serve.service.CompileService` — the same coalescing,
-cache-layered compile core the single-process server uses — connected to
-the supervisor (:mod:`repro.serve.supervisor`) over an inherited UNIX
-socketpair.  Workers are spawned with ``python -m repro.serve.pool --fd N``
-(a fresh interpreter, not a fork: the parent runs an event loop and
-threads, which do not survive ``fork()`` safely) and receive their
-configuration as JSON in the ``REPRO_POOL_WORKER`` environment variable.
+One pool worker is an ordinary OS process running a frame loop around a
+:class:`~repro.serve.service.LocalCompiler` — the same compile backend the
+single-process server uses — connected to the supervisor
+(:mod:`repro.serve.supervisor`) over an inherited UNIX socketpair.  A
+worker holds no request-side state: admission, the text memo, the
+response LRU, coalescing and the retry all live in the one
+:class:`~repro.serve.service.CompileService` in front.  Workers are
+spawned as fresh interpreters (``python -c`` calling :func:`main` with
+``--fd N``), not forks: the parent runs an event loop and threads, which
+do not survive ``fork()`` safely.  They receive their configuration as
+JSON in the ``REPRO_POOL_WORKER`` environment variable.
 
 Frame protocol
 ==============
@@ -18,10 +21,9 @@ Both directions speak length-prefixed frames::
     header bytes            (UTF-8 JSON object)
     header["body_len"] raw body bytes   (optional, default 0)
 
-The raw body tail exists so rendered responses — the encoded JSON bytes a
-:class:`~repro.serve.service.ServedResponse` already carries — cross the
-pipe verbatim and are written to the client socket verbatim, without a
-decode/re-encode round trip per request.
+The raw body tail exists so a compiled response — the encoded JSON bytes
+the front end caches and serves — crosses the pipe verbatim and is written
+to the client socket verbatim.
 
 Supervisor → worker operations (each carries a unique ``id``):
 
@@ -29,40 +31,39 @@ Supervisor → worker operations (each carries a unique ``id``):
 op             meaning
 =============  =======================================================
 ``ping``       heartbeat; the reply payload is the worker's health
-               document (pid + ``healthz`` incl. its *own* process's
-               engine breaker states — per-worker isolation for free)
-``fingerprint``  ``{"sql"}`` → reply payload ``{"fingerprint"}``; the
-               front end's key lookup for first-sight texts (learned
-               fingerprint affinity — the front end never parses SQL)
+               (pid, slot, executor restarts, disk degradation and its
+               *own* process's engine breaker states)
+``key``        ``{"sql"}`` → reply payload ``{"fingerprint", "roles"}``;
+               the front end's key lookup for texts it has not seen
 ``compile``    ``{"sql", "formats"}`` → response frame whose body is
                the encoded /compile answer
-``render``     ``{"sql", "format"}`` → response frame, /render answer
-``stats``      reply payload is the worker's full /stats document
-``drain``      stop admitting, await in-flight work, reply when done
+``stats``      reply payload is the worker's pipeline and disk counters
 =============  =======================================================
 
 Worker → supervisor: one ``{"op": "ready", "pid": ...}`` frame after
 boot, then one ``{"op": "response", "id": ...}`` frame per operation —
 ``ok: true`` with a payload or body, or ``ok: false`` with an error
-``kind`` (``bad_request`` / ``unavailable`` / ``internal``) the
-supervisor maps back onto the HTTP error taxonomy.
+``kind``: ``bad_request`` (an :class:`~repro.sql.errors.SQLError`),
+``recoverable`` (the service's retry predicate holds) or ``internal``.
+
+A worker exits 0 when its pipe reaches EOF, after finishing the
+operations it already read.
 
 Fault points (see docs/robustness.md):
 
-* ``serve.worker.boot`` — fires before the service is built; an injected
+* ``serve.worker.boot`` — fires before the compiler is built; an injected
   ``crash`` makes the process exit immediately, which is how the
   restart-storm tests manufacture a worker that can never come up.
-* ``serve.worker.crash`` — fires per compile/render operation; an
-  injected ``crash`` is escalated to ``os._exit(9)``, a *hard* process
-  death with requests in flight — the failure the supervisor's sibling
-  retry exists for.
+* ``serve.worker.crash`` — fires per compile operation; an injected
+  ``crash`` is escalated to ``os._exit(9)``, a *hard* process death with
+  requests in flight — the failure the service's retry on a sibling
+  exists for.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import json
 import os
 import socket
@@ -76,12 +77,8 @@ from ..faults import (
     install_plan,
     install_plan_from_env,
 )
-from .service import (
-    BadRequest,
-    CompileService,
-    ServiceConfig,
-    ServiceUnavailable,
-)
+from ..sql.errors import SQLError
+from .service import LocalCompiler, recoverable
 
 #: Environment variable carrying the worker's JSON configuration.
 WORKER_ENV = "REPRO_POOL_WORKER"
@@ -116,19 +113,6 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes]:
     return header, body
 
 
-def service_config_from_spec(spec: dict) -> ServiceConfig:
-    """Rebuild a :class:`ServiceConfig` from its JSON form."""
-    return ServiceConfig(**spec)
-
-
-def service_config_to_spec(config: ServiceConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def _worker_health(service: CompileService, slot: int) -> dict:
-    return {"pid": os.getpid(), "slot": slot, **service.healthz()}
-
-
 async def _send(
     writer: asyncio.StreamWriter,
     lock: asyncio.Lock,
@@ -143,110 +127,55 @@ async def _send(
         await writer.drain()
 
 
+async def _answer(compiler: LocalCompiler, slot: int, header: dict) -> tuple[dict, bytes]:
+    """The reply fields and body of one operation (raises on failure)."""
+    op = header.get("op")
+    if op == "ping":
+        return {"payload": {"pid": os.getpid(), "slot": slot, **compiler.health()}}, b""
+    if op == "stats":
+        return {"payload": {"pid": os.getpid(), **await compiler.stats_payload()}}, b""
+    if op == "key":
+        fingerprint, roles = await compiler.key(header["sql"])
+        return {"payload": {"fingerprint": fingerprint, "roles": roles}}, b""
+    if op == "compile":
+        # The chaos stand-in for this whole *process* dying mid-request
+        # (OOM kill, segfault, kill -9).  A hard exit, not an exception:
+        # the supervisor must observe EOF with requests in flight.
+        try:
+            fault_point("serve.worker.crash")
+        except InjectedCrash:
+            os._exit(9)
+        # The text's key lookup may have run on a sibling worker.  Resolve
+        # the front half on the fingerprint thread first, as one process
+        # does before it compiles: the compile thread then pays for the
+        # back half only and is free sooner for the next queued compile.
+        await compiler.key(header["sql"])
+        _payload, body, _served = await compiler.compile(
+            header["sql"], tuple(header.get("formats") or ())
+        )
+        return {}, body
+    raise RuntimeError(f"unknown op {op!r}")
+
+
 async def _handle(
-    service: CompileService,
+    compiler: LocalCompiler,
     writer: asyncio.StreamWriter,
     lock: asyncio.Lock,
     slot: int,
     header: dict,
-    body: bytes,
 ) -> None:
-    rid = header.get("id")
-    op = header.get("op")
+    reply = {"op": "response", "id": header.get("id")}
     try:
-        if op == "ping":
-            payload: dict = _worker_health(service, slot)
-            await _send(
-                writer, lock, {"op": "response", "id": rid, "ok": True, "payload": payload}
-            )
-            return
-        if op == "stats":
-            payload = service.stats_payload()
-            payload["pid"] = os.getpid()
-            await _send(
-                writer, lock, {"op": "response", "id": rid, "ok": True, "payload": payload}
-            )
-            return
-        if op == "fingerprint":
-            response = await service.fingerprint(header["sql"])
-            await _send(
-                writer,
-                lock,
-                {"op": "response", "id": rid, "ok": True, "payload": response.payload},
-            )
-            return
-        if op == "drain":
-            service.begin_drain()
-            drained = await service.drain(float(header.get("timeout", 30.0)))
-            await _send(
-                writer,
-                lock,
-                {"op": "response", "id": rid, "ok": True, "payload": {"drained": drained}},
-            )
-            return
-        if op in ("compile", "render"):
-            # The chaos stand-in for this whole *process* dying mid-request
-            # (OOM kill, segfault, kill -9).  A hard exit, not an exception:
-            # the supervisor must observe EOF with requests in flight.
-            try:
-                fault_point("serve.worker.crash")
-            except InjectedCrash:
-                os._exit(9)
-            if op == "compile":
-                response = await service.compile(
-                    header["sql"], tuple(header.get("formats") or ())
-                )
-            else:
-                response = await service.render(header["sql"], header.get("format", "text"))
-            await _send(
-                writer,
-                lock,
-                {"op": "response", "id": rid, "ok": True, "served": response.served},
-                response.body,
-            )
-            return
-        await _send(
-            writer,
-            lock,
-            {
-                "op": "response",
-                "id": rid,
-                "ok": False,
-                "kind": "internal",
-                "error": f"unknown op {op!r}",
-            },
-        )
-    except BadRequest as error:
-        await _send(
-            writer,
-            lock,
-            {"op": "response", "id": rid, "ok": False, "kind": "bad_request", "error": str(error)},
-        )
-    except ServiceUnavailable as error:
-        await _send(
-            writer,
-            lock,
-            {
-                "op": "response",
-                "id": rid,
-                "ok": False,
-                "kind": "unavailable",
-                "error": str(error),
-                "retry_after": error.retry_after,
-            },
-        )
+        fields, body = await _answer(compiler, slot, header)
+        reply.update(ok=True, **fields)
     except Exception as error:  # noqa: BLE001 — a worker must survive one bad request
-        await _send(
-            writer,
-            lock,
-            {
-                "op": "response",
-                "id": rid,
-                "ok": False,
-                "kind": "internal",
-                "error": f"{type(error).__name__}: {error}",
-            },
-        )
+        body = b""
+        if isinstance(error, SQLError):
+            reply.update(ok=False, kind="bad_request", error=str(error))
+        else:
+            kind = "recoverable" if recoverable(error) else "internal"
+            reply.update(ok=False, kind=kind, error=f"{type(error).__name__}: {error}")
+    await _send(writer, lock, reply, body)
 
 
 async def _worker_main(fd: int, spec: dict) -> None:
@@ -254,28 +183,27 @@ async def _worker_main(fd: int, spec: dict) -> None:
     reader, writer = await asyncio.open_connection(sock=sock)
     lock = asyncio.Lock()
     slot = int(spec.get("slot", 0))
-    service = CompileService(
+    compiler = LocalCompiler(
         simplify=bool(spec.get("simplify", True)),
         disk_cache=spec.get("disk_cache"),
-        config=service_config_from_spec(spec.get("service") or {}),
     )
     tasks: set[asyncio.Task] = set()
     try:
         await _send(writer, lock, {"op": "ready", "pid": os.getpid(), "slot": slot})
         while True:
             try:
-                header, body = await read_frame(reader)
+                header, _body = await read_frame(reader)
             except (asyncio.IncompleteReadError, ConnectionError):
                 break  # supervisor closed the pipe: retire
             task = asyncio.get_running_loop().create_task(
-                _handle(service, writer, lock, slot, header, body)
+                _handle(compiler, writer, lock, slot, header)
             )
             tasks.add(task)
             task.add_done_callback(tasks.discard)
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        service.close()
+        compiler.close()
         writer.close()
         try:
             await writer.wait_closed()

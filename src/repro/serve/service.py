@@ -1,12 +1,30 @@
 """Application core of the compile server — transport-free and fully async.
 
-:class:`CompileService` owns one :class:`~repro.pipeline.DiagramCompiler`
-and answers the questions the HTTP layer (:mod:`repro.serve.http`) routes
-to it.  It layers three caches, probed in order:
+:class:`CompileService` is the one service behind the HTTP layer
+(:mod:`repro.serve.http`) in both serving modes.  It owns the request
+side: admission with a per-request budget, the verbatim-text → canonical
+key memo and its shared key lookups, format checks, the response LRU,
+compile coalescing, one retry on a recoverable failure, drain,
+``/healthz`` and ``/stats``.  What it fronts is a *compile backend*:
+
+* :class:`LocalCompiler` (the default) — one
+  :class:`~repro.pipeline.DiagramCompiler` in this process, with a
+  fingerprint thread and a compile thread;
+* :class:`~repro.serve.supervisor.WorkerSupervisor` — a supervised pool of
+  worker processes, each a frame loop around its own
+  :class:`LocalCompiler` (``repro serve --workers N``).
+
+A backend answers ``key(text)`` → ``(fingerprint, roles)`` (raising
+:class:`~repro.sql.errors.SQLError` for bad SQL), ``compile(text, formats,
+fingerprint)`` → ``(payload, body, served)``, ``health()`` and
+``stats_payload()`` (merged into ``/healthz`` and ``/stats``;
+``health()["degraded"]`` picks the status) and ``close()``.
+
+A request descends three caches, probed in order:
 
 1. **Response LRU** (:mod:`repro.lru`) — bounded, in-memory, keyed
    by ``(fingerprint, roles, formats)``.  A hit returns a fully rendered
-   JSON payload without touching the compiler thread.
+   JSON payload without touching the backend.
 2. **In-flight table** — the coalescing layer.  The first request for a
    canonical key starts one compile task; every concurrent request for an
    equivalent query (verbatim duplicate, predicate reordering, the
@@ -19,11 +37,12 @@ to it.  It layers three caches, probed in order:
    warm-starts from disk when a disk cache is configured.
 
 Coalescing needs the canonical key *before* the expensive back half, so
-every request first runs the cheap front half (lex → … → fingerprint) on a
-dedicated fingerprint thread; compiles run on a separate single compile
-thread.  Two threads may race through the shared stage caches — that is
-benign by design: stages are deterministic, so a lost race recomputes the
-same value.
+every request first resolves its key: from the text memo, or through one
+backend lookup that concurrent first sights of the same text share.  The
+local backend runs lookups on a dedicated fingerprint thread and compiles
+on a separate single compile thread.  Two threads may race through the
+shared stage caches — that is benign by design: stages are deterministic,
+so a lost race recomputes the same value.
 
 Overload policy: at most ``max_pending`` requests are admitted at once and
 every admitted request is bounded by ``request_timeout``; both violations
@@ -32,15 +51,15 @@ without bound.  A shed or timed-out request never cancels the underlying
 compile — the in-flight task is shielded and still populates the caches,
 so the retry the 503 invites is cheap.
 
-Fault policy (see docs/robustness.md): the compile worker is *supervised*
-— a crashed or broken executor is replaced on the spot
-(``stats.executor_restarts``) — and every compile gets one cheap retry
-when it fails on a *recoverable* error (an injected fault, an IO error, a
-broken worker; ``stats.compile_retries``) before the request joins the
-503 shed path.  Semantic failures (bad SQL) stay 400 and never retry.  A
-failed in-flight task is popped without populating the response LRU, so a
-poisoned coalesced compile never serves stale errors: the next request
-recompiles.
+Fault policy (see docs/robustness.md): the local compile thread is
+*supervised* — a crashed or broken executor is replaced on the spot
+(``LocalCompiler.executor_restarts``) — and every key lookup and compile
+gets one cheap retry when it fails on a *recoverable* error (an injected
+fault, an IO error, a broken thread, a dead pool worker;
+``stats.compile_retries``) before the request joins the 503 shed path.
+Semantic failures (bad SQL) stay 400 and never retry.  A failed in-flight
+task is popped without populating the response LRU, so a poisoned
+coalesced compile never serves stale errors: the next request recompiles.
 """
 
 from __future__ import annotations
@@ -76,6 +95,21 @@ class ServiceUnavailable(Exception):
         self.retry_after = retry_after
 
 
+class RecoverableError(Exception):
+    """A backend call failed on an operational fault the retry covers."""
+
+
+class WorkerCrashed(RecoverableError):
+    """A pool worker died (EOF on its pipe) with this request in flight."""
+
+
+def recoverable(error: BaseException) -> bool:
+    """Whether a failed backend call gets the retry/503 path (not 400/500)."""
+    if isinstance(error, (BrokenExecutor, RecoverableError)):
+        return True
+    return is_recoverable(error)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs of one :class:`CompileService` (see docs/serving.md)."""
@@ -97,9 +131,9 @@ class ServedResponse:
     produced once per compile and cached in the response LRU, so the hot
     warm path writes cached bytes instead of re-serializing (potentially
     large) rendered outputs per request.  ``served`` says which layer
-    answered — ``compile``, ``coalesced`` or ``lru`` — and travels as the
-    ``X-Repro-Served`` response header, keeping the cached body identical
-    across layers.
+    answered — ``compile`` (``compile@wN`` when pool worker N compiled),
+    ``coalesced`` or ``lru`` — and travels as the ``X-Repro-Served``
+    response header, keeping the cached body identical across layers.
     """
 
     payload: dict
@@ -124,79 +158,13 @@ class ServiceStats:
     bad_requests: int = 0
     internal_errors: int = 0
     compile_retries: int = 0
-    executor_restarts: int = 0
 
     def count(self, endpoint: str) -> None:
         self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
 
 
-class RequestFrontEnd:
-    """Shared request-side half of a serving façade.
-
-    Both serving modes — the single-process :class:`CompileService` and
-    the multi-process ``PoolService`` (:mod:`repro.serve.supervisor`) —
-    need the same front half on the event loop: admission control with a
-    per-request budget, the draining flag, and the verbatim-text →
-    canonical-key memo that lets exact-text repeats (the overwhelmingly
-    common case in real traffic) resolve their coalescing/affinity
-    identity without leaving the event loop.  Subclasses decide how a
-    *new* text gets its key — a local fingerprint thread vs. a worker
-    process — and where the expensive back half runs.
-    """
-
-    def __init__(self, config: ServiceConfig | None = None) -> None:
-        self.config = config or ServiceConfig()
-        self.stats = ServiceStats()
-        # Sized like the response LRU: several spellings per cached
-        # response is typical, unbounded distinct traffic must still not
-        # grow it forever.
-        self._text_keys = LRUCache(max(4 * self.config.lru_entries, 1024))
-        self._pending = 0
-        self._draining = False
-        self._started = time.monotonic()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    async def _admitted(self, work) -> dict:
-        """Admission control + per-request timeout around ``work``."""
-        work = asyncio.ensure_future(work)
-        if self._draining:
-            work.cancel()
-            self.stats.shed += 1
-            raise ServiceUnavailable("server is draining", retry_after=5.0)
-        if self._pending >= self.config.max_pending:
-            work.cancel()
-            self.stats.shed += 1
-            raise ServiceUnavailable(
-                f"overloaded: {self._pending} requests pending"
-            )
-        self._pending += 1
-        try:
-            return await asyncio.wait_for(work, self.config.request_timeout)
-        except asyncio.TimeoutError:
-            self.stats.timeouts += 1
-            raise ServiceUnavailable(
-                f"request exceeded {self.config.request_timeout:.1f}s budget"
-            ) from None
-        finally:
-            self._pending -= 1
-
-    def request_text(self, sql: str) -> str:
-        """Validate and normalize the raw request text (400 on empty)."""
-        if not isinstance(sql, str) or not sql.strip():
-            self.stats.bad_requests += 1
-            raise BadRequest("request carries no SQL text")
-        return sql.strip()
-
-    def begin_drain(self) -> None:
-        """Stop admitting work; in-flight requests keep running."""
-        self._draining = True
-
-
-class CompileService(RequestFrontEnd):
-    """Coalescing, cache-layered façade over one :class:`DiagramCompiler`."""
+class LocalCompiler:
+    """Compile backend in this process: one compiler, two worker threads."""
 
     def __init__(
         self,
@@ -204,17 +172,14 @@ class CompileService(RequestFrontEnd):
         simplify: bool = True,
         layout_config: LayoutConfig | None = None,
         disk_cache: DiskCache | str | Path | None = None,
-        config: ServiceConfig | None = None,
     ) -> None:
-        super().__init__(config=config)
-        self._compiler = DiagramCompiler(
+        self.compiler = DiagramCompiler(
             schema=schema,
             simplify=simplify,
             layout_config=layout_config,
             disk_cache=disk_cache,
         )
-        self._lru = LRUCache(self.config.lru_entries)
-        self._inflight: dict[tuple, asyncio.Task] = {}
+        self.executor_restarts = 0
         # Fingerprinting must stay responsive while a compile occupies the
         # back half — otherwise concurrent duplicates could not reach the
         # coalescing layer until the compile they should have joined had
@@ -230,9 +195,108 @@ class CompileService(RequestFrontEnd):
             max_workers=1, thread_name_prefix="serve-compile"
         )
 
+    async def key(self, text: str) -> tuple[str, tuple]:
+        """``(fingerprint, roles)`` of ``text``, on the fingerprint thread."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._fp_executor, self.compiler.canonical_key, text
+        )
+
+    async def compile(
+        self, text: str, formats: tuple[str, ...], fingerprint: str | None = None
+    ) -> tuple[dict, bytes, str]:
+        """Compile on the compile thread; ``fingerprint`` routes pools only."""
+        artifact = await self._run_compile(text, formats)
+        payload = {
+            "fingerprint": artifact.fingerprint,
+            "formats": sorted(artifact.outputs),
+            "outputs": dict(artifact.outputs),
+        }
+        # Encode once, serve many: the LRU keeps the response bytes next
+        # to the payload so warm hits never re-serialize rendered outputs.
+        return payload, json.dumps(payload).encode("utf-8"), "compile"
+
+    async def _run_compile(self, text: str, formats: tuple[str, ...]):
+        """One supervised executor hop: restart the thread on crash."""
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._compile_executor, self._compile_sync, text, formats
+            )
+        except (BrokenExecutor, InjectedCrash):
+            self._restart_compile_executor()
+            raise
+        except RuntimeError as error:
+            # "cannot schedule new futures after (interpreter) shutdown":
+            # the pool is unusable; replace it before re-raising.
+            if "shutdown" in str(error):
+                self._restart_compile_executor()
+            raise
+
+    def _restart_compile_executor(self) -> None:
+        """Supervision: replace a crashed compile thread with a fresh one."""
+        self.executor_restarts += 1
+        old = self._compile_executor
+        self._compile_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-compile"
+        )
+        old.shutdown(wait=False, cancel_futures=True)
+
+    def _compile_sync(self, text: str, formats: tuple[str, ...]):
+        # Chaos stand-in for everything that can kill a compile mid-flight
+        # (worker thread death, cache IO errors surfacing as exceptions).
+        fault_point("serve.compile")
+        return self.compiler.compile(text, formats=formats)
+
+    def health(self) -> dict:
+        """Degradation report: the disk cache and the engine breakers."""
+        disk = self.compiler.disk_cache
+        disk_degraded = bool(disk is not None and disk.degraded)
+        breakers = breaker_states()
+        return {
+            "degraded": disk_degraded
+            or any(state != "closed" for state in breakers.values()),
+            "executor_restarts": self.executor_restarts,
+            "disk_degraded": disk_degraded,
+            "engine_breakers": breakers,
+        }
+
+    async def stats_payload(self) -> dict:
+        """Executor restarts plus the pipeline and disk counters."""
+        payload = {
+            "executor_restarts": self.executor_restarts,
+            "pipeline": self.compiler.stats().as_dict(),
+        }
+        if self.compiler.disk_cache is not None:
+            payload["disk"] = self.compiler.disk_cache.stats.as_dict()
+        return payload
+
+    def close(self) -> None:
+        """Release the worker threads (idempotent)."""
+        self._fp_executor.shutdown(wait=False)
+        self._compile_executor.shutdown(wait=False)
+
+
+class CompileService:
+    """Coalescing, cache-layered façade over one compile backend."""
+
+    def __init__(self, backend=None, config: ServiceConfig | None = None) -> None:
+        self.config = config or ServiceConfig()
+        self.backend = backend if backend is not None else LocalCompiler()
+        self.stats = ServiceStats()
+        # Sized like the response LRU: several spellings per cached
+        # response is typical, unbounded distinct traffic must still not
+        # grow it forever.
+        self._text_keys = LRUCache(max(4 * self.config.lru_entries, 1024))
+        self._key_lookups: dict[str, asyncio.Task] = {}
+        self._lru = LRUCache(self.config.lru_entries)
+        self._inflight: dict[tuple, asyncio.Task] = {}
+        self._pending = 0
+        self._draining = False
+        self._started = time.monotonic()
+
     @property
     def compiler(self) -> DiagramCompiler:
-        return self._compiler
+        """The local backend's compiler (a pooled service has none here)."""
+        return self.backend.compiler
 
     @property
     def lru(self) -> LRUCache:
@@ -242,38 +306,21 @@ class CompileService(RequestFrontEnd):
     def in_flight(self) -> int:
         return len(self._inflight)
 
-    async def _canonical_key(self, sql: str) -> tuple[str, tuple]:
-        """Coalescing/LRU identity: text memo → fingerprint thread."""
-        text = self.request_text(sql)
-        key = self._text_keys.get(text)
-        if key is not None:
-            return key
-        loop = asyncio.get_running_loop()
-        try:
-            key = await loop.run_in_executor(
-                self._fp_executor, self._compiler.canonical_key, text
-            )
-        except SQLError as error:
-            self.stats.bad_requests += 1
-            raise BadRequest(f"invalid SQL: {error}") from error
-        self._text_keys.put(text, key)
-        return key
+    # ------------------------------------------------------------------ #
+    # endpoints
+    # ------------------------------------------------------------------ #
 
     async def fingerprint(self, sql: str) -> ServedResponse:
         """Canonical fingerprint only; the /fingerprint answer."""
         self.stats.count("fingerprint")
 
         async def _fingerprint() -> ServedResponse:
-            fingerprint, _roles = await self._canonical_key(sql)
+            _text, (fingerprint, _roles) = await self._canonical_key(sql)
             return ServedResponse.encode(
                 {"fingerprint": fingerprint}, "fingerprint"
             )
 
         return await self._admitted(_fingerprint())
-
-    # ------------------------------------------------------------------ #
-    # endpoints
-    # ------------------------------------------------------------------ #
 
     async def compile(
         self, sql: str, formats: tuple[str, ...]
@@ -302,19 +349,17 @@ class CompileService(RequestFrontEnd):
     def healthz(self) -> dict:
         """Liveness + degradation report: cheap enough for tight probes.
 
-        ``status`` is ``ok``, ``degraded`` (still answering, but the disk
-        cache went memory-only or an engine breaker is not closed) or
-        ``draining`` (503 — take this replica out of rotation).
+        ``status`` is ``ok``, ``degraded`` (still answering, but the backend
+        reports a memory-only disk cache, a non-closed engine breaker or a
+        pool slot that is not ready) or ``draining`` (503 — take this
+        replica out of rotation).
         """
         self.stats.count("healthz")
-        disk = self._compiler.disk_cache
-        disk_degraded = bool(disk is not None and disk.degraded)
-        breakers = breaker_states()
+        health = self.backend.health()
+        degraded = health.pop("degraded")
         if self._draining:
             status = "draining"
-        elif disk_degraded or any(
-            state != "closed" for state in breakers.values()
-        ):
+        elif degraded:
             status = "degraded"
         else:
             status = "ok"
@@ -323,31 +368,89 @@ class CompileService(RequestFrontEnd):
             "in_flight": len(self._inflight),
             "pending": self._pending,
             "compile_retries": self.stats.compile_retries,
-            "executor_restarts": self.stats.executor_restarts,
-            "disk_degraded": disk_degraded,
-            "engine_breakers": breakers,
+            **health,
         }
 
-    def stats_payload(self) -> dict:
-        """The /stats document: service, LRU, pipeline and disk counters."""
+    async def stats_payload(self) -> dict:
+        """The /stats document: service and LRU counters, then the backend's."""
         self.stats.count("stats")
-        compiler = self._compiler
-        payload = {
+        return {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "draining": self._draining,
             "in_flight": len(self._inflight),
             "pending": self._pending,
             **asdict(self.stats),
             "lru": {"entries": len(self._lru), **self._lru.stats.as_dict()},
-            "pipeline": compiler.stats().as_dict(),
+            **await self.backend.stats_payload(),
         }
-        if compiler.disk_cache is not None:
-            payload["disk"] = compiler.disk_cache.stats.as_dict()
-        return payload
 
     # ------------------------------------------------------------------ #
-    # coalescing and compilation (admission lives on RequestFrontEnd)
+    # admission, keys, coalescing
     # ------------------------------------------------------------------ #
+
+    async def _admitted(self, work) -> ServedResponse:
+        """Admission control + per-request timeout around ``work``."""
+        work = asyncio.ensure_future(work)
+        if self._draining:
+            work.cancel()
+            self.stats.shed += 1
+            raise ServiceUnavailable("server is draining", retry_after=5.0)
+        if self._pending >= self.config.max_pending:
+            work.cancel()
+            self.stats.shed += 1
+            raise ServiceUnavailable(
+                f"overloaded: {self._pending} requests pending"
+            )
+        self._pending += 1
+        try:
+            return await asyncio.wait_for(work, self.config.request_timeout)
+        except asyncio.TimeoutError:
+            self.stats.timeouts += 1
+            raise ServiceUnavailable(
+                f"request exceeded {self.config.request_timeout:.1f}s budget"
+            ) from None
+        finally:
+            self._pending -= 1
+
+    def _shared(self, table: dict, key, work) -> asyncio.Task:
+        """Start ``work`` as the one task concurrent requests for ``key`` await."""
+        task = asyncio.get_running_loop().create_task(work)
+        table[key] = task
+
+        def _on_done(done: asyncio.Task) -> None:
+            table.pop(key, None)
+            # Retrieve the exception (if any) so a task whose every waiter
+            # was shed never logs "exception was never retrieved".
+            if not done.cancelled():
+                done.exception()
+
+        task.add_done_callback(_on_done)
+        return task
+
+    async def _canonical_key(self, sql: str) -> tuple[str, tuple[str, tuple]]:
+        """``(text, key)``: text memo → one shared backend key lookup."""
+        if not isinstance(sql, str) or not sql.strip():
+            self.stats.bad_requests += 1
+            raise BadRequest("request carries no SQL text")
+        text = sql.strip()
+        key = self._text_keys.get(text)
+        if key is not None:
+            return text, key
+        task = self._key_lookups.get(text)
+        if task is None:
+            task = self._shared(self._key_lookups, text, self._lookup_key(text))
+        try:
+            # Shielded: a shed waiter must not cancel the lookup that
+            # concurrent duplicates (and the memo) are waiting on.
+            return text, await asyncio.shield(task)
+        except SQLError as error:
+            self.stats.bad_requests += 1
+            raise BadRequest(f"invalid SQL: {error}") from error
+
+    async def _lookup_key(self, text: str) -> tuple[str, tuple]:
+        key = await self._retried(self.backend.key, text)
+        self._text_keys.put(text, key)
+        return key
 
     async def _compile_coalesced(
         self, sql: str, formats: tuple[str, ...]
@@ -358,7 +461,7 @@ class CompileService(RequestFrontEnd):
                 raise BadRequest(
                     f"unknown format {fmt!r}; known: {sorted(RENDERERS)}"
                 )
-        fingerprint, roles = await self._canonical_key(sql)
+        text, (fingerprint, roles) = await self._canonical_key(sql)
         key = (fingerprint, roles, tuple(sorted(set(formats))))
         cached = self._lru.get(key)
         if cached is not None:
@@ -368,100 +471,55 @@ class CompileService(RequestFrontEnd):
         task = self._inflight.get(key)
         if task is not None:
             self.stats.coalesced += 1
-            payload, body = await asyncio.shield(task)
+            payload, body, _served = await asyncio.shield(task)
             return ServedResponse(payload, body, "coalesced")
         self.stats.compiles += 1
-        task = asyncio.get_running_loop().create_task(
-            self._do_compile(key, sql, formats)
+        task = self._shared(
+            self._inflight, key, self._compile(key, text, formats)
         )
-        self._inflight[key] = task
-
-        def _on_done(done: asyncio.Task) -> None:
-            self._inflight.pop(key, None)
-            # Retrieve the exception (if any) so a compile whose every
-            # waiter was shed never logs "exception was never retrieved".
-            if not done.cancelled():
-                done.exception()
-
-        task.add_done_callback(_on_done)
         # Shielded: a shed/timed-out waiter must not cancel the shared
         # compile other requests are (or will be) coalesced onto.
-        payload, body = await asyncio.shield(task)
-        return ServedResponse(payload, body, "compile")
+        payload, body, served = await asyncio.shield(task)
+        return ServedResponse(payload, body, served)
 
-    async def _do_compile(
-        self, key: tuple, sql: str, formats: tuple[str, ...]
-    ) -> tuple[dict, bytes]:
-        loop = asyncio.get_running_loop()
-        try:
-            artifact = await self._run_compile(loop, sql, formats)
-        except Exception as error:
-            if not self._recoverable(error):
-                raise
-            # One cheap retry before the 503 path: transient faults (a
-            # torn cache read, a crashed worker thread) usually clear
-            # immediately — and a restarted executor deserves one chance
-            # before this replica starts shedding.
-            self.stats.compile_retries += 1
-            try:
-                artifact = await self._run_compile(loop, sql, formats)
-            except Exception as retry_error:
-                if self._recoverable(retry_error):
-                    raise ServiceUnavailable(
-                        "compile failed twice on a recoverable fault; "
-                        "retry later"
-                    ) from retry_error
-                raise
-        payload = {
-            "fingerprint": artifact.fingerprint,
-            "formats": sorted(artifact.outputs),
-            "outputs": dict(artifact.outputs),
-        }
-        # Encode once, serve many: the LRU keeps the response bytes next
-        # to the payload so warm hits never re-serialize rendered outputs.
-        body = json.dumps(payload).encode("utf-8")
-        self._lru.put(key, (payload, body))
-        return payload, body
-
-    async def _run_compile(self, loop, sql: str, formats: tuple[str, ...]):
-        """One supervised executor hop: restart the worker on crash."""
-        try:
-            return await loop.run_in_executor(
-                self._compile_executor, self._compile_sync, sql, formats
-            )
-        except (BrokenExecutor, InjectedCrash):
-            self._restart_compile_executor()
-            raise
-        except RuntimeError as error:
-            # "cannot schedule new futures after (interpreter) shutdown":
-            # the pool is unusable; replace it before re-raising.
-            if "shutdown" in str(error):
-                self._restart_compile_executor()
-            raise
-
-    @staticmethod
-    def _recoverable(error: BaseException) -> bool:
-        """Whether a failed compile deserves the retry/503 path (not 400/500)."""
-        return isinstance(error, BrokenExecutor) or is_recoverable(error)
-
-    def _restart_compile_executor(self) -> None:
-        """Supervision: replace a crashed compile worker with a fresh one."""
-        self.stats.executor_restarts += 1
-        old = self._compile_executor
-        self._compile_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-compile"
+    async def _compile(
+        self, key: tuple, text: str, formats: tuple[str, ...]
+    ) -> tuple[dict, bytes, str]:
+        payload, body, served = await self._retried(
+            self.backend.compile, text, formats, key[0]
         )
-        old.shutdown(wait=False, cancel_futures=True)
+        self._lru.put(key, (payload, body))
+        return payload, body, served
 
-    def _compile_sync(self, sql: str, formats: tuple[str, ...]):
-        # Chaos stand-in for everything that can kill a compile mid-flight
-        # (worker thread death, cache IO errors surfacing as exceptions).
-        fault_point("serve.compile")
-        return self._compiler.compile(sql, formats=formats)
+    async def _retried(self, call, *args):
+        """``await call(*args)``, retried once on a recoverable failure."""
+        try:
+            return await call(*args)
+        except Exception as error:
+            if not recoverable(error):
+                raise
+        # One cheap retry before the 503 path: transient faults (a torn
+        # cache read, a crashed compile thread) usually clear immediately,
+        # a restarted executor deserves one chance before this replica
+        # starts shedding, and a dead pool worker's slot is no longer
+        # available, so the retry lands on a sibling.
+        self.stats.compile_retries += 1
+        try:
+            return await call(*args)
+        except Exception as error:
+            if recoverable(error):
+                raise ServiceUnavailable(
+                    "failed twice on a recoverable fault; retry later"
+                ) from error
+            raise
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
+
+    def begin_drain(self) -> None:
+        """Stop admitting work; in-flight requests keep running."""
+        self._draining = True
 
     async def drain(self, timeout: float = 30.0) -> bool:
         """Await completion of admitted work; ``True`` if fully drained."""
@@ -478,6 +536,5 @@ class CompileService(RequestFrontEnd):
         return True
 
     def close(self) -> None:
-        """Release the worker threads (idempotent)."""
-        self._fp_executor.shutdown(wait=False)
-        self._compile_executor.shutdown(wait=False)
+        """Release the backend: threads or worker processes (idempotent)."""
+        self.backend.close()

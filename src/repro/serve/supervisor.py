@@ -1,12 +1,14 @@
-"""Supervised multi-process worker pool behind the asyncio front end.
+"""Supervised multi-process compile backend: the worker pool.
 
 A single Python process cannot serve concurrent compile-bound traffic past
-one core — the GIL serializes the compile thread.  :class:`PoolService`
-keeps the existing asyncio HTTP front end (:mod:`repro.serve.http`) and
-moves the expensive back half into N supervised worker *processes*, each
-running today's :class:`~repro.serve.service.CompileService`
-(:mod:`repro.serve.pool`), connected over inherited UNIX socketpairs with
-the length-prefixed frame protocol.
+one core — the GIL serializes the compile thread.  :class:`WorkerSupervisor`
+is the compile backend of :class:`~repro.serve.service.CompileService` that
+moves compiles into N supervised worker *processes*.  Each worker is a
+frame loop around its own :class:`~repro.serve.service.LocalCompiler`
+(:mod:`repro.serve.pool`), connected over an inherited UNIX socketpair
+with the length-prefixed frame protocol.  Everything on the request side —
+admission, the text memo, the response LRU, coalescing, the one retry,
+drain — stays in the one ``CompileService`` in front.
 
 Dispatch — learned fingerprint affinity
 =======================================
@@ -14,17 +16,12 @@ Dispatch — learned fingerprint affinity
 The front end never parses SQL: the canonical-key front half (lex → … →
 fingerprint) is itself half the cost of a full compile, so running it
 per-request on the front end would cap pool speed-up near 1×.  Instead the
-front end asks the *pool* for the key: the first sight of a request text
-dispatches a cheap ``fingerprint`` op round-robin to any ready worker,
-concurrent duplicates of that text coalesce onto the same in-flight key
-lookup, and the answer lands in the front end's bounded text → fingerprint
-memo.  Every compile/render then routes by true canonical fingerprint:
-``slot = fp % N``, walking forward to the next ready slot when the
-preferred one is down or draining.  Equivalent queries — verbatim repeats,
-the Fig. 24 spelling trio — share a fingerprint, therefore a worker,
-therefore that worker's response LRU and in-flight coalescing table:
-duplicate bursts still collapse to one compile even though the pool has N
-independent caches.
+service asks the *pool* for the key of a text it has not seen: a ``key``
+op goes round-robin to any ready worker, and the answer lands in the
+service's text memo.  Every compile then routes by true canonical
+fingerprint: ``slot = fp % N``, walking forward to the next ready slot
+when the preferred one is down or draining, so one fingerprint keeps
+warming one worker's stage caches.
 
 Supervision — a worker dying is a non-event
 ===========================================
@@ -35,9 +32,10 @@ Supervision — a worker dying is a non-event
   ``request_deadline`` (a wedged compile thread answers pings happily), is
   killed and replaced.
 * **Crash recovery**: worker EOF fails its in-flight dispatch futures with
-  :class:`WorkerCrashed`; the dispatcher transparently retries each such
-  request once on a sibling slot (``stats.failovers``) before shedding
-  503.  The dead slot respawns after an exponential backoff
+  :class:`~repro.serve.service.WorkerCrashed` (``stats.failovers``), a
+  recoverable error: the service retries each such request once, and the
+  dead slot is no longer available, so the retry lands on a sibling.  The
+  dead slot respawns after an exponential backoff
   (``backoff_base · 2^(consecutive-1)``, capped at ``backoff_cap``).
 * **Restart-storm budget**: more than ``restart_budget`` *consecutive*
   fast deaths (a worker that never survived ``min_uptime``) marks the
@@ -46,24 +44,24 @@ Supervision — a worker dying is a non-event
   spin-looping fork bombs.  Death classification uses an injectable
   ``clock`` (like the circuit breakers in ``relational/backends.py``), so
   tests control it deterministically.
-* **Per-worker breakers**: PR 9's engine circuit breakers are
+* **Per-worker breakers**: the engine circuit breakers are
   process-global state — which in a pool means naturally *per-worker*.
-  Each heartbeat pong carries the worker's own ``healthz`` document
-  (breaker states, disk degradation); ``/healthz`` aggregates the worst
-  state per engine across workers plus the per-worker detail.
+  Each heartbeat pong carries the worker's own health (breaker states,
+  disk degradation); ``/healthz`` aggregates the worst state per engine
+  across workers plus the per-worker detail.
 
 Zero-downtime operations
 ========================
 
 * **SIGHUP hot reload** (:meth:`WorkerSupervisor.reload`): one slot at a
   time — mark the old worker draining (ready count drops to N−1, never
-  lower), spawn and await its replacement, swap, then retire the old
-  worker gracefully (drain op, close pipe).  A failed replacement spawn
-  restores the old worker to ready; ``stats.reload_min_ready`` records
-  the observed floor.
-* **SIGTERM drain**: the front end stops admitting, in-flight dispatches
-  finish, every worker drains its own in-flight compiles, then the pool
-  closes.
+  lower), spawn and await its replacement, swap, then close the old
+  worker's pipe once nothing is pending on it.  A failed replacement
+  spawn restores the old worker to ready; ``stats.reload_min_ready``
+  records the observed floor.
+* **SIGTERM drain**: the service stops admitting and waits for every
+  in-flight compile; then :meth:`WorkerSupervisor.close` shuts each pipe
+  down, and every worker exits 0 on the EOF.
 
 The only cross-worker state is the shared multi-process-safe disk cache
 (``pipeline/diskcache.py``) — a replacement worker warms from it, and a
@@ -76,34 +74,20 @@ import asyncio
 import itertools
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ..faults import current_plan, fault_point, InjectedFault
-from ..pipeline import RENDERERS
-from .pool import (
-    WORKER_ENV,
-    encode_frame,
-    read_frame,
-    service_config_to_spec,
-)
-from .service import (
-    BadRequest,
-    RequestFrontEnd,
-    ServedResponse,
-    ServiceConfig,
-    ServiceUnavailable,
-)
+from ..sql.errors import SQLError
+from .pool import WORKER_ENV, encode_frame, read_frame
+from .service import RecoverableError, ServiceUnavailable, WorkerCrashed
 
 #: Ranking for aggregating per-worker breaker states into one per engine.
 _BREAKER_SEVERITY = {"closed": 0, "half_open": 1, "open": 2}
-
-
-class WorkerCrashed(Exception):
-    """The worker died (EOF on its pipe) with this request in flight."""
 
 
 class SpawnFailed(Exception):
@@ -120,11 +104,6 @@ class PoolConfig:
     simplify: bool = True
     #: Shared persistent disk cache directory (the only cross-worker state).
     disk_cache: str | None = None
-    #: ``ServiceConfig`` each worker runs under.  Admission is enforced at
-    #: the front end, so workers get generous bounds by default.
-    worker_service: ServiceConfig = field(
-        default_factory=lambda: ServiceConfig(max_pending=1024, request_timeout=30.0)
-    )
     #: Fault-plan spec (dict) forwarded to every worker — chaos runs.
     worker_fault_plan: dict | None = None
     #: Seconds between heartbeat pings.
@@ -148,12 +127,13 @@ class PoolConfig:
 
 @dataclass
 class PoolStats:
-    """Supervisor-side counters (per-worker compile counters live in the
-    workers and are aggregated by ``stats_payload``)."""
+    """Supervisor-side counters (each worker's pipeline and disk counters
+    are listed under ``workers_stats`` by ``stats_payload``)."""
 
     dispatched: int = 0
     worker_crashes: int = 0
     worker_restarts: int = 0
+    #: Requests in flight on a worker that died (the service retries each).
     failovers: int = 0
     heartbeat_timeouts: int = 0
     deadline_kills: int = 0
@@ -195,7 +175,7 @@ class WorkerHandle:
         self.pending: dict[int, _Pending] = {}
         self.ready = False
         self.draining = False
-        self.retired = False  # expected exit (reload/drain/close), not a crash
+        self.retired = False  # expected exit (reload/close), not a crash
         self.closed = False
         self.ready_at = 0.0
         self.last_pong = 0.0
@@ -238,7 +218,7 @@ class WorkerSupervisor:
         self._closing = False
         self._monitor_task: asyncio.Task | None = None
         self._tasks: set[asyncio.Task] = set()
-        # Replaced-but-not-yet-drained workers (reload) and corpse reaps
+        # Replaced-but-not-yet-retired workers (reload) and corpse reaps
         # live outside ``_tasks``: close() must finish them, not cancel
         # them, or their processes and pipes outlive the supervisor.
         self._retiring: set[WorkerHandle] = set()
@@ -266,59 +246,44 @@ class WorkerSupervisor:
             if slot.worker is not None and slot.worker.available
         )
 
-    async def drain(self, timeout: float = 30.0) -> bool:
-        """Ask every live worker to drain its in-flight compiles."""
-        workers = [
-            slot.worker
-            for slot in self._slots
-            if slot.worker is not None and not slot.worker.closed
-        ]
-        if not workers:
-            return True
-        results = await asyncio.gather(
-            *(self._drain_worker(worker, timeout) for worker in workers),
-            return_exceptions=True,
-        )
-        return all(result is True for result in results)
-
-    async def _drain_worker(self, worker: WorkerHandle, timeout: float) -> bool:
-        worker.draining = True
-        try:
-            header, _body = await asyncio.wait_for(
-                self._dispatch_to(worker, "drain", {"timeout": timeout}),
-                timeout + 5.0,
-            )
-        except (WorkerCrashed, asyncio.TimeoutError, ServiceUnavailable):
-            return False
-        return bool((header.get("payload") or {}).get("drained"))
-
     def close(self) -> None:
-        """Stop supervision and terminate every worker (idempotent)."""
+        """Stop supervision, send every worker EOF and reap it (idempotent)."""
         self._closing = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
         for task in list(self._tasks):
             task.cancel()
+        # Workers replaced by a reload and not yet retired: their _retire
+        # task is cancelled above, so finish the job here.
+        workers = list(self._retiring)
+        self._retiring.clear()
         for slot in self._slots:
             if slot.restart_task is not None:
                 slot.restart_task.cancel()
-            worker = slot.worker
-            if worker is None:
-                continue
+            if slot.worker is not None:
+                workers.append(slot.worker)
+                slot.worker = None
+        # Every pipe first, so all workers see EOF and exit together.
+        for worker in workers:
             worker.retired = True
             self._close_pipe(worker)
+        for worker in workers:
             self._terminate(worker.proc)
-            slot.worker = None
-        # Workers replaced by a reload still draining when close() lands:
-        # their _retire task is cancelled above, so finish the job here.
-        for worker in list(self._retiring):
-            worker.retired = True
-            self._close_pipe(worker)
-            self._terminate(worker.proc)
-        self._retiring.clear()
 
     @staticmethod
     def _close_pipe(worker: WorkerHandle) -> None:
+        """Send the worker EOF now and close our end of its pipe.
+
+        ``writer.close()`` alone closes the socket only on the event loop's
+        next turn, which a blocking ``_terminate`` right after it would
+        never let come: the worker would sit out the wait and be SIGTERMed.
+        """
+        sock = worker.writer.get_extra_info("socket")
+        try:
+            if sock is not None:
+                sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed, or the peer is gone
         try:
             worker.writer.close()
         except RuntimeError:
@@ -357,15 +322,12 @@ class WorkerSupervisor:
             "slot": slot_index,
             "simplify": self.config.simplify,
             "disk_cache": self.config.disk_cache,
-            "service": service_config_to_spec(self.config.worker_service),
             "fault_plan": self.config.worker_fault_plan,
         }
 
     async def _spawn_worker(self, slot: _Slot) -> WorkerHandle:
         """Spawn one worker and await its ready frame (or raise SpawnFailed)."""
-        import socket as socket_mod
-
-        parent_sock, child_sock = socket_mod.socketpair()
+        parent_sock, child_sock = socket.socketpair()
         env = dict(os.environ)
         env[WORKER_ENV] = json.dumps(self._worker_spec(slot.index))
         # Make ``-m repro.serve.pool`` importable regardless of the
@@ -555,7 +517,7 @@ class WorkerSupervisor:
                 self._dispatch_to(worker, "ping", {}),
                 self.config.heartbeat_timeout,
             )
-        except (WorkerCrashed, asyncio.TimeoutError, ServiceUnavailable):
+        except (RecoverableError, RuntimeError, asyncio.TimeoutError):
             return  # staleness (or EOF) is handled by the monitor/reader
         except asyncio.CancelledError:
             return
@@ -563,10 +525,34 @@ class WorkerSupervisor:
         worker.health = header.get("payload") or {}
 
     # ------------------------------------------------------------------ #
+    # the compile backend: key lookups and compiles
+    # ------------------------------------------------------------------ #
+
+    async def key(self, text: str) -> tuple[str, tuple]:
+        """``(fingerprint, roles)`` of ``text`` from any ready worker."""
+        header, _body, _slot = await self.dispatch("key", {"sql": text})
+        payload = header["payload"]
+        roles = tuple(tuple(role) for role in payload["roles"])
+        return payload["fingerprint"], roles
+
+    async def compile(
+        self, text: str, formats: tuple[str, ...], fingerprint: str | None = None
+    ) -> tuple[dict, bytes, str]:
+        """Compile on the worker that owns ``fingerprint``.
+
+        The encoded body crossed the pipe and is served verbatim; it is
+        decoded once here for the response LRU and ``/render``.
+        """
+        _header, body, slot = await self.dispatch(
+            "compile", {"sql": text, "formats": list(formats)}, affinity=fingerprint
+        )
+        return json.loads(body), body, f"compile@w{slot}"
+
+    # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
 
-    def _pick_slot(self, affinity: str | None, exclude: set[int]) -> _Slot | None:
+    def _pick_slot(self, affinity: str | None) -> _Slot | None:
         count = len(self._slots)
         if affinity:
             start = int(affinity[:16], 16) % count
@@ -574,23 +560,19 @@ class WorkerSupervisor:
             start = next(self._rr) % count
         for offset in range(count):
             slot = self._slots[(start + offset) % count]
-            if slot.index in exclude:
-                continue
             worker = slot.worker
             if worker is not None and worker.available:
                 return slot
         return None
 
     async def dispatch(
-        self, op: str, fields: dict, affinity: str | None = None, body: bytes = b""
+        self, op: str, fields: dict, affinity: str | None = None
     ) -> tuple[dict, bytes, int]:
         """Send one operation to the pool; returns (header, body, slot).
 
-        A request whose worker dies mid-flight is transparently retried
-        once on a sibling slot; a second crash (or an empty pool) sheds
-        with 503.  Worker-reported errors are mapped back onto the service
-        error taxonomy and never retried here (the worker already applied
-        its own retry policy).
+        A request whose worker dies mid-flight raises
+        :class:`WorkerCrashed` (``stats.failovers``), which the service
+        retries once; an empty pool sheds with 503.
         """
         if current_plan() is not None:
             # Chaos hook on the dispatch path.  ``latency`` faults sleep in
@@ -601,29 +583,19 @@ class WorkerSupervisor:
             except InjectedFault as error:
                 self.stats.dispatch_faults += 1
                 raise ServiceUnavailable(f"injected dispatch fault: {error}") from error
-        tried: set[int] = set()
-        for attempt in range(2):
-            slot = self._pick_slot(affinity, tried)
-            if slot is None:
-                break
-            worker = slot.worker
-            assert worker is not None
-            self.stats.dispatched += 1
-            try:
-                header, payload = await self._dispatch_to(worker, op, fields, body)
-                return header, payload, slot.index
-            except WorkerCrashed:
-                tried.add(slot.index)
-                if attempt == 0:
-                    self.stats.failovers += 1
-                    continue
-                raise ServiceUnavailable(
-                    "worker crashed twice for this request; retry later"
-                ) from None
-        raise ServiceUnavailable("no ready workers", retry_after=2.0)
+        slot = self._pick_slot(affinity)
+        if slot is None:
+            raise ServiceUnavailable("no ready workers", retry_after=2.0)
+        self.stats.dispatched += 1
+        try:
+            header, body = await self._dispatch_to(slot.worker, op, fields)
+        except WorkerCrashed:
+            self.stats.failovers += 1
+            raise
+        return header, body, slot.index
 
     async def _dispatch_to(
-        self, worker: WorkerHandle, op: str, fields: dict, body: bytes = b""
+        self, worker: WorkerHandle, op: str, fields: dict
     ) -> tuple[dict, bytes]:
         if worker.closed:
             raise WorkerCrashed(f"worker {worker.pid} is gone")
@@ -632,7 +604,7 @@ class WorkerSupervisor:
         entry = _Pending(future, self.clock())
         worker.pending[rid] = entry
         try:
-            worker.writer.write(encode_frame({"op": op, "id": rid, **fields}, body))
+            worker.writer.write(encode_frame({"op": op, "id": rid, **fields}))
             await worker.writer.drain()
         except (ConnectionError, RuntimeError, OSError) as error:
             worker.pending.pop(rid, None)
@@ -648,12 +620,14 @@ class WorkerSupervisor:
             raise
         if header.get("ok"):
             return header, response_body
+        # Worker errors map back onto the classes the service sorts into
+        # 400 (bad SQL), the retry path, and 500.
         kind = header.get("kind")
         message = header.get("error", "worker error")
         if kind == "bad_request":
-            raise BadRequest(message)
-        if kind == "unavailable":
-            raise ServiceUnavailable(message, retry_after=float(header.get("retry_after", 1.0)))
+            raise SQLError(message)
+        if kind == "recoverable":
+            raise RecoverableError(f"worker {worker.pid}: {message}")
         raise RuntimeError(f"worker error: {message}")
 
     # ------------------------------------------------------------------ #
@@ -713,13 +687,17 @@ class WorkerSupervisor:
             self.stats.reload_min_ready = ready
 
     async def _retire(self, worker: WorkerHandle) -> None:
-        """Gracefully stop a replaced worker: drain, then close its pipe."""
+        """Close a replaced worker's pipe once nothing is pending on it.
+
+        The wait is bounded by ``request_deadline``, the budget the monitor
+        gives a request on a live slot; whatever is still pending then
+        fails over when the pipe closes.
+        """
         try:
-            await asyncio.wait_for(
-                self._dispatch_to(worker, "drain", {"timeout": 10.0}), 15.0
-            )
-        except (WorkerCrashed, asyncio.TimeoutError, ServiceUnavailable, RuntimeError):
-            pass
+            for _ in range(int(self.config.request_deadline / 0.05) + 1):
+                if not worker.pending or worker.closed:
+                    break
+                await asyncio.sleep(0.05)
         finally:
             self._close_pipe(worker)
             self._retiring.discard(worker)
@@ -753,7 +731,7 @@ class WorkerSupervisor:
                 entry["in_flight"] = len(worker.pending)
                 health = worker.health
                 if health:
-                    entry["worker_status"] = health.get("status")
+                    entry["degraded"] = health.get("degraded")
                     entry["disk_degraded"] = health.get("disk_degraded")
                     entry["engine_breakers"] = health.get("engine_breakers")
             snapshot.append(entry)
@@ -772,222 +750,50 @@ class WorkerSupervisor:
                     merged[mode] = state
         return merged
 
+    def health(self) -> dict:
+        """Aggregated pool health from cached heartbeat data (synchronous).
 
-class PoolService(RequestFrontEnd):
-    """Duck-types :class:`CompileService` for :class:`CompileServer`,
-    backed by the supervised worker pool.
-
-    The front half here is deliberately parse-free: admission control and
-    the text → fingerprint memo run on the event loop, and everything that
-    touches SQL — fingerprinting included — runs in the workers.  A text
-    seen for the first time costs one extra (cheap, round-robin) worker
-    round trip for its key; after that every request routes by true
-    canonical fingerprint.  ``X-Repro-Served`` values gain a ``@wN``
-    suffix naming the answering slot.
-    """
-
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        pool_config: PoolConfig | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        super().__init__(config=config)
-        self.pool_config = pool_config or PoolConfig()
-        self.supervisor = WorkerSupervisor(self.pool_config, clock=clock)
-        # In-flight key lookups: concurrent first sights of the same text
-        # share one worker ``fingerprint`` round trip.
-        self._key_inflight: dict[str, asyncio.Task] = {}
-
-    async def start(self) -> int:
-        return await self.supervisor.start()
-
-    # ------------------------------------------------------------------ #
-    # routing identity
-    # ------------------------------------------------------------------ #
-
-    async def _affinity_key(self, sql: str) -> tuple[str, str]:
-        """(text, fingerprint) for routing: memo → pooled key lookup."""
-        text = self.request_text(sql)
-        fingerprint = self._text_keys.get(text)
-        if fingerprint is not None:
-            return text, fingerprint
-        task = self._key_inflight.get(text)
-        if task is None:
-            task = asyncio.get_running_loop().create_task(self._fetch_key(text))
-            self._key_inflight[text] = task
-
-            def _on_done(done: asyncio.Task) -> None:
-                self._key_inflight.pop(text, None)
-                if not done.cancelled():
-                    done.exception()
-
-            task.add_done_callback(_on_done)
-        try:
-            # Shielded: a shed waiter must not cancel the lookup that
-            # concurrent duplicates (and the memo) are waiting on.
-            return text, await asyncio.shield(task)
-        except BadRequest:
-            self.stats.bad_requests += 1
-            raise
-
-    async def _fetch_key(self, text: str) -> str:
-        header, _body, _slot = await self.supervisor.dispatch(
-            "fingerprint", {"sql": text}
-        )
-        fingerprint = str((header.get("payload") or {}).get("fingerprint", ""))
-        self._text_keys.put(text, fingerprint)
-        return fingerprint
-
-    # ------------------------------------------------------------------ #
-    # endpoints (same shapes as CompileService)
-    # ------------------------------------------------------------------ #
-
-    async def fingerprint(self, sql: str) -> ServedResponse:
-        self.stats.count("fingerprint")
-
-        async def _fingerprint() -> ServedResponse:
-            _text, fingerprint = await self._affinity_key(sql)
-            return ServedResponse.encode(
-                {"fingerprint": fingerprint}, "fingerprint"
-            )
-
-        return await self._admitted(_fingerprint())
-
-    async def compile(self, sql: str, formats: tuple[str, ...]) -> ServedResponse:
-        self.stats.count("compile")
-        return await self._admitted(self._dispatch_compile(sql, formats))
-
-    async def render(self, sql: str, fmt: str) -> ServedResponse:
-        self.stats.count("render")
-
-        async def _render() -> ServedResponse:
-            if fmt not in RENDERERS:
-                self.stats.bad_requests += 1
-                raise BadRequest(f"unknown format {fmt!r}; known: {sorted(RENDERERS)}")
-            text, fingerprint = await self._affinity_key(sql)
-            header, body, slot = await self.supervisor.dispatch(
-                "render", {"sql": text, "format": fmt}, affinity=fingerprint
-            )
-            return ServedResponse({}, body, f"{header.get('served', '?')}@w{slot}")
-
-        return await self._admitted(_render())
-
-    async def _dispatch_compile(self, sql: str, formats: tuple[str, ...]) -> ServedResponse:
-        for fmt in formats:
-            if fmt not in RENDERERS:
-                self.stats.bad_requests += 1
-                raise BadRequest(f"unknown format {fmt!r}; known: {sorted(RENDERERS)}")
-        text, fingerprint = await self._affinity_key(sql)
-        header, body, slot = await self.supervisor.dispatch(
-            "compile", {"sql": text, "formats": list(formats)}, affinity=fingerprint
-        )
-        return ServedResponse({}, body, f"{header.get('served', '?')}@w{slot}")
-
-    def healthz(self) -> dict:
-        """Aggregated pool health; stays synchronous (cached heartbeat data).
-
-        ``degraded`` — a broken/restarting slot, a degraded worker, or a
-        non-closed breaker anywhere in the pool — still answers 200; only
-        ``draining`` is 503, exactly as in single-process mode.
+        ``degraded`` — a broken or restarting slot, or a degraded disk cache
+        or non-closed breaker in any worker — still answers 200.
         """
-        self.stats.count("healthz")
-        slots = self.supervisor.slots_snapshot()
-        ready = self.supervisor.ready_count()
-        breakers = self.supervisor.aggregated_breakers()
-        workers_degraded = any(
-            entry.get("worker_status") == "degraded" or entry.get("disk_degraded")
-            for entry in slots
-        )
-        if self._draining:
-            status = "draining"
-        elif (
-            ready < self.pool_config.workers
-            or workers_degraded
-            or any(state != "closed" for state in breakers.values())
-        ):
-            status = "degraded"
-        else:
-            status = "ok"
+        slots = self.slots_snapshot()
+        ready = self.ready_count()
+        breakers = self.aggregated_breakers()
+        disk_degraded = any(bool(entry.get("disk_degraded")) for entry in slots)
         return {
-            "status": status,
+            "degraded": ready < self.config.workers
+            or disk_degraded
+            or any(state != "closed" for state in breakers.values()),
             "mode": "pool",
-            "workers": self.pool_config.workers,
+            "workers": self.config.workers,
             "ready_workers": ready,
-            "broken_slots": [s["slot"] for s in slots if s["state"] == "broken"],
-            "pending": self._pending,
-            "in_flight": sum(s.get("in_flight", 0) for s in slots),
-            "worker_restarts": self.supervisor.stats.worker_restarts,
-            "worker_crashes": self.supervisor.stats.worker_crashes,
-            "failovers": self.supervisor.stats.failovers,
-            "disk_degraded": any(bool(s.get("disk_degraded")) for s in slots),
+            "broken_slots": [entry["slot"] for entry in slots if entry["state"] == "broken"],
+            "worker_restarts": self.stats.worker_restarts,
+            "worker_crashes": self.stats.worker_crashes,
+            "failovers": self.stats.failovers,
+            "disk_degraded": disk_degraded,
             "engine_breakers": breakers,
             "slots": slots,
         }
 
     async def stats_payload(self) -> dict:
-        """The /stats document: front-end, supervisor and per-worker counters."""
-        self.stats.count("stats")
+        """Supervisor counters plus each ready worker's pipeline and disk counters."""
         workers_stats: list[dict] = []
-        totals = {"compiles": 0, "lru_hits": 0, "coalesced": 0, "shed": 0, "timeouts": 0}
-        for slot in self.supervisor._slots:
+        for slot in self._slots:
             worker = slot.worker
             if worker is None or not worker.ready:
                 continue
             try:
                 header, _body = await asyncio.wait_for(
-                    self.supervisor._dispatch_to(worker, "stats", {}), 5.0
+                    self._dispatch_to(worker, "stats", {}), 5.0
                 )
-            except (WorkerCrashed, asyncio.TimeoutError, ServiceUnavailable, RuntimeError):
+            except (RecoverableError, RuntimeError, asyncio.TimeoutError):
                 continue
-            payload = header.get("payload") or {}
-            payload["slot"] = slot.index
-            workers_stats.append(payload)
-            for key in totals:
-                totals[key] += int(payload.get(key, 0))
+            workers_stats.append({"slot": slot.index, **(header.get("payload") or {})})
         return {
             "mode": "pool",
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "draining": self._draining,
-            "workers": self.pool_config.workers,
-            "ready_workers": self.supervisor.ready_count(),
-            "pending": self._pending,
-            "requests": dict(self.stats.requests),
-            # Worker-side totals: the pool-wide view of the cache hierarchy.
-            **totals,
-            "bad_requests": self.stats.bad_requests,
-            "internal_errors": self.stats.internal_errors,
-            "front_shed": self.stats.shed,
-            "front_timeouts": self.stats.timeouts,
-            "pool": self.supervisor.stats.as_dict(),
+            "workers": self.config.workers,
+            "ready_workers": self.ready_count(),
+            "pool": self.stats.as_dict(),
             "workers_stats": workers_stats,
         }
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    async def reload(self) -> dict:
-        """SIGHUP entry point: roll the workers one at a time."""
-        return await self.supervisor.reload()
-
-    async def drain(self, timeout: float = 30.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while self._pending and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        remaining = max(1.0, deadline - time.monotonic())
-        drained = await self.supervisor.drain(remaining)
-        return drained and not self._pending
-
-    def close(self) -> None:
-        self.supervisor.close()
-
-
-def worker_pids(service: PoolService) -> list[int]:
-    """Live worker pids (CLI/diagnostics helper)."""
-    return [
-        slot.worker.pid
-        for slot in service.supervisor._slots
-        if slot.worker is not None and not slot.worker.closed
-    ]
-

@@ -18,11 +18,12 @@ layer by layer:
 * **serve** — an in-process :class:`~repro.serve.CompileService` answers
   the corpus while compile faults fire; the client retries shed (503)
   requests, and every request must end in the fault-free payload.
-* **pool** — a 2-worker :class:`~repro.serve.PoolService` answers the
-  corpus concurrently while one worker is SIGKILLed with requests in
-  flight; the supervisor's sibling failover and restart machinery must
-  deliver *zero* failed client requests and byte-identical bodies, and
-  the kill must actually have landed (``worker_crashes`` asserted > 0).
+* **pool** — a :class:`~repro.serve.CompileService` over a 2-worker
+  :class:`~repro.serve.WorkerSupervisor` answers the corpus concurrently
+  while one worker is SIGKILLed with requests in flight; the service's
+  retry on a sibling and the supervisor's restart machinery must deliver
+  *zero* failed client requests and byte-identical bodies, and the kill
+  must actually have landed (``worker_crashes`` asserted > 0).
 
 Faults are seeded, so a failing run is exactly reproducible from its
 config — chaos without flakes.
@@ -40,7 +41,7 @@ from ..catalog.builtin import sailors_schema
 from ..faults import FaultPlan, FaultRule, active_plan, suspended_plan
 from ..relational import ExecutionMode, Executor, reset_breakers
 from ..relational.errors import EngineError
-from ..serve import CompileService, PoolConfig, PoolService, ServiceConfig
+from ..serve import CompileService, PoolConfig, ServiceConfig, WorkerSupervisor
 from ..serve.service import ServiceUnavailable
 from ..sql.formatter import format_query
 from .datagen import sailors_database
@@ -242,7 +243,7 @@ def _serve_leg(config: ChaosConfig) -> dict:
             "identical": faulted == baseline,
             "client_retries": client_retries,
             "compile_retries": service.stats.compile_retries,
-            "executor_restarts": service.stats.executor_restarts,
+            "executor_restarts": service.backend.executor_restarts,
             "fault_fires": plan.total_fires(),
         }
 
@@ -255,7 +256,7 @@ def _pool_leg(config: ChaosConfig) -> dict:
     The corpus is fired *concurrently* at a small pool whose workers run
     a deterministic per-compile stall (so requests are reliably in flight
     when the kill lands); one worker is SIGKILLed as soon as it has work
-    pending.  The supervisor's sibling failover plus the client's 503
+    pending.  The service's one retry on a sibling plus the client's 503
     retries must end every request in the fault-free body.
     """
     corpus = [format_query(query) for query in _corpus(config)]
@@ -280,20 +281,23 @@ def _pool_leg(config: ChaosConfig) -> dict:
                 }
             ],
         }
-        service = PoolService(
-            config=ServiceConfig(max_pending=4096, request_timeout=60.0),
-            pool_config=PoolConfig(
+        supervisor = WorkerSupervisor(
+            PoolConfig(
                 workers=config.pool_workers,
                 worker_fault_plan=stall_plan,
                 min_uptime=0.0,
                 backoff_base=0.01,
                 backoff_cap=0.1,
-            ),
+            )
+        )
+        service = CompileService(
+            backend=supervisor,
+            config=ServiceConfig(max_pending=4096, request_timeout=60.0),
         )
         client_retries = 0
         failed = 0
         try:
-            await service.start()
+            await supervisor.start()
 
             async def one(sql: str) -> dict | None:
                 nonlocal client_retries, failed
@@ -314,7 +318,6 @@ def _pool_leg(config: ChaosConfig) -> dict:
             async def assassin() -> int | None:
                 # Wait until the victim actually has requests in flight —
                 # a kill with nothing pending proves nothing.
-                supervisor = service.supervisor
                 for _ in range(400):
                     worker = supervisor._slots[0].worker
                     if worker is not None and worker.pending:
@@ -326,7 +329,7 @@ def _pool_leg(config: ChaosConfig) -> dict:
             killer = asyncio.ensure_future(assassin())
             faulted = await asyncio.gather(*tasks)
             killed_pid = await killer
-            stats = service.supervisor.stats
+            stats = supervisor.stats
             return {
                 # Deterministic facts: same seeds → byte-identical.
                 "requests": len(corpus),

@@ -39,8 +39,8 @@ from ..serve import (
     CompileServer,
     CompileService,
     PoolConfig,
-    PoolService,
     ServiceConfig,
+    WorkerSupervisor,
 )
 from ..sql.formatter import format_query
 from .querygen import QueryGenConfig, QueryGenerator
@@ -355,9 +355,7 @@ async def _run_pool_leg(config: ServeBenchConfig) -> dict:
         ],
     }
 
-    async def one_server(service) -> dict:
-        if isinstance(service, PoolService):
-            await service.start()
+    async def one_server(service: CompileService) -> dict:
         server = CompileServer(service, host="127.0.0.1", port=0)
         await server.start()
         try:
@@ -375,14 +373,12 @@ async def _run_pool_leg(config: ServeBenchConfig) -> dict:
     # front end stays plan-free, so the dispatch fault hook stays off.
     with active_plan(FaultPlan.from_spec(stall_plan)):
         single = await one_server(CompileService(config=config.service))
-    pool_service = PoolService(
-        config=config.service,
-        pool_config=PoolConfig(
-            workers=config.workers, worker_fault_plan=stall_plan
-        ),
+    supervisor = WorkerSupervisor(
+        PoolConfig(workers=config.workers, worker_fault_plan=stall_plan)
     )
-    pool = await one_server(pool_service)
-    pool_stats = pool_service.supervisor.stats
+    await supervisor.start()
+    pool = await one_server(CompileService(backend=supervisor, config=config.service))
+    pool_stats = supervisor.stats
     return {
         "pool_workers": config.workers,
         "pool_distinct": len(timed_queries),

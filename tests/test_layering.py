@@ -9,6 +9,10 @@ checking, would make a lower layer depend on what it is meant to check.
 ``repro.lru``, the bounded cache under every layer's memos, is a leaf:
 it imports no ``repro`` module at all, so any layer may use it.
 
+Inside the serving tier the one service sits below its backends: the
+service module knows neither the pool supervisor nor the worker loop, and
+the worker loop knows neither the supervisor nor the HTTP layer.
+
 The tree is found through ``repro.__file__``, so a run against an
 installed package checks the code that run actually imports.
 """
@@ -36,8 +40,9 @@ FORBIDDEN = {
 def _imports(path: Path) -> Iterator[str]:
     """Absolute dotted names of every module ``path`` imports, anywhere in it.
 
-    ``from repro import name`` (or ``from .. import name`` one level down)
-    yields ``repro.name``, since ``name`` is then a subpackage or module.
+    ``from package import name`` (``from repro import cli``, ``from . import
+    http``) also yields ``package.name``, since ``name`` may be a subpackage
+    or module.
     """
     package = ["repro", *path.relative_to(PACKAGE).with_suffix("").parts][:-1]
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -51,11 +56,9 @@ def _imports(path: Path) -> Iterator[str]:
                 module = ".".join([*base, node.module] if node.module else base)
             else:
                 module = node.module
-            if module == "repro":
-                for alias in node.names:
-                    yield f"repro.{alias.name}"
-            else:
-                yield module
+            yield module
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
 
 
 def _top_level(module: str) -> str | None:
@@ -83,3 +86,23 @@ def test_lru_imports_no_repro_module():
         module for module in set(_imports(path)) if module.split(".")[0] == "repro"
     )
     assert not internal, f"{path.relative_to(PACKAGE)} imports {internal}"
+
+
+#: Serving module -> the ``repro.serve`` modules it may not import.
+SERVE_FORBIDDEN = {
+    "service": {"supervisor", "pool"},
+    "pool": {"supervisor", "http"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(SERVE_FORBIDDEN))
+def test_serving_module_imports_nothing_built_on_it(module):
+    path = PACKAGE / "serve" / f"{module}.py"
+    forbidden = {f"repro.serve.{name}" for name in SERVE_FORBIDDEN[module]}
+    imported = sorted(
+        name
+        for name in set(_imports(path))
+        if any(name == bad or name.startswith(bad + ".") for bad in forbidden)
+    )
+    assert not imported, f"{path.relative_to(PACKAGE)} imports {imported}"
+

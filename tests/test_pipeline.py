@@ -13,7 +13,6 @@ from repro.pipeline import (
     DiagramBatchCompiler,
     DiagramCompiler,
     STAGE_NAMES,
-    compile_corpus,
     compile_sql,
     fingerprint_sql,
 )
@@ -274,14 +273,9 @@ class TestFingerprint:
 class TestBatchCompiler:
     def test_run_returns_one_artifact_per_query(self):
         corpus = [Q_SOME_SQL, Q_ONLY_SQL, Q_SOME_SQL]
-        artifacts = compile_corpus(corpus, formats=("text",))
+        artifacts = DiagramBatchCompiler().run(corpus, formats=("text",))
         assert len(artifacts) == 3
         assert artifacts[0] is artifacts[2]
-
-    def test_iter_run_streams_pairs(self):
-        batch = DiagramBatchCompiler()
-        pairs = list(batch.iter_run([Q_SOME_SQL, Q_ONLY_SQL], formats=()))
-        assert [query for query, _artifact in pairs] == [Q_SOME_SQL, Q_ONLY_SQL]
 
     def test_equivalence_classes_group_variants(self):
         batch = DiagramBatchCompiler()

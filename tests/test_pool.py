@@ -2,35 +2,35 @@
 
 Every test here runs real worker *processes* (the deterministic half of
 the pool story; ``test_pool_e2e.py`` adds the signals-and-sockets half).
-Chaos is injected through the worker fault plans and the supervisor's
-``kill_slot`` hook, and timing-sensitive supervision (fast-death
-classification) runs under an injected clock — same discipline as the
-engine circuit breakers.
+A pooled service is the one :class:`CompileService` over a
+:class:`WorkerSupervisor` backend, so the request side — LRU, coalescing,
+the one retry — is the single-process code, and the parity test holds the
+two modes to the same answers and counters.  Chaos is injected through
+the worker fault plans and the supervisor's ``kill_slot`` hook, and
+timing-sensitive supervision (fast-death classification) runs under an
+injected clock — same discipline as the engine circuit breakers.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 
 import pytest
 
+from repro.faults import FaultPlan, active_plan
 from repro.paper_queries import FIG24_VARIANTS
 from repro.serve import (
+    BadRequest,
     CompileService,
     PoolConfig,
-    PoolService,
     ServiceConfig,
     ServiceUnavailable,
+    WorkerSupervisor,
 )
 from repro.serve.http import CompileServer
-from repro.serve.pool import (
-    encode_frame,
-    read_frame,
-    service_config_from_spec,
-    service_config_to_spec,
-)
-from repro.serve.supervisor import WorkerSupervisor, worker_pids
+from repro.serve.pool import encode_frame, read_frame
 
 SIMPLE = "SELECT S.sname FROM Sailor S WHERE S.rating > 7"
 OTHER = "SELECT B.bname FROM Boat B WHERE B.color = 'red'"
@@ -43,15 +43,18 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def _started(pool_config: PoolConfig, **service_kwargs) -> PoolService:
-    service = PoolService(
+async def _started(pool_config: PoolConfig, **supervisor_kwargs) -> CompileService:
+    service = CompileService(
+        backend=WorkerSupervisor(pool_config, **supervisor_kwargs),
         config=ServiceConfig(max_pending=256, request_timeout=30.0),
-        pool_config=pool_config,
-        **service_kwargs,
     )
-    ready = await service.start()
+    ready = await service.backend.start()
     assert ready == pool_config.workers
     return service
+
+
+def _pids(service: CompileService) -> set[int]:
+    return {entry["pid"] for entry in service.backend.slots_snapshot() if "pid" in entry}
 
 
 # --------------------------------------------------------------------- #
@@ -73,11 +76,6 @@ def test_frame_roundtrip_with_and_without_body():
     run(check())
 
 
-def test_service_config_spec_roundtrip():
-    config = ServiceConfig(lru_entries=3, max_pending=7, request_timeout=2.5)
-    assert service_config_from_spec(service_config_to_spec(config)) == config
-
-
 def test_backoff_delay_is_exponential_and_capped():
     supervisor = WorkerSupervisor(
         PoolConfig(workers=1, backoff_base=0.1, backoff_cap=1.0)
@@ -97,18 +95,21 @@ def test_equivalent_spellings_route_to_one_worker_and_repeat_hits_lru():
         try:
             first = await service.compile(SIMPLE, ("text",))
             assert first.served.startswith("compile@w")
-            slot = first.served.rsplit("@w", 1)[1]
             again = await service.compile(SIMPLE, ("text",))
-            assert again.served == f"lru@w{slot}"
+            # Answered by the front end's LRU, without crossing a pipe.
+            assert again.served == "lru"
             assert again.body == first.body
 
-            # The Fig. 24 trio shares a fingerprint, so learned affinity
-            # sends every spelling to the same worker.
-            variant_slots = set()
-            for variant in FIG24_VARIANTS:
-                response = await service.compile(variant, ("text",))
-                variant_slots.add(response.served.rsplit("@w", 1)[1])
-            assert len(variant_slots) == 1
+            # The Fig. 24 trio shares a fingerprint: one compile on one
+            # worker, then the front end's LRU answers the other spellings.
+            compiles = service.stats.compiles
+            served = [
+                (await service.compile(variant, ("text",))).served
+                for variant in FIG24_VARIANTS
+            ]
+            assert service.stats.compiles == compiles + 1
+            assert served[0].startswith("compile@w")
+            assert served[1:] == ["lru", "lru"]
             stats = await service.stats_payload()
             per_slot = {entry["slot"] for entry in stats["workers_stats"]}
             assert per_slot == {0, 1}
@@ -134,8 +135,6 @@ def test_pool_fingerprint_matches_single_process():
 
 
 def test_bad_sql_and_bad_format_are_bad_requests_through_the_pool():
-    from repro.serve import BadRequest
-
     async def check() -> None:
         service = await _started(PoolConfig(workers=2, **FAST))
         try:
@@ -149,6 +148,108 @@ def test_bad_sql_and_bad_format_are_bad_requests_through_the_pool():
             service.close()
 
     run(check())
+
+
+#: One request sequence for both modes: a repeat, the Fig. 24 trio, the
+#: two 400s, then the other endpoints (``None`` formats = /fingerprint).
+PARITY_SEQUENCE = [
+    ("compile", SIMPLE, ("text",)),
+    ("compile", SIMPLE, ("text",)),
+    *[("compile", variant, ("text",)) for variant in FIG24_VARIANTS],
+    ("compile", "SELEC nonsense FROM", ("text",)),
+    ("compile", SIMPLE, ("not-a-format",)),
+    ("render", SIMPLE, "svg"),
+    ("fingerprint", SIMPLE, None),
+]
+
+
+async def _replay(service: CompileService) -> tuple[list, dict]:
+    """Answers (``served`` without ``@wN``, body or 400 text) and counters."""
+    answers = []
+    for endpoint, sql, formats in PARITY_SEQUENCE:
+        try:
+            if endpoint == "compile":
+                response = await service.compile(sql, formats)
+            elif endpoint == "render":
+                response = await service.render(sql, formats)
+            else:
+                response = await service.fingerprint(sql)
+        except BadRequest as error:
+            answers.append(("400", str(error)))
+            continue
+        answers.append((response.served.split("@w")[0], response.body))
+    counters = {
+        name: getattr(service.stats, name)
+        for name in ("compiles", "lru_hits", "coalesced", "bad_requests")
+    }
+    return answers, counters
+
+
+def test_pooled_service_answers_like_the_single_process_one():
+    async def check() -> None:
+        single = CompileService()
+        pooled = await _started(PoolConfig(workers=2, **FAST))
+        try:
+            expected = await _replay(single)
+            measured = await _replay(pooled)
+        finally:
+            single.close()
+            pooled.close()
+        assert measured == expected
+        served = [answer[0] for answer in expected[0]]
+        assert served == [
+            "compile", "lru", "compile", "lru", "lru", "400", "400",
+            "compile", "fingerprint",
+        ]
+        assert expected[1] == {
+            "compiles": 3, "lru_hits": 3, "coalesced": 0, "bad_requests": 2,
+        }
+
+    run(check())
+
+
+@pytest.mark.parametrize("times", [1, None], ids=["fault-once", "fault-always"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["single", "pool"])
+def test_recoverable_compile_fault_gets_one_retry_at_the_front(pooled, times):
+    rule = {"point": "serve.compile", "fault": "io"}
+    if times is not None:
+        rule["times"] = times
+    plan = {"seed": 0, "rules": [rule]}
+
+    async def check() -> None:
+        if pooled:
+            service = await _started(
+                PoolConfig(workers=2, worker_fault_plan=plan, **FAST)
+            )
+            faults = contextlib.nullcontext()
+        else:
+            service = CompileService()
+            faults = active_plan(FaultPlan.from_spec(plan))
+        try:
+            with faults:
+                if times is None:
+                    with pytest.raises(ServiceUnavailable, match="twice"):
+                        await service.compile(SIMPLE, ("text",))
+                else:
+                    response = await service.compile(SIMPLE, ("text",))
+                    assert response.served.split("@w")[0] == "compile"
+            assert service.stats.compile_retries == 1
+        finally:
+            service.close()
+
+    run(check())
+
+
+def test_close_sends_eof_and_every_worker_exits_zero():
+    async def check() -> list:
+        supervisor = WorkerSupervisor(PoolConfig(workers=3, **FAST))
+        assert await supervisor.start() == 3
+        procs = [slot.worker.proc for slot in supervisor._slots]
+        supervisor.close()
+        return procs
+
+    procs = run(check())
+    assert [proc.returncode for proc in procs] == [0, 0, 0]
 
 
 # --------------------------------------------------------------------- #
@@ -179,7 +280,7 @@ def test_worker_kill_mid_flight_fails_over_with_zero_client_failures():
             ]
 
             async def assassin() -> None:
-                supervisor = service.supervisor
+                supervisor = service.backend
                 for _ in range(400):
                     worker = supervisor._slots[0].worker
                     if worker is not None and worker.pending:
@@ -191,7 +292,7 @@ def test_worker_kill_mid_flight_fails_over_with_zero_client_failures():
             responses = await asyncio.gather(*tasks)
             await killer
             assert len(responses) == len(queries)  # nothing shed, nothing lost
-            stats = service.supervisor.stats
+            stats = service.backend.stats
             assert stats.worker_crashes >= 1
             assert stats.failovers >= 1
             # The re-routed requests produced real answers.
@@ -207,7 +308,7 @@ def test_crashed_worker_restarts_and_pool_heals():
     async def check() -> None:
         service = await _started(PoolConfig(workers=2, **FAST))
         try:
-            supervisor = service.supervisor
+            supervisor = service.backend
             old_pid = supervisor._slots[0].worker.pid
             supervisor.kill_slot(0)
             for _ in range(600):
@@ -233,23 +334,25 @@ def test_restart_storm_trips_budget_and_healthz_degrades_not_draining():
     }
 
     async def check() -> None:
-        service = PoolService(
-            pool_config=PoolConfig(
-                workers=2,
-                worker_fault_plan=boot_crash,
-                restart_budget=2,
-                **FAST,
+        service = CompileService(
+            backend=WorkerSupervisor(
+                PoolConfig(
+                    workers=2,
+                    worker_fault_plan=boot_crash,
+                    restart_budget=2,
+                    **FAST,
+                )
             )
         )
-        ready = await service.start()
+        ready = await service.backend.start()
         try:
             assert ready == 0
-            slots = service.supervisor._slots
+            slots = service.backend._slots
             # budget+1 spawn attempts per slot, then the slot is broken —
             # no spin-loop of further spawns.
             assert all(slot.broken for slot in slots)
             assert all(slot.fast_deaths == 3 for slot in slots)
-            assert service.supervisor.stats.spawn_failures == 6
+            assert service.backend.stats.spawn_failures == 6
             health = service.healthz()
             assert health["status"] == "degraded"  # still answering, 200
             assert health["ready_workers"] == 0
@@ -272,7 +375,7 @@ def test_fast_death_classification_uses_injected_clock():
             clock=lambda: now[0],
         )
         try:
-            supervisor = service.supervisor
+            supervisor = service.backend
 
             async def crash_and_wait_restart() -> None:
                 restarts = supervisor.stats.worker_restarts
@@ -314,16 +417,16 @@ def test_hot_reload_replaces_every_worker_without_dropping_below_n_minus_1():
     async def check() -> None:
         service = await _started(PoolConfig(workers=2, **FAST))
         try:
-            before = set(worker_pids(service))
+            before = _pids(service)
             await service.compile(SIMPLE, ("text",))
-            result = await service.reload()
+            result = await service.backend.reload()
             assert result["failed"] == []
             assert len(result["replaced"]) == 2
-            after = set(worker_pids(service))
+            after = _pids(service)
             assert after.isdisjoint(before)
             # Rolling one slot at a time: the floor is N-1, never lower.
-            assert service.supervisor.stats.reload_min_ready == 1
-            assert service.supervisor.ready_count() == 2
+            assert service.backend.stats.reload_min_ready == 1
+            assert service.backend.ready_count() == 2
             response = await service.compile(OTHER, ("text",))
             assert response.served.startswith("compile@w")
         finally:
@@ -344,7 +447,7 @@ def test_reload_revives_a_broken_slot():
             )
         )
         try:
-            supervisor = service.supervisor
+            supervisor = service.backend
             # Budget of zero: the first fast death breaks the slot for good.
             supervisor.kill_slot(0)
             for _ in range(600):
@@ -355,7 +458,7 @@ def test_reload_revives_a_broken_slot():
             assert supervisor.ready_count() == 1
             assert service.healthz()["status"] == "degraded"
             # Reload is an explicit operator action: forgive the budget.
-            result = await service.reload()
+            result = await supervisor.reload()
             assert result["failed"] == []
             assert not supervisor._slots[0].broken
             assert supervisor.ready_count() == 2
@@ -396,26 +499,28 @@ def test_request_deadline_kill_for_wedged_worker():
     }
 
     async def check() -> None:
-        service = PoolService(
-            config=ServiceConfig(max_pending=64, request_timeout=20.0),
-            pool_config=PoolConfig(
-                workers=1,
-                worker_fault_plan=wedge,
-                heartbeat_interval=0.05,
-                heartbeat_timeout=5.0,
-                request_deadline=0.3,
-                **FAST,
+        service = CompileService(
+            backend=WorkerSupervisor(
+                PoolConfig(
+                    workers=1,
+                    worker_fault_plan=wedge,
+                    heartbeat_interval=0.05,
+                    heartbeat_timeout=5.0,
+                    request_deadline=0.3,
+                    **FAST,
+                )
             ),
+            config=ServiceConfig(max_pending=64, request_timeout=20.0),
         )
-        await service.start()
+        await service.backend.start()
         try:
             # One worker, wedged for 30s: the deadline monitor must kill it
             # long before the request budget, and with no sibling the
-            # request sheds 503.
+            # service's one retry finds no ready worker and sheds 503.
             with pytest.raises(ServiceUnavailable):
                 await service.compile(SIMPLE, ("text",))
-            assert service.supervisor.stats.deadline_kills >= 1
-            assert service.supervisor.stats.worker_crashes >= 1
+            assert service.backend.stats.deadline_kills >= 1
+            assert service.backend.stats.worker_crashes >= 1
         finally:
             service.close()
 
@@ -465,7 +570,7 @@ def test_pool_behind_http_server_and_connection_sweep():
             assert status == 200 and payload["outputs"]["text"]
             status, payload = await request("/fingerprint", {"sql": SIMPLE})
             assert status == 200 and payload["fingerprint"]
-            # /healthz and /stats cross _maybe_await (stats is async here).
+            # /stats awaits every ready worker's counters.
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port
             )

@@ -114,13 +114,6 @@ class TestBatchExecutor:
         assert batch.context.stats.rows_appended == 2
         assert stats.plan_misses == 2  # plans still follow the data
 
-    def test_iter_run_streams_pairs(self, db):
-        batch = BatchExecutor(db)
-        queries = ["SELECT S.sname FROM Sailor S", "SELECT B.bname FROM Boat B"]
-        pairs = list(batch.iter_run(queries))
-        assert [q for q, _ in pairs] == queries
-        assert all(len(result.columns) == 1 for _, result in pairs)
-
     def test_explain(self, db):
         batch = BatchExecutor(db)
         text = batch.explain(

@@ -63,15 +63,15 @@ def test_lru_zero_entries_disables_caching():
 
 
 def _gate_compiles(service: CompileService) -> threading.Event:
-    """Block the compile thread until the returned event is set."""
+    """Block the local backend's compile thread until the event is set."""
     gate = threading.Event()
-    original = service._compile_sync
+    original = service.backend._compile_sync
 
     def gated(sql, formats):
         gate.wait(timeout=30)
         return original(sql, formats)
 
-    service._compile_sync = gated
+    service.backend._compile_sync = gated
     return gate
 
 
@@ -398,7 +398,7 @@ def test_crashed_compile_executor_is_restarted(_clean_faults):
     finally:
         service.close()
     assert first.payload["fingerprint"] and second.payload["fingerprint"]
-    assert service.stats.executor_restarts == 1
+    assert service.backend.executor_restarts == 1
     assert service.stats.compile_retries == 1
 
 

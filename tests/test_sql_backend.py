@@ -26,7 +26,6 @@ from repro.relational import (
     UnknownTableError,
     backend_for,
     execute,
-    registered_modes,
 )
 from repro.relational.errors import AmbiguousColumnError
 from repro.relational.sqlbackend import (
@@ -55,10 +54,6 @@ class TestBackendRegistry:
         for mode in ExecutionMode:
             backend = backend_for(mode)
             assert backend.mode is mode
-
-    def test_lazy_modes_appear_after_use(self):
-        backend_for(ExecutionMode.SQL)
-        assert ExecutionMode.SQL in registered_modes()
 
     def test_unknown_mode_raises_engine_error(self):
         class FakeMode:
