@@ -161,6 +161,11 @@ class ResultSet:
 #: Plans one :class:`ExecutionContext` keeps before evicting the least
 #: recently used.  The repository benchmark's engine streams hold 69.
 PLAN_MEMO_ENTRIES = 4096
+#: A cached plan is planned again once a table it reads holds more than
+#: this many times the rows it was planned for, or fewer rows than it was
+#: planned for.  Smaller growth only ages the join order; results never
+#: depend on it.
+REPLAN_GROWTH = 2
 #: Subquery results one :class:`ExecutionContext` keeps.  A correlated
 #: ``NOT EXISTS`` over n outer rows memoizes about n results per run, so
 #: repeated runs stay warm up to n ≈ 60k.
@@ -174,9 +179,13 @@ class ExecutionStats:
     # Top-level queries run through every executor sharing the context.
     queries: int = 0
     plan_hits: int = 0
+    # Planner calls.  plan_replans counts those that replaced a cached
+    # plan because a table it reads had outgrown REPLAN_GROWTH or shrunk.
     plan_misses: int = 0
+    plan_replans: int = 0
     # Entries the plan and subquery memos' bounds pushed out (not the
-    # clears when the database grows).
+    # replaced plans, nor the subquery results dropped when a table's
+    # row count moves).
     plan_evictions: int = 0
     subquery_hits: int = 0
     subquery_misses: int = 0
@@ -214,9 +223,11 @@ class ExecutionStats:
 
     def describe(self) -> str:
         """One line of query count and cache hit rates."""
+        replans = f" ({self.plan_replans} replanned)" if self.plan_replans else ""
         text = (
             f"{self.queries} queries: "
-            f"plans {self.plan_hits}/{self.plan_hits + self.plan_misses} cached, "
+            f"plans {self.plan_hits}/{self.plan_hits + self.plan_misses} cached"
+            f"{replans}, "
             f"subqueries {self.subquery_hits}/"
             f"{self.subquery_hits + self.subquery_misses} cached, "
             f"scans {self.scan_hits}/{self.scan_hits + self.scan_misses} cached"
@@ -246,10 +257,13 @@ class ExecutionContext:
     * **backend state** — one opaque bucket per registered backend (the SQL
       backend's sqlite store lives here).
 
-    Plans and subquery results are dropped whenever the database grows.
-    The scan and columnar caches and the sqlite store are data *mirrors*:
-    they survive inserts, record how many rows of each table they hold,
-    and append the new rows when next read.
+    Inserts keep plans: a cached plan, with its closures and lowering, is
+    reused until a table it reads holds more than :data:`REPLAN_GROWTH`
+    times the rows it was planned for, or fewer (:meth:`plan`).  Subquery
+    results are all dropped once any table's row count moves
+    (:meth:`refresh`).  The scan and columnar caches and the sqlite store
+    are data *mirrors*: they survive inserts, record how many rows of
+    each table they hold, and append the new rows when next read.
     """
 
     def __init__(self, database: Database) -> None:
@@ -261,22 +275,26 @@ class ExecutionContext:
         self._columnar: dict[str, "ColumnarTable"] = {}
         self._subqueries = LRUCache(SUBQUERY_MEMO_ENTRIES)
         self._backend_state: dict[str, object] = {}
-        self._version = database.total_rows()
+        self._relations = [database.relation(name) for name in database.table_names()]
+        self._row_counts = self._current_row_counts()
+
+    def _current_row_counts(self) -> list[int]:
+        return [len(relation.rows) for relation in self._relations]
 
     def refresh(self) -> None:
-        """Drop plans and subquery results if the database grew since last use.
+        """Drop subquery results if a table's row count moved since last use.
 
-        Called at every top-level execution.  Plans go because join orders
-        are cardinality-guided, so a plan compiled against yesterday's row
-        counts may be arbitrarily bad against today's.  The data mirrors
-        stay and catch up per table on their next read.  This relies on
-        the :class:`~.database.Database` API being append-only: in-place
-        mutation of existing rows is not detected.
+        Called at every top-level execution.  Each table's count is
+        compared on its own, so rows removed from one table behind the
+        :class:`~.database.Database` API while another gains as many are
+        seen too.  Plans are not touched here: :meth:`plan` checks the
+        tables each plan reads.  The data mirrors stay and catch up per
+        table on their next read.  In-place changes to existing rows,
+        which leave every count as it was, are not detected.
         """
-        version = self.database.total_rows()
-        if version != self._version:
-            self._version = version
-            self._plans.clear()
+        counts = self._current_row_counts()
+        if counts != self._row_counts:
+            self._row_counts = counts
             self._subqueries.clear()
 
     def backend_state(self, key: str, factory: Callable[[], object]) -> object:
@@ -296,13 +314,28 @@ class ExecutionContext:
     # -- plans ---------------------------------------------------------- #
 
     def plan(self, query: SelectQuery) -> BlockPlan:
+        """The cached plan of ``query``, planned again once it has aged.
+
+        A plan ages when a table it reads has grown past
+        :data:`REPLAN_GROWTH` times its planned row count or fallen below
+        it.  Until then the plan answers correctly at any table size —
+        every engine reads the tables when it runs the plan — and only
+        its join order drifts from what the planner would choose now.
+        """
         plan = self._plans.get(query)
-        if plan is None:
-            self.stats.plan_misses += 1
-            plan = self._planner.plan(query)
-            self.stats.plan_evictions += self._plans.put(query, plan)
-        else:
-            self.stats.plan_hits += 1
+        if plan is not None:
+            relation = self.database.relation
+            for name, planned in plan.planned_rows.items():
+                rows = len(relation(name).rows)
+                if rows < planned or rows > REPLAN_GROWTH * planned:
+                    self.stats.plan_replans += 1
+                    break
+            else:
+                self.stats.plan_hits += 1
+                return plan
+        self.stats.plan_misses += 1
+        plan = self._planner.plan(query)
+        self.stats.plan_evictions += self._plans.put(query, plan)
         return plan
 
     # -- scans ---------------------------------------------------------- #
@@ -531,8 +564,10 @@ class _SubqueryValues:
 # ``run(context, params) -> iterable of row tuples`` with slots, constants
 # and operators resolved up front; predicates compile to
 # ``bind(context, params) -> test(row)``.  The program is kept on the
-# BlockPlan, so it is dropped together with the plan when the database
-# grows.  Operators that stream keep streaming (generators, ``filter``,
+# BlockPlan and lives as long as the plan does, across inserts, so no
+# closure may capture table rows: scans, hash-join build sides and
+# subquery results are all read through the context when the program
+# runs.  Operators that stream keep streaming (generators, ``filter``,
 # ``map``), so a bare LIMIT or an EXISTS probe still stops the scan early.
 #
 # Type errors stay exactly those of ``values.compare``: every comparison,

@@ -385,7 +385,9 @@ class BlockPlan:
     any table is scanned — the planner routes predicates that reference
     only enclosing blocks (or only constants) here.  ``compiled`` and
     ``lowered`` hold what the rows engine and the SQL backend derive from
-    the plan, so the plan memo's bound bounds them too.
+    the plan, so the plan memo's bound bounds them too.  ``planned_rows``
+    records the table sizes the plan was chosen for, so a caller can tell
+    when its join order has aged.
     """
 
     ast: "SelectQuery"
@@ -401,9 +403,18 @@ class BlockPlan:
     param_shape: tuple[int, ...] = ()
     #: The rows engine's compiled form of this plan and the SQL backend's
     #: lowering of it, each built on first use.  Both live and die with
-    #: the plan, so they go whenever the context drops or evicts the plan.
+    #: the plan, so they go whenever the context replans or evicts it.
+    #: Neither reads the data at build time, so both stay correct while
+    #: the tables grow.
     compiled: object = field(default=None, init=False, repr=False, compare=False)
     lowered: object = field(default=None, init=False, repr=False, compare=False)
+    #: Set on the root block by :class:`~.planner.Planner`: table name ->
+    #: the row count the planner saw, for every table any block of the
+    #: query reads.  Join order and the TopK hint follow these counts;
+    #: results do not depend on them.
+    planned_rows: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def cache_key(self) -> tuple:

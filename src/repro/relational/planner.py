@@ -143,8 +143,17 @@ class Planner:
         return self._stats
 
     def plan(self, query: SelectQuery) -> BlockPlan:
-        """Compile ``query`` (and all nested blocks) into a plan."""
-        return _BlockPlanner(self._db, query, outer=None, statistics=self._stats).compile()
+        """Compile ``query`` (and all nested blocks) into a plan.
+
+        The root plan's :attr:`~.plan.BlockPlan.planned_rows` records the
+        row count of every table the query reads, as planned against.
+        """
+        plan = _BlockPlanner(self._db, query, outer=None, statistics=self._stats).compile()
+        for block in query.iter_blocks():
+            for table in block.from_tables:
+                relation = self._db.relation(table.name)
+                plan.planned_rows[relation.name] = len(relation.rows)
+        return plan
 
 
 class _BlockPlanner:

@@ -100,9 +100,11 @@ class SQLBackend(ExecutionBackend):
         return store
 
     def _lowered(self, plan, context: ExecutionContext) -> LoweredQuery:
-        # The lowering lives on its plan, so it is as fresh as the plan and
-        # leaves memory with it: the context replans when the database
-        # grows and evicts plans past its bound.
+        # The lowering lives on its plan and leaves memory with it: the
+        # context replans once a table the plan reads has more than
+        # doubled or shrunk, and evicts plans past its bound.  It reads
+        # only the schema, never the rows, so it stays valid while the
+        # plan does.
         lowered = plan.lowered
         if lowered is not None:
             context.stats.sql_lower_hits += 1

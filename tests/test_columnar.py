@@ -386,21 +386,42 @@ class TestJoinOrdering:
         assert node.child.table == "Boat"
 
     def test_database_growth_invalidates_cached_plans(self):
-        # Plans are data-dependent now (cardinality-guided join order), so
-        # a context must recompile them when the database grows.
+        # Join order is cardinality-guided, so a context plans a query
+        # again once a table it reads has grown past REPLAN_GROWTH times
+        # its planned row count, or shrunk.  Smaller growth keeps the plan:
+        # results never depend on it.
         from repro.relational import Executor
+        from repro.relational.executor import REPLAN_GROWTH
 
         db = sailors_database()
+        sailors = db.relation("Sailor").rows
         executor = Executor(db)
         query = parse(
             "SELECT S.sname FROM Sailor S, Reserves R WHERE S.sid = R.sid"
         )
         executor.execute(query)
         before = executor.context.plan(query)
+        assert before.planned_rows == {
+            "Sailor": len(sailors), "Reserves": db.row_count("Reserves")
+        }
         db.insert("Sailor", [50, "grown", 1, 20])
-        executor.execute(query)  # refresh() sees the new row count
-        after = executor.context.plan(query)
-        assert after is not before
+        executor.execute(query)
+        assert executor.context.plan(query) is before
+        assert executor.stats().plan_replans == 0
+
+        while len(sailors) <= REPLAN_GROWTH * before.planned_rows["Sailor"]:
+            db.insert("Sailor", [50 + len(sailors), "grown", 1, 20])
+        executor.execute(query)
+        grown = executor.context.plan(query)
+        assert grown is not before
+        assert grown.planned_rows["Sailor"] == len(sailors)
+        assert executor.stats().plan_replans == 1
+        assert "(1 replanned)" in executor.stats().describe()
+
+        del sailors[-1]  # behind the Database API
+        executor.execute(query)
+        assert executor.context.plan(query) is not grown
+        assert executor.stats().plan_replans == 2
 
     def test_order_is_deterministic_across_planners(self):
         db = chinook_scaled_database(total_rows=3_000, skew=1.0)

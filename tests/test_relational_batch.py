@@ -112,7 +112,31 @@ class TestBatchExecutor:
             loads.scan_misses, loads.sql_store_builds
         )
         assert batch.context.stats.rows_appended == 2
-        assert stats.plan_misses == 2  # plans still follow the data
+        # Two rows come nowhere near doubling Reserves, so the plan, its
+        # closures and its lowering were all reused.
+        assert (stats.plan_hits, stats.plan_misses, stats.plan_replans) == (1, 1, 0)
+        assert stats.sql_lower_misses == loads.sql_lower_misses
+
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]
+    )
+    def test_one_table_shrinking_as_another_grows_drops_stale_results(self, db, mode):
+        # The database's total row count ends where it started, so only a
+        # per-table check sees that the subquery's answer changed.
+        sql = (
+            "SELECT B.bid FROM Boat B WHERE B.bid IN (SELECT R.bid FROM Reserves R, "
+            "Sailor S WHERE R.sid = S.sid AND S.rating >= 0)"
+        )
+        batch = BatchExecutor(db, mode=mode)
+        assert len(batch.execute(sql)) > 0
+        sailors = db.relation("Sailor").rows
+        removed = len(sailors)
+        del sailors[:]  # behind the Database API
+        for offset in range(removed):
+            db.insert("Boat", [1000 + offset, f"boat{1000 + offset}", "red"])
+        after = batch.execute(sql)
+        assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
+        assert len(after) == 0
 
     def test_explain(self, db):
         batch = BatchExecutor(db)
