@@ -246,14 +246,16 @@ class ExecutionContext:
     """Caches shared by planned executions over one database.
 
     * **plan cache** — query AST → compiled :class:`~.plan.BlockPlan`, an
-      LRU of :data:`PLAN_MEMO_ENTRIES` plans.  What engines derive from a
-      plan (the rows engine's closures, the SQL backend's lowering) lives
-      on the plan and is evicted with it;
+      LRU of :data:`PLAN_MEMO_ENTRIES` plans, each kept with the row count
+      of every table it reads as it was planned.  What engines derive
+      from a plan (the rows engine's closures, the SQL backend's
+      lowering) lives on the plan and is evicted with it;
     * **scan cache** — materialized row tuples per relation;
     * **columnar cache** — :class:`~.columnar.ColumnarTable` per relation;
-    * **subquery cache** — subquery AST + parameter values → result, an LRU
-      of :data:`SUBQUERY_MEMO_ENTRIES` results shared across queries, so a
-      batch re-evaluates each distinct subquery once;
+    * **subquery cache** — :attr:`~.plan.BlockPlan.cache_key` + parameter
+      values → result, an LRU of :data:`SUBQUERY_MEMO_ENTRIES` results
+      shared across queries, so a batch re-evaluates each distinct
+      subquery once;
     * **backend state** — one opaque bucket per registered backend (the SQL
       backend's sqlite store lives here).
 
@@ -275,11 +277,13 @@ class ExecutionContext:
         self._columnar: dict[str, "ColumnarTable"] = {}
         self._subqueries = LRUCache(SUBQUERY_MEMO_ENTRIES)
         self._backend_state: dict[str, object] = {}
-        self._relations = [database.relation(name) for name in database.table_names()]
+        self._relations = {
+            name.lower(): database.relation(name) for name in database.table_names()
+        }
         self._row_counts = self._current_row_counts()
 
     def _current_row_counts(self) -> list[int]:
-        return [len(relation.rows) for relation in self._relations]
+        return [len(relation.rows) for relation in self._relations.values()]
 
     def refresh(self) -> None:
         """Drop subquery results if a table's row count moved since last use.
@@ -322,11 +326,11 @@ class ExecutionContext:
         every engine reads the tables when it runs the plan — and only
         its join order drifts from what the planner would choose now.
         """
-        plan = self._plans.get(query)
-        if plan is not None:
-            relation = self.database.relation
-            for name, planned in plan.planned_rows.items():
-                rows = len(relation(name).rows)
+        cached = self._plans.get(query)
+        if cached is not None:
+            plan, planned_rows = cached
+            for relation, planned in planned_rows:
+                rows = len(relation.rows)
                 if rows < planned or rows > REPLAN_GROWTH * planned:
                     self.stats.plan_replans += 1
                     break
@@ -335,7 +339,15 @@ class ExecutionContext:
                 return plan
         self.stats.plan_misses += 1
         plan = self._planner.plan(query)
-        self.stats.plan_evictions += self._plans.put(query, plan)
+        # Kept beside the plan: each table any block reads, with the row
+        # count the planner saw.
+        read = {
+            table.name.lower(): self._relations[table.name.lower()]
+            for block in query.iter_blocks()
+            for table in block.from_tables
+        }
+        planned_rows = tuple((relation, len(relation.rows)) for relation in read.values())
+        self.stats.plan_evictions += self._plans.put(query, (plan, planned_rows))
         return plan
 
     # -- scans ---------------------------------------------------------- #

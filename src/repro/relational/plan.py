@@ -34,7 +34,7 @@ from .values import Value
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from typing import Iterator
 
-    from ..sql.ast import SelectQuery
+    from ..sql.ast import ColumnRef, SelectQuery
 
 
 # ---------------------------------------------------------------------- #
@@ -385,9 +385,7 @@ class BlockPlan:
     any table is scanned — the planner routes predicates that reference
     only enclosing blocks (or only constants) here.  ``compiled`` and
     ``lowered`` hold what the rows engine and the SQL backend derive from
-    the plan, so the plan memo's bound bounds them too.  ``planned_rows``
-    records the table sizes the plan was chosen for, so a caller can tell
-    when its join order has aged.
+    the plan, so the plan memo's bound bounds them too.
     """
 
     ast: "SelectQuery"
@@ -396,11 +394,13 @@ class BlockPlan:
     n_params: int = 0
     param_labels: tuple[str, ...] = ()
     prechecks: tuple[Predicate, ...] = field(default_factory=tuple)
-    #: Parameter index assigned to each free-column occurrence, in resolution
-    #: order.  Part of the subquery memoization key: two plans compiled from
-    #: the same AST under different enclosing blocks share cached results
-    #: only when their free columns collapsed onto parameters the same way.
-    param_shape: tuple[int, ...] = ()
+    #: ``(column reference, parameter index)`` for every reference to an
+    #: enclosing block, here or in a nested block.  Part of the subquery
+    #: memoization key: the planner numbers parameters in join order, so
+    #: two plans of the same AST, planned at different table sizes or
+    #: under different enclosing blocks, share cached results only when
+    #: each reference reads the same parameter in both.
+    param_refs: frozenset[tuple["ColumnRef", int]] = frozenset()
     #: The rows engine's compiled form of this plan and the SQL backend's
     #: lowering of it, each built on first use.  Both live and die with
     #: the plan, so they go whenever the context replans or evicts it.
@@ -408,23 +408,17 @@ class BlockPlan:
     #: the tables grow.
     compiled: object = field(default=None, init=False, repr=False, compare=False)
     lowered: object = field(default=None, init=False, repr=False, compare=False)
-    #: Set on the root block by :class:`~.planner.Planner`: table name ->
-    #: the row count the planner saw, for every table any block of the
-    #: query reads.  Join order and the TopK hint follow these counts;
-    #: results do not depend on them.
-    planned_rows: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def cache_key(self) -> tuple:
         """Stable identity of this plan's *semantics* across recompiles.
 
         ``BlockPlan`` itself is mutable (and therefore unhashable); the
-        frozen source AST plus the parameter shape pin down what the plan
-        computes.  The context's subquery memo keys on this.
+        frozen source AST plus which parameter each outer reference reads
+        pin down what the plan computes.  The context's subquery memo keys
+        on this.
         """
-        return (self.ast, self.param_shape)
+        return (self.ast, self.param_refs)
 
     def describe(self) -> str:
         """EXPLAIN-style rendering of the whole block plan."""

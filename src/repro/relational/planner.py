@@ -143,17 +143,8 @@ class Planner:
         return self._stats
 
     def plan(self, query: SelectQuery) -> BlockPlan:
-        """Compile ``query`` (and all nested blocks) into a plan.
-
-        The root plan's :attr:`~.plan.BlockPlan.planned_rows` records the
-        row count of every table the query reads, as planned against.
-        """
-        plan = _BlockPlanner(self._db, query, outer=None, statistics=self._stats).compile()
-        for block in query.iter_blocks():
-            for table in block.from_tables:
-                relation = self._db.relation(table.name)
-                plan.planned_rows[relation.name] = len(relation.rows)
-        return plan
+        """Compile ``query`` (and all nested blocks) into a plan."""
+        return _BlockPlanner(self._db, query, outer=None, statistics=self._stats).compile()
 
 
 class _BlockPlanner:
@@ -189,7 +180,7 @@ class _BlockPlanner:
         self._params: dict[ScalarExpr, int] = {}
         self._param_exprs: list[ScalarExpr] = []
         self._param_labels: list[str] = []
-        self._param_shape: list[int] = []
+        self._param_refs: dict[ColumnRef, int] = {}
         #: Estimated cardinality of the joined (pre-projection) result,
         #: filled in by _join_order; drives the TopK heap-vs-sort hint.
         self._estimated_rows = 0.0
@@ -245,7 +236,7 @@ class _BlockPlanner:
             self._params[source] = index
             self._param_exprs.append(source)
             self._param_labels.append(str(column))
-        self._param_shape.append(index)
+        self._param_refs[column] = index
         from .plan import Param
 
         return Param(index, label=str(column))
@@ -510,7 +501,7 @@ class _BlockPlanner:
             n_params=len(self._param_exprs),
             param_labels=tuple(self._param_labels),
             prechecks=tuple(prechecks),
-            param_shape=tuple(self._param_shape),
+            param_refs=frozenset(self._param_refs.items()),
         )
 
     def _equi_keys(

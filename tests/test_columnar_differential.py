@@ -273,19 +273,20 @@ def _rows_of(table):
 
 @st.composite
 def _growth(draw, schema):
-    """A start database with one empty table, then (table, row) inserts
-    whose first lands in the empty table."""
+    """A start database with one empty table, then (table, row, query seed)
+    steps whose first insert lands in the empty table."""
     tables = list(schema)
     empty = draw(st.sampled_from(tables))
     start = {
         table.name: [] if table is empty else draw(st.lists(_rows_of(table), max_size=3))
         for table in tables
     }
-    steps = [(empty.name, draw(_rows_of(empty)))]
+    seeds = st.integers(0, 10**6)
+    steps = [(empty.name, draw(_rows_of(empty)), draw(seeds))]
     steps += draw(
         st.lists(
             st.sampled_from(tables).flatmap(
-                lambda table: st.tuples(st.just(table.name), _rows_of(table))
+                lambda table: st.tuples(st.just(table.name), _rows_of(table), seeds)
             ),
             max_size=5,
         )
@@ -340,6 +341,24 @@ _REPLAYED = {
     ),
 }
 
+#: A correlated subquery over two tables, whose two outer references become
+#: parameters in join order.  Each step adds one more query around it, with
+#: an outer literal of its own that keeps every row, so plans of the one
+#: subquery made at different table sizes run side by side and share its
+#: memoized results.
+_SHARED_SUBQUERY = {
+    "sailors": (
+        "SELECT S.sid FROM Sailor S WHERE S.age < {} AND EXISTS "
+        "(SELECT * FROM Reserves R, Boat B WHERE R.sid > S.sid "
+        "AND B.bid < S.rating AND R.bid = B.bid)"
+    ),
+    "chinook": (
+        "SELECT AL.AlbumId FROM Album AL WHERE AL.ArtistId < {} AND EXISTS "
+        "(SELECT * FROM Track T, PlaylistTrack PT WHERE T.AlbumId > AL.AlbumId "
+        "AND PT.PlaylistId < AL.ArtistId AND T.TrackId = PT.TrackId)"
+    ),
+}
+
 
 class TestAppendPathDifferential:
     """Rows, columnar and sql ``BatchExecutor``s live through every insert,
@@ -366,16 +385,23 @@ class TestAppendPathDifferential:
             db.insert_many(name, rows)
         batches = [BatchExecutor(db, mode=mode) for mode in _ALL_MODES[1:]]
         generator = QueryGenerator(schema, config)
-        queries = [parse(sql) for sql in _REPLAYED[schema.name]]
-        queries += [generator.generate(seed) for seed in seeds]
-        for insert in [None, *steps]:
-            if insert is not None:
-                db.insert(*insert)
+        replayed = [parse(sql) for sql in _REPLAYED[schema.name]]
+        replayed += [generator.generate(seed) for seed in seeds]
+        shared = _SHARED_SUBQUERY[schema.name]
+        replayed.append(parse(shared.format(10)))
+
+        def check(queries):
             for query in queries:
                 reference = _outcome(lambda: execute(query, db, mode=ExecutionMode.NAIVE))
                 for batch in batches:
                     outcome = _outcome(lambda: batch.execute(query))
                     _assert_agrees(query, db, reference, outcome, batch.mode)
+
+        check(replayed)
+        for literal, (name, row, seed) in enumerate(steps, start=11):
+            db.insert(name, row)
+            replayed.append(parse(shared.format(literal)))
+            check([*replayed, generator.generate(seed)])
         assert all(batch.stats().sql_store_builds <= 1 for batch in batches)
 
 

@@ -11,6 +11,7 @@ from repro.relational import (
     Executor,
     execute,
 )
+from repro.relational.plan import Filter, SubqueryPred
 from repro.sql import parse
 from repro.workloads import (
     chinook_bench_database,
@@ -137,6 +138,62 @@ class TestBatchExecutor:
         after = batch.execute(sql)
         assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
         assert len(after) == 0
+
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]
+    )
+    def test_one_subquery_planned_at_two_sizes_keeps_its_results_apart(self, db, mode):
+        # The subquery's two outer references become parameters in join
+        # order, and its join order starts from the smaller of Reserves and
+        # Boat.  The first query is planned with Boat the smaller and kept
+        # once Boat, still within twice its planned rows, outgrows
+        # Reserves; the second is planned after that.  Sailors 20 and 30
+        # then feed the two plans the same values in swapped roles, and the
+        # two queries share one subquery memo.
+        subquery = (
+            "EXISTS (SELECT * FROM Reserves R, Boat B WHERE R.sid > S.sid "
+            "AND B.bid < S.rating AND R.bid = B.bid)"
+        )
+        queries = [
+            f"SELECT S.sid FROM Sailor S WHERE S.age > {age} AND {subquery}"
+            for age in (0, 1)
+        ]
+        db.insert("Sailor", [20, "sailor20", 30, 40])
+        db.insert("Sailor", [30, "sailor30", 20, 40])
+        db.insert("Reserves", [25, 1, "mon"])
+        boats = db.relation("Boat").rows
+        reserves = db.row_count("Reserves")
+
+        def add_boats(count):
+            while len(boats) < count:
+                db.insert("Boat", [100 + len(boats), f"boat{100 + len(boats)}", "red"])
+
+        add_boats(reserves - 1)
+        batch = BatchExecutor(db, mode=mode)
+        batch.execute(queries[0])
+        add_boats(reserves + 1)
+        results = batch.run(queries)
+        expected = [
+            execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set() for sql in queries
+        ]
+        assert [result.as_set() for result in results] == expected
+        assert (20,) in expected[1] and (30,) not in expected[1]
+        stats = batch.stats()
+        assert (stats.plan_hits, stats.plan_misses, stats.plan_replans) == (1, 2, 0)
+
+        def subquery_params(sql):
+            plan = batch.context.plan(parse(sql))
+            (predicate,) = [
+                predicate
+                for node in plan.root.walk()
+                if isinstance(node, Filter)
+                for predicate in node.predicates
+                if isinstance(predicate, SubqueryPred)
+            ]
+            return predicate.plan.param_labels
+
+        assert subquery_params(queries[0]) == ("S.rating", "S.sid")
+        assert subquery_params(queries[1]) == ("S.sid", "S.rating")
 
     def test_explain(self, db):
         batch = BatchExecutor(db)
