@@ -27,6 +27,7 @@ from typing import Iterator
 from ..relational.aggregates import apply_aggregate
 from ..relational.database import Database, Relation, Row
 from ..relational.executor import ResultSet
+from ..relational.resolve import match_column
 from ..relational.values import Value, compare
 from ..sql.ast import AggregateCall, ColumnRef, Comparison, Literal, Star
 from .errors import EvaluationError
@@ -167,27 +168,19 @@ class _LogicTreeEvaluator:
             if binding is None:
                 raise EvaluationError(f"unbound table alias {column.table!r}")
             relation, row = binding
-            key = _match_column(relation, column.column)
-            if key is None:
+            position = match_column(relation, column.column)
+            if position is None:
                 raise EvaluationError(
                     f"table {column.table} has no column {column.column!r}"
                 )
-            return row[key]
+            return row[position]
         matches: list[Value] = []
         for relation, row in env.values():
-            key = _match_column(relation, column.column)
-            if key is not None:
-                matches.append(row[key])
+            position = match_column(relation, column.column)
+            if position is not None:
+                matches.append(row[position])
         if len(matches) != 1:
             raise EvaluationError(
                 f"unqualified column {column.column!r} resolves to {len(matches)} tables"
             )
         return matches[0]
-
-
-def _match_column(relation: Relation, column: str) -> str | None:
-    lowered = column.lower()
-    for key in relation.columns:
-        if key.lower() == lowered:
-            return key
-    return None

@@ -175,8 +175,8 @@ class ColumnarTable:
     @classmethod
     def from_relation(cls, relation: Relation) -> "ColumnarTable":
         cols = [
-            Column.from_values([row[name] for row in relation.rows])
-            for name in relation.columns
+            Column.from_values(values)
+            for values in _transposed(relation.rows, len(relation.columns))
         ]
         return cls(relation.name, relation.columns, cols)
 
@@ -189,10 +189,17 @@ class ColumnarTable:
         """
         tail = relation.rows[self.nrows:]
         self.cols = [
-            column.extended([row[name] for row in tail])
-            for name, column in zip(self.columns, self.cols)
+            column.extended(values)
+            for column, values in zip(self.cols, _transposed(tail, len(self.cols)))
         ]
         self.nrows += len(tail)
+
+
+def _transposed(rows: list[tuple], width: int) -> list[list[Value]]:
+    """One list of values per column of ``width`` equally long ``rows``."""
+    if not rows:
+        return [[] for _ in range(width)]
+    return [list(values) for values in zip(*rows)]
 
 
 # ---------------------------------------------------------------------- #

@@ -1,16 +1,16 @@
 """In-memory relational database.
 
-Tables are stored as lists of row dictionaries keyed by attribute name (the
-attribute order of the schema is preserved for deterministic iteration).  The
-database is deliberately simple — its job is to give the SQL executor and the
-FOL/logic-tree evaluator a common ground truth so we can check that every
-transformation in the QueryVis pipeline preserves query semantics.
+Each table is a :class:`Relation`: its column names in schema order and a
+list of rows, each row a tuple of values in that column order.  The
+database is deliberately simple — its job is to give the SQL executor and
+the FOL/logic-tree evaluator a common ground truth so we can check that
+every transformation in the QueryVis pipeline preserves query semantics.
 
 Tables are append-only: the API inserts rows and never updates or deletes
-them, so a table's row count is a monotonic per-table version.  Data
-mirrors built from a table (the executors' scan tuples, columnar tables and
-sqlite store) record how many rows they hold and later take in only
-``relation.rows[held:]``.
+them, and a stored row is a tuple, so it cannot change in place.  A table's
+row count is therefore a monotonic per-table version.  Data mirrors built
+from a table (columnar tables and the sqlite store) record how many rows
+they hold and later take in only ``relation.rows[held:]``.
 """
 
 from __future__ import annotations
@@ -22,45 +22,52 @@ from ..catalog.schema import Schema, Table
 from .errors import UnknownColumnError, UnknownTableError
 from .values import Value
 
-Row = dict[str, Value]
+Row = tuple[Value, ...]
+
+#: The value a column not named by a mapping insert receives, per dtype:
+#: the supported SQL fragment has no NULLs (Section 4.7).
+_DEFAULTS: dict[str, Value] = {"int": 0, "float": 0.0, "str": ""}
 
 
 @dataclass
 class Relation:
-    """A named relation: ordered column names plus a list of rows."""
+    """A named relation: ordered column names plus a list of rows.
+
+    Each row is a tuple of values in :attr:`columns` order.  Iterating a
+    relation yields one column → value mapping per row.
+    """
 
     name: str
     columns: tuple[str, ...]
     rows: list[Row] = field(default_factory=list)
 
-    def insert(self, values: Sequence[Value] | Mapping[str, Value]) -> None:
-        """Append one row given either positional values or a mapping."""
+    def insert(self, values: Sequence[Value]) -> None:
+        """Append one row given its values in column order."""
         if isinstance(values, Mapping):
-            unknown = set(values) - set(self.columns)
-            if unknown:
-                raise UnknownColumnError(
-                    f"columns {sorted(unknown)} do not exist in {self.name}"
-                )
-            row = {column: values.get(column) for column in self.columns}
-        else:
-            if len(values) != len(self.columns):
-                raise ValueError(
-                    f"{self.name} expects {len(self.columns)} values, got {len(values)}"
-                )
-            row = dict(zip(self.columns, values))
+            raise TypeError(
+                f"{self.name} takes values in column order; "
+                "insert a mapping through Database.insert"
+            )
+        row = tuple(values)
+        if len(row) != len(self.columns):
+            raise ValueError(
+                f"{self.name} expects {len(self.columns)} values, got {len(row)}"
+            )
         self.rows.append(row)
 
     def column_values(self, column: str) -> list[Value]:
         """All values of one column (bag semantics, in insertion order)."""
         if column not in self.columns:
             raise UnknownColumnError(f"{self.name} has no column {column!r}")
-        return [row[column] for row in self.rows]
+        position = self.columns.index(column)
+        return [row[position] for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
+    def __iter__(self) -> Iterator[dict[str, Value]]:
+        columns = self.columns
+        return (dict(zip(columns, row)) for row in self.rows)
 
 
 class Database:
@@ -83,36 +90,39 @@ class Database:
     ) -> None:
         """Append a single row to ``table_name``.
 
-        When ``values`` is a mapping, columns that are not mentioned receive a
-        type-appropriate default (empty string / 0 / 0.0) because the
-        supported SQL fragment has no NULLs (Section 4.7).
+        ``values`` is either the row's values in column order or a mapping
+        from column name to value; columns a mapping does not mention
+        receive a type-appropriate default (empty string / 0 / 0.0).
         """
-        if isinstance(values, Mapping):
-            table = self.table_def(table_name)
-            defaults = {"int": 0, "float": 0.0, "str": ""}
-            filled = {
-                attribute.name: values.get(attribute.name, defaults[attribute.dtype])
-                for attribute in table.attributes
-            }
-            unknown = set(values) - {attribute.name for attribute in table.attributes}
-            if unknown:
-                raise UnknownColumnError(
-                    f"columns {sorted(unknown)} do not exist in {table.name}"
-                )
-            self.relation(table_name).insert(filled)
-        else:
-            self.relation(table_name).insert(values)
+        self.relation(table_name).insert(self._in_column_order(table_name, values))
 
     def insert_many(
         self, table_name: str, rows: Iterable[Sequence[Value] | Mapping[str, Value]]
     ) -> int:
-        """Insert many rows; returns the number inserted."""
+        """Insert many rows, each as :meth:`insert` takes it; returns the count."""
         relation = self.relation(table_name)
         count = 0
-        for row in rows:
-            relation.insert(row)
+        for values in rows:
+            relation.insert(self._in_column_order(table_name, values))
             count += 1
         return count
+
+    def _in_column_order(
+        self, table_name: str, values: Sequence[Value] | Mapping[str, Value]
+    ) -> Sequence[Value]:
+        """``values`` as a sequence in column order, defaults filled in."""
+        if not isinstance(values, Mapping):
+            return values
+        table = self.table_def(table_name)
+        unknown = set(values) - set(table.attribute_names)
+        if unknown:
+            raise UnknownColumnError(
+                f"columns {sorted(unknown)} do not exist in {table.name}"
+            )
+        return [
+            values.get(attribute.name, _DEFAULTS[attribute.dtype])
+            for attribute in table.attributes
+        ]
 
     # ------------------------------------------------------------------ #
     # lookups

@@ -32,11 +32,12 @@ semantics apply (Appendix C.3 extension).  The modes return identical
 ``as_set()`` results; only the tuple enumeration order may differ
 (documented edge divergences live in ``docs/sql_backend.md``).
 
-Compiled plans, materialized scans, subquery results and per-backend state
-are cached on an :class:`ExecutionContext`.  An :class:`Executor` keeps
-one context for its whole life, so a workload run through it
-(:meth:`Executor.run`) plans each distinct query once, loads each table
-once and evaluates each distinct subquery once across all its queries.
+Compiled plans, subquery results and the columnar and sqlite copies of
+the tables are cached on an :class:`ExecutionContext`.  An
+:class:`Executor` keeps one context for its whole life, so a workload run
+through it (:meth:`Executor.run`) plans each distinct query once, loads
+each table once and evaluates each distinct subquery once across all its
+queries.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import ColumnarTable
+    from .sqlbackend.store import SQLiteStore
 
 from ..sql.ast import (
     AggregateCall,
@@ -190,11 +192,14 @@ class ExecutionStats:
     subquery_hits: int = 0
     subquery_misses: int = 0
     subquery_evictions: int = 0
+    # ColumnarTable reads: hits find the table level with its relation,
+    # misses load it in full.  The rows engine scans relation.rows in
+    # place and counts in neither.
     scan_hits: int = 0
     scan_misses: int = 0
-    # Rows the data mirrors (scan tuples, columnar tables, sqlite store)
-    # took in by appending after an insert; the misses above count only
-    # full builds.
+    # Rows the columnar tables and the sqlite store took in by appending
+    # after an insert; scan_misses and sql_store_builds count only full
+    # loads.
     rows_appended: int = 0
     # SQL backend: in-memory store (re)builds, and lowerings reused from
     # their plan vs lowered afresh.
@@ -229,9 +234,13 @@ class ExecutionStats:
             f"plans {self.plan_hits}/{self.plan_hits + self.plan_misses} cached"
             f"{replans}, "
             f"subqueries {self.subquery_hits}/"
-            f"{self.subquery_hits + self.subquery_misses} cached, "
-            f"scans {self.scan_hits}/{self.scan_hits + self.scan_misses} cached"
+            f"{self.subquery_hits + self.subquery_misses} cached"
         )
+        if self.scan_hits or self.scan_misses:
+            text += (
+                f", columnar tables {self.scan_hits}/"
+                f"{self.scan_hits + self.scan_misses} cached"
+            )
         if self.sql_lower_hits or self.sql_lower_misses:
             text += (
                 f", lowerings {self.sql_lower_hits}/"
@@ -250,22 +259,24 @@ class ExecutionContext:
       of every table it reads as it was planned.  What engines derive
       from a plan (the rows engine's closures, the SQL backend's
       lowering) lives on the plan and is evicted with it;
-    * **scan cache** — materialized row tuples per relation;
     * **columnar cache** — :class:`~.columnar.ColumnarTable` per relation;
+    * **sqlite store** — :attr:`sql_store`, the SQL backend's
+      :class:`~.sqlbackend.store.SQLiteStore`, or None before its first
+      query;
     * **subquery cache** — :attr:`~.plan.BlockPlan.cache_key` + parameter
       values → result, an LRU of :data:`SUBQUERY_MEMO_ENTRIES` results
       shared across queries, so a batch re-evaluates each distinct
-      subquery once;
-    * **backend state** — one opaque bucket per registered backend (the SQL
-      backend's sqlite store lives here).
+      subquery once.
 
-    Inserts keep plans: a cached plan, with its closures and lowering, is
-    reused until a table it reads holds more than :data:`REPLAN_GROWTH`
-    times the rows it was planned for, or fewer (:meth:`plan`).  Subquery
-    results are all dropped once any table's row count moves
-    (:meth:`refresh`).  The scan and columnar caches and the sqlite store
-    are data *mirrors*: they survive inserts, record how many rows of
-    each table they hold, and append the new rows when next read.
+    The rows engine keeps no copy of the data: its compiled scans read
+    ``relation.rows`` in place.  Inserts keep plans: a cached plan, with
+    its closures and lowering, is reused until a table it reads holds
+    more than :data:`REPLAN_GROWTH` times the rows it was planned for, or
+    fewer (:meth:`plan`).  Subquery results are all dropped once any
+    table's row count moves (:meth:`refresh`).  The columnar tables and
+    the sqlite store are data *mirrors*: they survive inserts, record how
+    many rows of each table they hold, and append the new rows when next
+    read.
     """
 
     def __init__(self, database: Database) -> None:
@@ -273,10 +284,9 @@ class ExecutionContext:
         self.stats = ExecutionStats()
         self._planner = Planner(database)
         self._plans = LRUCache(PLAN_MEMO_ENTRIES)
-        self._scans: dict[str, list[tuple[Value, ...]]] = {}
         self._columnar: dict[str, "ColumnarTable"] = {}
+        self.sql_store: "SQLiteStore | None" = None
         self._subqueries = LRUCache(SUBQUERY_MEMO_ENTRIES)
-        self._backend_state: dict[str, object] = {}
         self._relations = {
             name.lower(): database.relation(name) for name in database.table_names()
         }
@@ -293,27 +303,14 @@ class ExecutionContext:
         :class:`~.database.Database` API while another gains as many are
         seen too.  Plans are not touched here: :meth:`plan` checks the
         tables each plan reads.  The data mirrors stay and catch up per
-        table on their next read.  In-place changes to existing rows,
-        which leave every count as it was, are not detected.
+        table on their next read.  Stored rows are tuples and cannot
+        change in place, but replacing entries of ``relation.rows``,
+        which leaves every count as it was, is not detected.
         """
         counts = self._current_row_counts()
         if counts != self._row_counts:
             self._row_counts = counts
             self._subqueries.clear()
-
-    def backend_state(self, key: str, factory: Callable[[], object]) -> object:
-        """Per-backend state bucket, kept for the life of the context.
-
-        ``key`` namespaces one backend (conventionally its mode value);
-        ``factory`` builds the initial state on first use.  Anything a
-        backend parks here must keep itself current as the database
-        grows: the SQL backend appends new rows to its sqlite store.
-        """
-        state = self._backend_state.get(key)
-        if state is None:
-            state = factory()
-            self._backend_state[key] = state
-        return state
 
     # -- plans ---------------------------------------------------------- #
 
@@ -350,27 +347,7 @@ class ExecutionContext:
         self.stats.plan_evictions += self._plans.put(query, (plan, planned_rows))
         return plan
 
-    # -- scans ---------------------------------------------------------- #
-
-    def scan_rows(self, relation: Relation) -> list[tuple[Value, ...]]:
-        """Rows of ``relation`` as flat tuples, extended as the table grows."""
-        key = relation.name.lower()
-        rows = relation.rows
-        cached = self._scans.get(key)
-        if cached is not None and len(cached) == len(rows):
-            self.stats.scan_hits += 1
-            return cached
-        columns = relation.columns
-        if cached is not None and len(cached) < len(rows):
-            self.stats.rows_appended += len(rows) - len(cached)
-            cached.extend(
-                tuple(row[c] for c in columns) for row in rows[len(cached):]
-            )
-            return cached
-        self.stats.scan_misses += 1
-        cached = [tuple(row[c] for c in columns) for row in rows]
-        self._scans[key] = cached
-        return cached
+    # -- data mirrors --------------------------------------------------- #
 
     def columnar_table(self, relation: Relation) -> "ColumnarTable":
         """The relation loaded column-major, extended as the table grows."""
@@ -735,9 +712,7 @@ def _compile_node(node: PlanNode) -> Callable:
 
 def _compile_scan(node: Scan) -> Callable:
     table = node.table
-    return lambda context, params: context.scan_rows(
-        context.database.relation(table)
-    )
+    return lambda context, params: context.database.relation(table).rows
 
 
 def _compile_filter(node: Filter) -> Callable:
@@ -1150,21 +1125,21 @@ class _Environment:
             if binding is None:
                 continue
             relation, row = binding
-            key = _match_column(relation, column.column)
-            if key is None:
+            position = _match_column(relation, column.column)
+            if position is None:
                 raise UnknownColumnError(
                     f"table {column.table} has no column {column.column!r}"
                 )
-            return row[key]
+            return row[position]
         raise UnknownColumnError(f"unknown table alias {column.table!r}")
 
     def _resolve_unqualified(self, column: ColumnRef) -> Value:
         for scope in reversed(self._scopes):
             matches = []
             for relation, row in scope.bindings.values():
-                key = _match_column(relation, column.column)
-                if key is not None:
-                    matches.append(row[key])
+                position = _match_column(relation, column.column)
+                if position is not None:
+                    matches.append(row[position])
             if len(matches) > 1:
                 raise AmbiguousColumnError(
                     f"column {column.column!r} is ambiguous in this scope"
@@ -1186,8 +1161,8 @@ class Executor:
     ``mode`` selects the evaluation strategy — dispatched through the
     backend registry (:mod:`repro.relational.backends`), so any registered
     engine is reachable here without this facade naming it.  The
-    executor's :class:`ExecutionContext` caches plans, scans and subquery
-    results across every query it runs; ``context`` lets callers share
+    executor's :class:`ExecutionContext` caches plans, table copies and
+    subquery results across every query it runs; ``context`` lets callers share
     one context between executors.  The naive oracle bypasses those
     caches.
 
@@ -1453,8 +1428,8 @@ class _NaiveInterpreter:
             # scopes (one scope per table).  Only used by EXISTS subqueries.
             own_scopes = env._scopes[-len(query.from_tables) :]  # noqa: SLF001
             for scope in own_scopes:
-                for relation, row in scope.bindings.values():
-                    values.extend(row[column] for column in relation.columns)
+                for _relation, row in scope.bindings.values():
+                    values.extend(row)
             return tuple(values)
         values = []
         for item in query.select_items:
@@ -1521,7 +1496,7 @@ class _NaiveInterpreter:
 class _NaiveBackend(ExecutionBackend):
     """``NAIVE``: nested loops over the AST with runtime scoping.
 
-    Deliberately bypasses every context cache (plans, scans, subqueries) —
+    Deliberately bypasses every context cache (plans, tables, subqueries) —
     the oracle must stay independent of the machinery it checks.
     """
 

@@ -217,12 +217,12 @@ class _BlockPlanner:
         instance = self._instance_for(column)
         if instance is None:
             return self._outer_param(column)
-        key = _match_column(instance.relation, column.column)
+        position = _match_column(instance.relation, column.column)
         base = bases.get(instance.from_index)
         if base is None:  # pragma: no cover - guarded by attachment rules
             raise EngineError(f"internal: {column} referenced before binding")
-        slot = base + instance.relation.columns.index(key)
-        return Col(slot, label=f"{instance.alias}.{key}")
+        label = f"{instance.alias}.{instance.relation.columns[position]}"
+        return Col(base + position, label=label)
 
     def _outer_param(self, column: ColumnRef) -> ScalarExpr:
         if self._outer is None:
@@ -282,10 +282,8 @@ class _BlockPlanner:
         instance = self._instance_for(operand)
         if instance is None:
             return fallback  # outer reference: a single parameter value
-        key = _match_column(instance.relation, operand.column)
-        if key is None:  # pragma: no cover - _instance_for validated it
-            return fallback
-        return float(self._stats.for_relation(instance.relation).distinct_of(key))
+        stats = self._stats.for_relation(instance.relation)
+        return float(stats.distinct_of(operand.column))
 
     def _scan_selectivity(self, pred: Comparison) -> float:
         """Selectivity estimate of a single-table selection predicate."""

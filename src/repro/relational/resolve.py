@@ -1,9 +1,10 @@
-"""Name-resolution helpers shared by the naive executor and the planner.
+"""Name-resolution helpers shared by the naive executor, the planner, the
+table statistics and the logic-tree evaluator.
 
-Both execution modes must resolve names identically — these helpers are the
+Every reader must resolve names identically — these helpers are the
 single source of truth for case-insensitive column matching, GROUP BY
-validation and result-column labelling, so a fix to one mode cannot
-silently desynchronize the other (the exact divergence class the
+validation and result-column labelling, so a fix to one reader cannot
+silently desynchronize another (the exact divergence class the
 differential test suite exists to catch).
 """
 
@@ -15,12 +16,12 @@ from ..sql.ast import ColumnRef, SelectQuery
 from .database import Relation
 
 
-def match_column(relation: Relation, column: str) -> str | None:
-    """The relation's column key matching ``column`` case-insensitively."""
+def match_column(relation: Relation, column: str) -> int | None:
+    """Position of ``column`` in ``relation``'s rows, case-insensitively."""
     lowered = column.lower()
-    for key in relation.columns:
+    for position, key in enumerate(relation.columns):
         if key.lower() == lowered:
-            return key
+            return position
     return None
 
 

@@ -2,13 +2,13 @@
 
 The backend composes the two halves of this package: the
 :class:`~.store.SQLiteStore` (schema DDL + bulk load, kept on the execution
-context and caught up with appended rows before each query) and
-:func:`~.lower.lower_query` (plan → parameterized SQL, kept on the plan).
-Execution is then a single ``connection.execute`` with the bind
-dictionary, and the cursor's tuples *are* the engine's row representation
-— SQLite adapts ``INTEGER`` / ``REAL`` / ``TEXT`` back to ``int`` /
-``float`` / ``str``, exactly the :data:`~repro.relational.values.Value`
-union.
+context as ``sql_store`` and caught up with appended rows before each
+query) and :func:`~.lower.lower_query` (plan → parameterized SQL, kept on
+the plan).  Execution is then a single ``connection.execute`` with the
+bind dictionary, and the cursor's tuples *are* the engine's row
+representation — SQLite adapts ``INTEGER`` / ``REAL`` / ``TEXT`` back to
+``int`` / ``float`` / ``str``, exactly the
+:data:`~repro.relational.values.Value` union.
 
 Error taxonomy: anything ``sqlite3`` raises is mapped onto the shared
 :mod:`repro.relational.errors` hierarchy (:func:`map_sqlite_error`), and
@@ -37,10 +37,6 @@ from .store import SQLiteStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...sql.ast import SelectQuery
 
-#: Key of this backend's state bucket on the execution context.
-_STATE_KEY = "sql"
-
-
 def map_sqlite_error(error: BaseException) -> EngineError:
     """Map a ``sqlite3`` (or bind-time) error onto the engine hierarchy.
 
@@ -64,39 +60,26 @@ def map_sqlite_error(error: BaseException) -> EngineError:
     return EngineError(f"sqlite execution failed: {message}")
 
 
-class _SQLState:
-    """Per-context backend state: the sqlite store."""
-
-    __slots__ = ("store",)
-
-    def __init__(self) -> None:
-        self.store: SQLiteStore | None = None
-
-
 class SQLBackend(ExecutionBackend):
     """``SQL``: plans lowered to parameterized SQL, run on ``sqlite3``."""
 
     mode = ExecutionMode.SQL
 
-    def _state(self, context: ExecutionContext) -> _SQLState:
-        return context.backend_state(_STATE_KEY, _SQLState)
-
     def _store(self, context: ExecutionContext) -> SQLiteStore:
-        state = self._state(context)
-        store = state.store
-        # Parked again only once level with the data: a failed catch-up
+        store = context.sql_store
+        # Kept again only once level with the data: a failed catch-up
         # has closed the store and raised, and must leave nothing behind.
-        state.store = None
+        context.sql_store = None
         if store is not None:
             appended = store.catch_up()
             if appended is not None:
                 context.stats.rows_appended += appended
-                state.store = store
+                context.sql_store = store
                 return store
             store.close()
         store = SQLiteStore(context.database)
         context.stats.sql_store_builds += 1
-        state.store = store
+        context.sql_store = store
         return store
 
     def _lowered(self, plan, context: ExecutionContext) -> LoweredQuery:

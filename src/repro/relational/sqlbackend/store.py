@@ -3,12 +3,14 @@
 One :class:`SQLiteStore` mirrors one
 :class:`~repro.relational.database.Database`: every relation gets a typed
 table (``int`` → ``INTEGER``, ``float`` → ``REAL``, ``str`` → ``TEXT``)
-and its rows are bulk-loaded with one ``executemany`` per table.  The store
-records how many rows of each table it holds; tables only ever grow (the
-database API is append-only), so :meth:`SQLiteStore.catch_up` brings it
-level by inserting just the rows appended since, on the same connection.
-The store lives on the :class:`~.executor.ExecutionContext` via
-``backend_state`` for as long as the context does.
+and its stored row tuples are bulk-loaded with one ``executemany`` per
+table.  The store records how many rows of each table it holds; tables
+only ever grow (the database API is append-only), so
+:meth:`SQLiteStore.catch_up` brings it level by inserting just the rows
+appended since, on the same connection.  The store is the
+:attr:`~repro.relational.executor.ExecutionContext.sql_store` of one
+execution context, and its connection is closed when the store is closed
+or freed.
 
 The declared types matter: SQLite's *type affinity* coerces values toward
 the column's declared type on insert (``"123"`` into an ``INTEGER`` column
@@ -21,6 +23,7 @@ the Python engines, which store whatever Python value the row carried
 from __future__ import annotations
 
 import sqlite3
+import weakref
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
@@ -56,6 +59,10 @@ class SQLiteStore:
         #: Per table: the relation mirrored and how many of its rows are held.
         self._held: list[tuple[Relation, int]] = []
         self.connection = sqlite3.connect(":memory:")
+        # The connection sits in a reference cycle with its statement
+        # cache, so without this a dropped store would keep its in-memory
+        # database until the next full garbage collection.
+        self._close = weakref.finalize(self, self.connection.close)
         with self._load_errors():
             for table_name in database.table_names():
                 self.connection.execute(table_ddl(database, table_name))
@@ -87,7 +94,7 @@ class SQLiteStore:
             self.connection.executemany(
                 f"INSERT INTO {quote_identifier(relation.name)} "
                 f"VALUES ({placeholders})",
-                (tuple(row[column] for column in relation.columns) for row in tail),
+                tail,
             )
             self._held[index] = (relation, held + len(tail))
             appended += len(tail)
@@ -112,4 +119,4 @@ class SQLiteStore:
             ) from error
 
     def close(self) -> None:
-        self.connection.close()
+        self._close()

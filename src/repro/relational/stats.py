@@ -23,6 +23,7 @@ import heapq
 import zlib
 
 from .database import Database, Relation
+from .resolve import match_column
 from .values import Value
 
 #: Columns at or below this many rows get exact distinct counts (a Python
@@ -143,12 +144,10 @@ class TableStats:
         cached = self._distinct.get(lowered)
         if cached is not None:
             return cached
-        key = next(
-            (c for c in self._relation.columns if c.lower() == lowered), None
-        )
-        if key is None:
+        position = match_column(self._relation, column)
+        if position is None:
             return max(1, self.row_count)
-        values = [row[key] for row in self._relation.rows]
+        values = [row[position] for row in self._relation.rows]
         estimate = max(1, distinct_count(values)) if values else 1
         self._distinct[lowered] = estimate
         return estimate

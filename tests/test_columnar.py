@@ -75,8 +75,7 @@ class TestColumnStorage:
         relation = db.relation("Sailor")
         table = ColumnarTable.from_relation(relation)
         frame = Frame.from_table(table)
-        expected = [tuple(row[c] for c in relation.columns) for row in relation.rows]
-        assert frame.rows() == expected
+        assert frame.rows() == relation.rows
         # Values coming out of NumPy columns are Python scalars again.
         assert all(type(v) in (int, float, str) for row in frame.rows() for v in row)
 

@@ -8,15 +8,19 @@ from repro.catalog import Schema, sailors_schema
 from repro.relational import (
     Database,
     EngineError,
+    ExecutionMode,
     TypeMismatchError,
     UnknownColumnError,
     UnknownTableError,
     apply_aggregate,
     compare,
+    execute,
     values_comparable,
 )
 from repro.relational.values import OPERATORS, value_family
+from repro.sql import parse
 from repro.sql.ast import FLIPPED_OP
+from repro.workloads import sailors_database
 
 
 @pytest.fixture
@@ -99,13 +103,41 @@ class TestDatabase:
         db = Database(tiny_schema)
         db.insert("T", [1, "alice", 0.5])
         assert db.row_count("T") == 1
-        assert db.relation("T").rows[0]["name"] == "alice"
+        (row,) = db.relation("T").rows
+        assert type(row) is tuple and row == (1, "alice", 0.5)
 
     def test_insert_mapping_fills_defaults(self, tiny_schema):
         db = Database(tiny_schema)
         db.insert("T", {"id": 7})
-        row = db.relation("T").rows[0]
-        assert row == {"id": 7, "name": "", "score": 0.0}
+        assert db.relation("T").rows == [(7, "", 0.0)]
+
+    @pytest.mark.parametrize("method", ["insert", "insert_many"])
+    def test_mapping_insert_stores_defaults_every_engine_reads(self, method):
+        db = sailors_database()
+        if method == "insert":
+            db.insert("Sailor", {"sid": 900})
+        else:
+            db.insert_many("Sailor", [{"sid": 900}])
+        assert db.relation("Sailor").rows[-1] == (900, "", 0, 0)
+        query = parse("SELECT S.sid FROM Sailor S WHERE S.rating < 5")
+        results = [execute(query, db, mode=mode).as_set() for mode in ExecutionMode]
+        assert (900,) in results[0]
+        assert all(result == results[0] for result in results)
+
+    def test_iterating_a_relation_maps_columns_to_values(self, tiny_schema):
+        db = Database(tiny_schema)
+        db.insert_many("T", [[1, "a", 1.0], {"id": 2, "score": 2.5}])
+        relation = db.relation("T")
+        assert all(type(row) is tuple for row in relation.rows)
+        assert list(relation) == [
+            dict(zip(relation.columns, row)) for row in relation.rows
+        ]
+
+    def test_relation_insert_takes_values_in_column_order_only(self, tiny_schema):
+        relation = Database(tiny_schema).relation("T")
+        with pytest.raises(TypeError):
+            relation.insert({"id": 1, "name": "a", "score": 1.0})
+        assert relation.rows == []
 
     def test_insert_mapping_unknown_column(self, tiny_schema):
         db = Database(tiny_schema)
@@ -118,8 +150,8 @@ class TestDatabase:
             db.insert("T", [1, "x"])
 
     def test_insert_returns_nothing(self, tiny_schema):
-        # Rows change only through the append-only API: no live row dict
-        # leaks out for callers to mutate behind the engines' mirrors.
+        # Rows change only through the append-only API: an insert hands
+        # back nothing, and the row it stores is an immutable tuple.
         db = Database(tiny_schema)
         assert db.insert("T", [1, "alice", 0.5]) is None
         assert db.insert("T", {"id": 2}) is None

@@ -9,6 +9,7 @@ context-version cache invalidation.
 
 from __future__ import annotations
 
+import gc
 import sqlite3
 
 import pytest
@@ -184,6 +185,22 @@ class TestSQLiteStore:
         result = executor.execute(query)
         assert result.as_set() == execute(query, sailors).as_set()
         assert context.stats.sql_store_builds == 2
+
+    def test_dropping_the_executor_closes_its_store(self, sailors):
+        # Reference counting alone frees the context and its store; the
+        # connection must close then, not at some later full collection.
+        executor = Executor(sailors, mode=ExecutionMode.SQL)
+        executor.execute("SELECT S.sname FROM Sailor S")
+        connection = executor.context.sql_store.connection
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del executor
+            with pytest.raises(sqlite3.ProgrammingError):
+                connection.execute("select 1")
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # --------------------------------------------------------------------- #
