@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rows", "sql"),
         default="rows",
         help="backend whose explanation to print: the planned row pipeline "
-        "(the plan tree) or the SQL backend (plan tree plus the lowered "
-        "sqlite SQL and its bind parameters)",
+        "(the plan tree) or the SQL backend (plan tree, the lowered sqlite "
+        "SQL with its bind parameters, and sqlite's query plan)",
     )
 
     bench = subparsers.add_parser(

@@ -46,7 +46,7 @@ import enum
 import heapq
 import operator
 from dataclasses import asdict, dataclass, field, replace
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -79,6 +79,7 @@ from .errors import (
     TypeMismatchError,
     UnknownColumnError,
 )
+from .keyindex import KeyIndex
 from .plan import (
     Aggregate,
     AntiJoin,
@@ -172,6 +173,10 @@ REPLAN_GROWTH = 2
 #: ``NOT EXISTS`` over n outer rows memoizes about n results per run, so
 #: repeated runs stay warm up to n ≈ 60k.
 SUBQUERY_MEMO_ENTRIES = 65_536
+#: Key indexes one :class:`ExecutionContext` keeps, one per (table, key
+#: columns) that plans probe.  The repository benchmark's rows engine
+#: stream probes 6.
+KEY_INDEX_ENTRIES = 64
 
 
 @dataclass
@@ -201,6 +206,11 @@ class ExecutionStats:
     # after an insert; scan_misses and sql_store_builds count only full
     # loads.
     rows_appended: int = 0
+    # Key indexes built in full (first use, or the table shrank) and those
+    # the memo's bound pushed out.  Indexes extended after an insert count
+    # in neither, nor in rows_appended.
+    key_index_builds: int = 0
+    key_index_evictions: int = 0
     # SQL backend: in-memory store (re)builds, and lowerings reused from
     # their plan vs lowered afresh.
     sql_store_builds: int = 0
@@ -266,17 +276,27 @@ class ExecutionContext:
     * **subquery cache** — :attr:`~.plan.BlockPlan.cache_key` + parameter
       values → result, an LRU of :data:`SUBQUERY_MEMO_ENTRIES` results
       shared across queries, so a batch re-evaluates each distinct
-      subquery once.
+      subquery once;
+    * **key indexes** — (table, key columns) →
+      :class:`~.keyindex.KeyIndex`, an LRU of :data:`KEY_INDEX_ENTRIES`
+      hash indexes.  The rows engine probes them for a
+      :class:`~.plan.Filter`'s ``key_probe`` and for a hash join whose
+      build side is a bare scan; the columnar engine hands subquery blocks
+      with a ``key_probe`` to the rows engine.  A probe runs behind the
+      subquery cache, only when it misses.
 
     The rows engine keeps no copy of the data: its compiled scans read
     ``relation.rows`` in place.  Inserts keep plans: a cached plan, with
     its closures and lowering, is reused until a table it reads holds
     more than :data:`REPLAN_GROWTH` times the rows it was planned for, or
     fewer (:meth:`plan`).  Subquery results are all dropped once any
-    table's row count moves (:meth:`refresh`).  The columnar tables and
-    the sqlite store are data *mirrors*: they survive inserts, record how
-    many rows of each table they hold, and append the new rows when next
-    read.
+    table's row count moves (:meth:`refresh`).  The columnar tables, the
+    key indexes and the sqlite store are data *mirrors*: they survive
+    inserts, record how many rows of each table they hold, and append the
+    new rows when next read.  The Python mirrors share one catch-up rule
+    (:func:`_caught_up`): one that holds more rows than its table is
+    built again.  Rows replaced in place, which leave the count as it
+    was, go unseen by every mirror.
     """
 
     def __init__(self, database: Database) -> None:
@@ -287,6 +307,7 @@ class ExecutionContext:
         self._columnar: dict[str, "ColumnarTable"] = {}
         self.sql_store: "SQLiteStore | None" = None
         self._subqueries = LRUCache(SUBQUERY_MEMO_ENTRIES)
+        self._key_indexes = LRUCache(KEY_INDEX_ENTRIES)
         self._relations = {
             name.lower(): database.relation(name) for name in database.table_names()
         }
@@ -352,21 +373,27 @@ class ExecutionContext:
     def columnar_table(self, relation: Relation) -> "ColumnarTable":
         """The relation loaded column-major, extended as the table grows."""
         key = relation.name.lower()
-        count = len(relation.rows)
-        table = self._columnar.get(key)
-        if table is not None and table.nrows == count:
+        table, appended = _caught_up(self._columnar.get(key), relation, _load_columnar)
+        if appended is None:
+            self.stats.scan_misses += 1
+            self._columnar[key] = table
+        elif appended:
+            self.stats.rows_appended += appended
+        else:
             self.stats.scan_hits += 1
-            return table
-        if table is not None and table.nrows < count:
-            self.stats.rows_appended += count - table.nrows
-            table.extend(relation)
-            return table
-        from .columnar import ColumnarTable
-
-        self.stats.scan_misses += 1
-        table = ColumnarTable.from_relation(relation)
-        self._columnar[key] = table
         return table
+
+    def key_index(self, relation: Relation, key: tuple[int, ...]) -> KeyIndex:
+        """``relation``'s rows grouped by the ``key`` columns, extended as
+        the table grows."""
+        memo_key = (relation.name.lower(), key)
+        index, appended = _caught_up(
+            self._key_indexes.get(memo_key), relation, lambda table: KeyIndex(table, key)
+        )
+        if appended is None:
+            self.stats.key_index_builds += 1
+            self.stats.key_index_evictions += self._key_indexes.put(memo_key, index)
+        return index
 
     # -- subqueries ------------------------------------------------------ #
     #
@@ -377,7 +404,9 @@ class ExecutionContext:
     # engines safely share one memo table.
 
     def _run_subplan(self, plan: BlockPlan, params: tuple, runner) -> Iterator[tuple]:
-        if runner is None:
+        # A block with a key probe reads a handful of rows per run, fewer
+        # than a columnar frame costs to build, so it runs on rows.
+        if runner is None or plan.key_probed:
             return iter(_program(plan).run(self, params))
         return iter(runner(plan, self, params))
 
@@ -421,6 +450,29 @@ class ExecutionContext:
         else:
             self.stats.subquery_hits += 1
         return cached
+
+
+def _caught_up(mirror, relation: Relation, load: Callable) -> tuple:
+    """``mirror`` level with ``relation``, and how many rows it took in.
+
+    A mirror records the :attr:`nrows` of the table it holds, and its
+    ``extend(relation)`` takes in the rows beyond them.  Without a mirror,
+    or when the table holds fewer rows than the mirror, ``load(relation)``
+    builds one afresh and the count is None.
+    """
+    if mirror is not None:
+        behind = len(relation.rows) - mirror.nrows
+        if behind >= 0:
+            if behind:
+                mirror.extend(relation)
+            return mirror, behind
+    return load(relation), None
+
+
+def _load_columnar(relation: Relation) -> "ColumnarTable":
+    from .columnar import ColumnarTable
+
+    return ColumnarTable.from_relation(relation)
 
 
 class _SubqueryValues:
@@ -565,6 +617,8 @@ class _SubqueryValues:
 
 _NUMERIC = (int, float)
 _PLAIN_TYPES = frozenset((int, float, str))
+#: A key index column's family as the hash join's probe check reads it.
+_PROBE_FAMILY = {"num": True, "str": False}
 
 
 def _family_type(value: Value):
@@ -719,11 +773,48 @@ def _compile_filter(node: Filter) -> Callable:
     child = _compile_node(node.child)
     binds = [_compile_pred(p) for p in node.predicates]
 
-    def run(context: ExecutionContext, params: tuple):
+    def scan(context: ExecutionContext, params: tuple):
         # Chained filters test each row in predicate order and stop at the
         # first failure, exactly as a conjunction would.
         rows = child(context, params)
         for bind in binds:
+            rows = filter(bind(context, params), rows)
+        return rows
+
+    if node.key_probe is None:
+        return scan
+    return _compile_key_probe(node, scan, binds)
+
+
+def _compile_key_probe(node: Filter, scan: Callable, binds: list) -> Callable:
+    """The filter read from the key's bucket of a key index, else ``scan``.
+
+    The bucket holds exactly the rows on which the key conjunct holds, in
+    table order, and the other conjuncts are tested on those rows alone.
+    That skips the conjuncts before the key on every other row, so the
+    index answers only when none of them could raise there: the key
+    column and each earlier conjunct's column hold one value family, that
+    of the value they are compared with.
+    """
+    table, position = node.child.table, node.key_probe
+    key = node.predicates[position]
+    column, param = (key.left, key.right) if type(key.left) is Col else (key.right, key.left)
+    slot, index = column.slot, param.index
+    guards = [
+        (p.left.slot, p.right) if type(p.left) is Col else (p.right.slot, p.left)
+        for p in node.predicates[:position]
+    ]
+    rest = binds[:position] + binds[position + 1:]
+
+    def run(context: ExecutionContext, params: tuple):
+        keys = context.key_index(context.database.relation(table), (slot,))
+        value = params[index]
+        if not keys.holds_only(slot, value) or not all(
+            keys.holds_only(guard, _eval_expr(expr, (), params)) for guard, expr in guards
+        ):
+            return scan(context, params)
+        rows = keys.buckets.get(value, ())
+        for bind in rest:
             rows = filter(bind(context, params), rows)
         return rows
 
@@ -749,24 +840,38 @@ def _compile_hash_join(node: HashJoin) -> Callable:
     left_keys, right_keys = node.left_keys, node.right_keys
     # One column on each side: the table is keyed on the bare value.
     single = len(left_keys) == 1 and type(left_keys[0]) is Col and type(right_keys[0]) is Col
+    # A bare scan on the build side is probed through its table's key
+    # index, which outlives the run; any other build side is hashed anew.
+    indexed = type(node.right) is Scan
+    slots = tuple(key.slot for key in right_keys) if indexed else ()
 
     def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
         if single:
-            right_key, left_key = itemgetter(right_keys[0].slot), itemgetter(left_keys[0].slot)
+            left_key = itemgetter(left_keys[0].slot)
         else:
-            right_key = _tuple_getter(right_keys, params)
             left_key = _tuple_getter(left_keys, params)
-        build = _buckets(right(context, params), right_key)
-        if not build:
-            return
-        # The families each key position may probe with, from the distinct
-        # build keys: True numeric, False string, None (both) fails every
-        # probe.  Mirrors the naive executor: comparing a string column
-        # with a numeric one is a type error, not an empty join.
-        expected = []
-        for column in [build] if single else zip(*build):
-            families = {value_family(value) for value in column}
-            expected.append(families.pop() == "num" if len(families) == 1 else None)
+        # The families each key position may probe with: True numeric,
+        # False string, None (both) fails every probe.  Mirrors the naive
+        # executor: comparing a string column with a numeric one is a
+        # type error, not an empty join.
+        if indexed:
+            keys = context.key_index(context.database.relation(node.right.table), slots)
+            if not keys.nrows:
+                return
+            build = keys.buckets
+            expected = [_PROBE_FAMILY.get(keys.family(slot)) for slot in slots]
+        else:
+            if single:
+                right_key = itemgetter(right_keys[0].slot)
+            else:
+                right_key = _tuple_getter(right_keys, params)
+            build = _buckets(right(context, params), right_key)
+            if not build:
+                return
+            expected = []
+            for column in [build] if single else zip(*build):
+                families = {value_family(value) for value in column}
+                expected.append(families.pop() == "num" if len(families) == 1 else None)
         numeric = expected[0]
         get = build.get
         for left_row in left(context, params):
@@ -818,9 +923,15 @@ def _compile_semi_join(node: SemiJoin) -> Callable:
     anti = type(node) is AntiJoin
 
     def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
+        # The subquery runs once a child row needs it, as the oracle runs
+        # it: a child without rows never raises the subquery's errors.
+        rows = iter(child(context, params))
+        first = next(rows, None)
+        if first is None:
+            return
+        rows = chain((first,), rows)
         actual = tuple(_eval_expr(e, (), params) for e in param_exprs)
         values = context.subquery_values(plan, actual)
-        rows = child(context, params)
         if type(probe) is Col and values.family in ("num", "str"):
             slot, members = probe.slot, values.as_set()
             numeric = values.family == "num"

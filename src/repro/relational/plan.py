@@ -190,16 +190,29 @@ class Scan(PlanNode):
 
 @dataclass
 class Filter(PlanNode):
-    """Keep child rows satisfying every predicate (conjunction)."""
+    """Keep child rows satisfying every predicate (conjunction).
+
+    ``key_probe`` is the position of the conjunct ``col = Param(i)`` that
+    the planner marked in a filter directly over a :class:`Scan`: the
+    first such conjunct that only column-against-scalar conjuncts precede.
+    Engines may answer it from a hash index on ``col`` and test the other
+    conjuncts on that key's rows only.
+    """
 
     child: PlanNode
     predicates: tuple[Predicate, ...]
+    key_probe: int | None = None
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
     def label(self) -> str:
-        return "Filter " + " AND ".join(str(p) for p in self.predicates)
+        text = "Filter " + " AND ".join(str(p) for p in self.predicates)
+        if self.key_probe is not None:
+            key = self.predicates[self.key_probe]
+            column = key.left if isinstance(key.left, Col) else key.right
+            text += f" [key index on {column}]"
+        return text
 
 
 @dataclass
@@ -401,6 +414,9 @@ class BlockPlan:
     #: under different enclosing blocks, share cached results only when
     #: each reference reads the same parameter in both.
     param_refs: frozenset[tuple["ColumnRef", int]] = frozenset()
+    #: True when a :class:`Filter` of this block (not of a nested block)
+    #: has a ``key_probe``.
+    key_probed: bool = False
     #: The rows engine's compiled form of this plan and the SQL backend's
     #: lowering of it, each built on first use.  Both live and die with
     #: the plan, so they go whenever the context replans or evicts it.

@@ -84,6 +84,7 @@ from .plan import (
     Filter,
     HashJoin,
     NestedLoopJoin,
+    Param,
     PlanNode,
     Project,
     ScalarExpr,
@@ -237,8 +238,6 @@ class _BlockPlanner:
             self._param_exprs.append(source)
             self._param_labels.append(str(column))
         self._param_refs[column] = index
-        from .plan import Param
-
         return Param(index, label=str(column))
 
     def _resolver_for_child(self, bases: dict[int, int]) -> OuterResolver:
@@ -416,9 +415,8 @@ class _BlockPlanner:
             local = scan_preds.get(from_index)
             if local:
                 scan_bases = {from_index: 0}
-                node = Filter(
-                    node, tuple(self._comparison(p, scan_bases) for p in local)
-                )
+                conjuncts = tuple(self._comparison(p, scan_bases) for p in local)
+                node = Filter(node, conjuncts, _key_probe(conjuncts))
             if tree is None:
                 tree = node
                 bases[from_index] = 0
@@ -500,6 +498,10 @@ class _BlockPlanner:
             param_labels=tuple(self._param_labels),
             prechecks=tuple(prechecks),
             param_refs=frozenset(self._param_refs.items()),
+            key_probed=any(
+                type(node) is Filter and node.key_probe is not None
+                for node in root.walk()
+            ),
         )
 
     def _equi_keys(
@@ -719,6 +721,23 @@ class _BlockPlanner:
         cutoff = limit + offset
         estimated = max(self._estimated_rows, 1.0)
         return "heap" if cutoff * 8 <= estimated else "sort"
+
+
+def _key_probe(conjuncts: tuple[CompiledComparison, ...]) -> int | None:
+    """Position of the first ``col = Param(i)`` that only column-against-
+    scalar conjuncts precede, or None.
+
+    The conjuncts of a scan filter each read a column of the scan.  One
+    comparing two columns may raise on rows a key index would skip, so the
+    search stops there.
+    """
+    for position, conjunct in enumerate(conjuncts):
+        kinds = (type(conjunct.left), type(conjunct.right))
+        if kinds.count(Col) != 1:
+            return None
+        if conjunct.op == "=" and Param in kinds:
+            return position
+    return None
 
 
 def plan_query(query: SelectQuery, database: Database) -> BlockPlan:

@@ -107,21 +107,33 @@ class SQLBackend(ExecutionBackend):
         context.refresh()
         plan = context.plan(query)
         lowered = self._lowered(plan, context)
+        rows = tuple(self._run(lowered, context, ""))
+        return ResultSet(columns=plan.columns, rows=rows)
+
+    def _run(self, lowered: LoweredQuery, context: ExecutionContext, prefix: str) -> list:
+        """``prefix`` + the lowered SQL run on the caught-up, indexed store."""
         store = self._store(context)
         try:
-            cursor = store.connection.execute(lowered.sql, lowered.binds)
-            rows = tuple(cursor.fetchall())
+            store.create_indexes(lowered.indexes)
+            return store.connection.execute(prefix + lowered.sql, lowered.binds).fetchall()
         except (sqlite3.Error, OverflowError) as error:
             raise map_sqlite_error(error) from error
-        return ResultSet(columns=plan.columns, rows=rows)
 
     def explain(self, query: "SelectQuery", context: ExecutionContext) -> str:
         plan = context.plan(query)
         lowered = self._lowered(plan, context)
+        # sqlite's own plan, one line per step, indented under its parent.
+        depth = {0: -1}
+        steps = []
+        for step, parent, _, detail in self._run(lowered, context, "EXPLAIN QUERY PLAN "):
+            depth[step] = depth.get(parent, -1) + 1
+            steps.append("  " * depth[step] + detail)
         return (
             plan.describe()
             + "\n\n-- lowered SQL (sqlite) --\n"
             + lowered.describe()
+            + "\n\n-- sqlite query plan --\n"
+            + "\n".join(steps)
         )
 
 

@@ -46,6 +46,11 @@ Cross-family comparisons raise
 slightly *earlier* than the row engines, which only raise when a row pair
 is actually compared; that timing difference is a documented divergence
 affecting only ill-typed queries.
+
+Each slot also carries the stored (table, column) it passes through, if
+any.  From them the lowering lists the columns the query looks rows up
+by (:attr:`LoweredQuery.indexes`), which the store indexes before the
+query runs.
 """
 
 from __future__ import annotations
@@ -85,12 +90,19 @@ _FAMILY_NAMES = {"num": "numeric", "str": "string"}
 
 @dataclass(frozen=True)
 class LoweredQuery:
-    """One plan lowered to executable SQL plus its bound constants."""
+    """One plan lowered to executable SQL plus its bound constants.
+
+    ``indexes`` lists the (table, column) pairs the query looks rows up
+    by: both sides of every hash-join key, and the column of every
+    :class:`~repro.relational.plan.Filter`'s ``key_probe``.  The store
+    indexes them before the query runs.
+    """
 
     sql: str
     binds: dict
     columns: tuple[str, ...]
     families: tuple[str, ...]
+    indexes: tuple[tuple[str, str], ...]
 
     def describe(self) -> str:
         """The SQL with its binds, for ``explain --engine sql`` output."""
@@ -100,11 +112,13 @@ class LoweredQuery:
         return "\n".join(lines)
 
 
-#: A lowered relation: its SELECT text plus per-slot type families.
+#: A lowered relation: its SELECT text plus per-slot type families and,
+#: for a slot that passes a stored column through, its (table, column).
 @dataclass(frozen=True)
 class _Rel:
     sql: str
     families: tuple[str, ...]
+    origins: tuple[tuple[str, str] | None, ...]
 
 
 #: The visible frame predicates/exprs render against: (alias, families)
@@ -122,6 +136,8 @@ class _Lowering:
         self._db = database
         self._alias_count = 0
         self.binds: dict = {}
+        #: (table, column) pairs looked up by key, in first-seen order.
+        self.indexes: dict[tuple[str, str], None] = {}
 
     # -- helpers -------------------------------------------------------- #
 
@@ -133,6 +149,11 @@ class _Lowering:
         name = f"p{len(self.binds)}"
         self.binds[name] = value
         return f":{name}"
+
+    def _index(self, rel: _Rel, slot: int) -> None:
+        origin = rel.origins[slot]
+        if origin is not None:
+            self.indexes[origin] = None
 
     # -- scalar expressions --------------------------------------------- #
 
@@ -260,6 +281,7 @@ class _Lowering:
             f"SELECT {select_list} "
             f"FROM {quote_identifier(relation.name)} AS {alias}",
             families,
+            tuple((relation.name, column) for column in relation.columns),
         )
 
     def _filter(self, node: Filter, params: _Params) -> _Rel:
@@ -269,9 +291,13 @@ class _Lowering:
         conditions = " AND ".join(
             self._pred(pred, frame, params) for pred in node.predicates
         )
+        if node.key_probe is not None:
+            key = node.predicates[node.key_probe]
+            self._index(child, (key.left if type(key.left) is Col else key.right).slot)
         return _Rel(
             f"SELECT * FROM ({child.sql}) AS {alias} WHERE {conditions}",
             child.families,
+            child.origins,
         )
 
     def _join_select_list(
@@ -297,12 +323,16 @@ class _Lowering:
             right_sql, right_family = self._expr(right_key, right_frame, params)
             self._check_families(left_family, right_family, node.label())
             conditions.append(f"{left_sql} = {right_sql}")
+            for rel, key in ((left, left_key), (right, right_key)):
+                if type(key) is Col:
+                    self._index(rel, key.slot)
         return _Rel(
             f"SELECT {self._join_select_list(left_alias, left, right_alias, right)} "
             f"FROM ({left.sql}) AS {left_alias} "
             f"JOIN ({right.sql}) AS {right_alias} "
             f"ON {' AND '.join(conditions)}",
             left.families + right.families,
+            left.origins + right.origins,
         )
 
     def _nested_loop(self, node: NestedLoopJoin, params: _Params) -> _Rel:
@@ -319,6 +349,7 @@ class _Lowering:
             f"JOIN ({right.sql}) AS {right_alias} "
             f"ON {conditions or '1'}",
             left.families + right.families,
+            left.origins + right.origins,
         )
 
     def _semi_join(self, node: SemiJoin, params: _Params) -> _Rel:
@@ -340,6 +371,7 @@ class _Lowering:
             f"SELECT * FROM ({child.sql}) AS {alias} "
             f"WHERE {probe_sql} {membership} ({sub.sql})",
             child.families,
+            child.origins,
         )
 
     def _project(self, node: Project, params: _Params) -> _Rel:
@@ -353,13 +385,19 @@ class _Lowering:
         return _Rel(
             f"SELECT {select_list} FROM ({child.sql}) AS {alias}",
             tuple(family for _, family in rendered),
+            tuple(
+                child.origins[expr.slot] if type(expr) is Col else None
+                for expr in node.exprs
+            ),
         )
 
     def _distinct(self, node: Distinct, params: _Params) -> _Rel:
         child = self._node(node.child, params)
         alias = self._alias()
         return _Rel(
-            f"SELECT DISTINCT * FROM ({child.sql}) AS {alias}", child.families
+            f"SELECT DISTINCT * FROM ({child.sql}) AS {alias}",
+            child.families,
+            child.origins,
         )
 
     def _topk(self, node: TopK, params: _Params) -> _Rel:
@@ -387,7 +425,7 @@ class _Lowering:
             sql += f" LIMIT {self._bind(node.limit)}"
             if node.offset:
                 sql += f" OFFSET {self._bind(node.offset)}"
-        return _Rel(sql, child.families)
+        return _Rel(sql, child.families, child.origins)
 
     def _aggregate(self, node: Aggregate, params: _Params) -> _Rel:
         child = self._node(node.child, params)
@@ -424,7 +462,7 @@ class _Lowering:
             # over empty input (no group ever forms); SQL produces one.
             # Normalize the divergence away — it is cheap and total.
             sql += " HAVING COUNT(*) > 0"
-        return _Rel(sql, tuple(families))
+        return _Rel(sql, tuple(families), (None,) * len(families))
 
     # -- blocks --------------------------------------------------------- #
 
@@ -442,6 +480,7 @@ class _Lowering:
             rel = _Rel(
                 f"SELECT * FROM ({rel.sql}) AS {alias} WHERE {conditions}",
                 rel.families,
+                rel.origins,
             )
         return rel
 
@@ -474,4 +513,5 @@ def lower_query(plan: BlockPlan, database: "Database") -> LoweredQuery:
         binds=lowering.binds,
         columns=plan.columns,
         families=rel.families,
+        indexes=tuple(lowering.indexes),
     )

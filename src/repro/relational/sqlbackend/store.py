@@ -12,6 +12,10 @@ appended since, on the same connection.  The store is the
 execution context, and its connection is closed when the store is closed
 or freed.
 
+Queries name the columns they look rows up by (``LoweredQuery.indexes``),
+and :meth:`SQLiteStore.create_indexes` gives each such column an index
+once per store; sqlite keeps every index level as rows are appended.
+
 The declared types matter: SQLite's *type affinity* coerces values toward
 the column's declared type on insert (``"123"`` into an ``INTEGER`` column
 becomes the integer ``123``).  For schema-conforming data this is the
@@ -25,7 +29,7 @@ from __future__ import annotations
 import sqlite3
 import weakref
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import EngineError
 
@@ -58,6 +62,8 @@ class SQLiteStore:
         self.rows_loaded = 0
         #: Per table: the relation mirrored and how many of its rows are held.
         self._held: list[tuple[Relation, int]] = []
+        #: (table, column) pairs indexed so far.
+        self._indexed: set[tuple[str, str]] = set()
         self.connection = sqlite3.connect(":memory:")
         # The connection sits in a reference cycle with its statement
         # cache, so without this a dropped store would keep its in-memory
@@ -83,6 +89,22 @@ class SQLiteStore:
             return None
         with self._load_errors():
             return self._append()
+
+    def create_indexes(self, columns: Iterable[tuple[str, str]]) -> None:
+        """Index each (table, column) of ``columns`` not indexed yet.
+
+        Indexes are numbered in creation order, so no two (table, column)
+        pairs can share a name.
+        """
+        for table, column in columns:
+            if (table, column) in self._indexed:
+                continue
+            name = quote_identifier(f"ix{len(self._indexed)}_{table}_{column}")
+            self.connection.execute(
+                f"CREATE INDEX IF NOT EXISTS {name} "
+                f"ON {quote_identifier(table)} ({quote_identifier(column)})"
+            )
+            self._indexed.add((table, column))
 
     def _append(self) -> int:
         appended = 0

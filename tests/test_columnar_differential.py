@@ -659,6 +659,18 @@ _SEMI_JOIN_CASES = (
         "SELECT B.id FROM B WHERE B.txt IN (SELECT A.num FROM A WHERE A.id <> 3)",
         True,
     ),
+    # No child row reaches the probe, so the raising subquery never runs.
+    (
+        "SELECT B.id FROM B WHERE B.id > 100 AND B.num IN "
+        "(SELECT A.num FROM A WHERE A.num > 15)",
+        False,
+    ),
+    (
+        "SELECT B.id FROM B WHERE B.id > 100 AND B.num NOT IN "
+        "(SELECT A.num FROM A WHERE A.num > 15)",
+        False,
+    ),
+    ("SELECT Z.id FROM Z WHERE Z.num IN (SELECT A.num FROM A WHERE A.num > 15)", False),
 )
 _CORRELATED_CASES = (
     (
@@ -701,6 +713,58 @@ _CORRELATED_CASES = (
         "(SELECT A.num FROM A WHERE A.grp = B.grp AND A.id <> 3)",
         False,
     ),
+)
+#: Filters and hash joins answered from a key index when the index may
+#: answer, by the scan when it may not.
+_KEY_INDEX_CASES = (
+    # The bucket of B.grp = 0 holds A.num = "bad"; that of B.grp = 1 not.
+    (
+        "SELECT B.id FROM B WHERE EXISTS "
+        "(SELECT A.id FROM A WHERE A.grp = B.grp AND A.num > 15)",
+        True,
+    ),
+    (
+        "SELECT B.id FROM B WHERE B.grp = 1 AND EXISTS "
+        "(SELECT A.id FROM A WHERE A.grp = B.grp AND A.num > 15)",
+        False,
+    ),
+    # A guard over the planted column, or against the other family, makes
+    # the filter scan, and the scan raises on rows no bucket holds.
+    (
+        "SELECT B.id FROM B WHERE EXISTS "
+        "(SELECT A.id FROM A WHERE A.num > 15 AND A.grp = B.grp)",
+        True,
+    ),
+    (
+        "SELECT B.id FROM B WHERE EXISTS "
+        "(SELECT A.id FROM A WHERE A.id > 3 AND A.grp = B.grp AND A.num > 15)",
+        False,
+    ),
+    (
+        "SELECT B.id FROM B WHERE EXISTS "
+        "(SELECT A.id FROM A WHERE A.id <> 'x' AND A.grp = B.grp)",
+        True,
+    ),
+    (
+        "SELECT B.id FROM B WHERE NOT EXISTS "
+        "(SELECT A.id FROM A WHERE A.id <> 4 AND A.id = B.id AND A.txt = B.txt)",
+        False,
+    ),
+    # The key column itself holds the planted value.
+    (
+        "SELECT B.id FROM B WHERE EXISTS (SELECT A.id FROM A WHERE A.num = B.num)",
+        True,
+    ),
+    (
+        "SELECT B.id FROM B WHERE B.id > 100 AND EXISTS "
+        "(SELECT A.id FROM A WHERE A.num = B.num)",
+        False,
+    ),
+    # The build side of the join is a bare scan of A.
+    ("SELECT A.id FROM A, B WHERE B.id > 1 AND A.num = B.num", True),
+    ("SELECT A.id FROM A, B WHERE B.id > 100 AND A.num = B.num", False),
+    ("SELECT A.id FROM A, B WHERE B.id > 1 AND A.txt = B.txt", True),
+    ("SELECT A.id FROM A, B WHERE B.id > 100 AND A.txt = B.txt", False),
 )
 #: (query, raises, the TopK strategy the planner picks).
 _RANKED_CASES = (
@@ -793,6 +857,31 @@ class TestTypeErrorParity:
     @pytest.mark.parametrize("sql, raises", _CORRELATED_CASES)
     def test_correlated_subqueries(self, planted, sql, raises):
         self._agree(sql, planted, raises)
+
+    @pytest.mark.parametrize("sql, raises", _KEY_INDEX_CASES)
+    def test_key_index_probes(self, planted, sql, raises):
+        self._agree(sql, planted, raises)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT G.id FROM G WHERE EXISTS (SELECT F.id FROM F WHERE F.x = G.x)",
+            "SELECT G.id FROM G, F WHERE G.x = F.x",
+        ],
+    )
+    def test_a_nan_key_matches_nothing_not_even_itself(self, sql):
+        # One NaN object stored in both tables: a dict would find it by
+        # identity, but NaN = NaN is false.
+        nan = float("nan")
+        schema = Schema("nan")
+        for name in ("F", "G"):
+            schema.add_table(name, [("id", "int"), ("x", "float")])
+        db = Database(schema)
+        for name in ("F", "G"):
+            db.insert(name, (1, nan))
+            db.insert(name, (2, 2.5))
+        assert execute(parse(sql), db, mode=ExecutionMode.NAIVE).rows == ((2,),)
+        self._agree(sql, db, False)
 
     @pytest.mark.parametrize("sql, raises, strategy", _RANKED_CASES)
     def test_order_by(self, planted, sql, raises, strategy):

@@ -53,6 +53,7 @@ def test_every_in_memory_memo_is_a_bounded_lru():
     context = Executor(chinook_bench_database(scale=1)).context
     memos["plan memo"] = context._plans
     memos["subquery memo"] = context._subqueries
+    memos["key index memo"] = context._key_indexes
     assert {name for name in memos if name.startswith("stage ")} == {
         f"stage {name}" for name in STAGE_NAMES
     }
@@ -152,6 +153,7 @@ def test_unbounded_run_reports_no_evictions():
 def test_engines_agree_with_the_oracle_under_tiny_memo_bounds(monkeypatch, mode):
     monkeypatch.setattr(executor_module, "PLAN_MEMO_ENTRIES", 2)
     monkeypatch.setattr(executor_module, "SUBQUERY_MEMO_ENTRIES", 2)
+    monkeypatch.setattr(executor_module, "KEY_INDEX_ENTRIES", 2)
     database = chinook_bench_database(scale=2)
     # The join workload has no subqueries; the mixed one adds a correlated
     # EXISTS, whose per-customer results overflow a 2-entry memo.
@@ -170,3 +172,7 @@ def test_engines_agree_with_the_oracle_under_tiny_memo_bounds(monkeypatch, mode)
     else:
         assert stats.subquery_evictions > 0
         assert len(executor.context._subqueries) == 2
+    if mode is ExecutionMode.PLANNED:
+        # The joins' bare-scan build sides alone need more than 2 indexes.
+        assert stats.key_index_evictions > 0
+        assert len(executor.context._key_indexes) == 2

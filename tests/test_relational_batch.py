@@ -114,10 +114,13 @@ class TestBatchExecutor:
         )
         if mode is ExecutionMode.PLANNED:
             # The rows engine scans the stored rows in place: it keeps no
-            # copy to load or to extend.
+            # copy to load or to extend.  Its one key index, on the join's
+            # build side, took in the new rows without a rebuild.
             assert (stats.scan_misses, stats.rows_appended) == (0, 0)
+            assert loads.key_index_builds == 1
         else:
             assert stats.rows_appended == 2
+        assert stats.key_index_builds == loads.key_index_builds
         # Two rows come nowhere near doubling Reserves, so the plan, its
         # closures and its lowering were all reused.
         assert (stats.plan_hits, stats.plan_misses, stats.plan_replans) == (1, 1, 0)
@@ -143,6 +146,26 @@ class TestBatchExecutor:
         after = batch.execute(sql)
         assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
         assert len(after) == 0
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR])
+    def test_rows_deleted_behind_the_api_rebuild_the_key_index(self, db, mode):
+        # The correlated EXISTS reads Reserves through a key index on sid.
+        # An index holding more rows than its table is built again, not
+        # probed for rows that are gone.
+        sql = (
+            "SELECT S.sname FROM Sailor S WHERE EXISTS "
+            "(SELECT * FROM Reserves R WHERE R.sid = S.sid)"
+        )
+        batch = BatchExecutor(db, mode=mode)
+        before = batch.execute(sql).as_set()
+        builds = batch.stats().key_index_builds
+        assert builds == 1
+        reserves = db.relation("Reserves").rows
+        del reserves[len(reserves) // 2:]  # behind the Database API
+        after = batch.execute(sql)
+        assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
+        assert after.as_set() < before
+        assert batch.stats().key_index_builds == builds + 1
 
     @pytest.mark.parametrize(
         "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.relational.executor as executor_module
 from repro.catalog import Schema, sailors_schema
+from repro.paper_queries import FIG24_VARIANTS
 from repro.relational import (
     Database,
     EngineError,
@@ -14,6 +16,7 @@ from repro.relational import (
     execute,
 )
 from repro.sql import parse
+from repro.workloads import sailors_database
 
 
 @pytest.fixture
@@ -291,3 +294,38 @@ class TestGroupBy:
             execute(
                 parse("SELECT S.sname, COUNT(*) FROM Sailor S GROUP BY S.sid"), boats_db
             )
+
+
+class TestKeyIndexedProbes:
+    def test_only_red_query_does_linear_work(self, monkeypatch):
+        # Counts row tests, times nothing.  Scanning Reserves once per
+        # sailor would quadruple the count per doubling of the data.
+        evaluations = 0
+
+        def counting(make_test):
+            def make(*args):
+                test = make_test(*args)
+
+                def counted(row):
+                    nonlocal evaluations
+                    evaluations += 1
+                    return test(row)
+
+                return counted
+
+            return make
+
+        for name in ("_scalar_test", "_columns_test"):
+            monkeypatch.setattr(
+                executor_module, name, counting(getattr(executor_module, name))
+            )
+        counts = []
+        for n in (250, 500, 1000):
+            db = sailors_database(n, n // 10, 5 * n)
+            evaluations = 0
+            result = Executor(db).execute(FIG24_VARIANTS[0])
+            counts.append(evaluations)
+            assert result.as_set() == Executor(db).execute(FIG24_VARIANTS[1]).as_set()
+        assert counts[0] > 0
+        for smaller, larger in zip(counts, counts[1:]):
+            assert larger <= 2.5 * smaller, counts

@@ -181,6 +181,33 @@ class TestPlanShapes:
         assert pred.kind == "exists" and pred.negated
         assert pred.plan.n_params == 1  # correlated on S.sid
 
+    @pytest.mark.parametrize(
+        "where, key_probe",
+        [
+            ("R.sid = S.sid", 0),
+            ("S.sid = R.sid", 0),
+            ("R.day = 'mon' AND R.bid > S.rating AND R.sid = S.sid", 2),
+            ("R.sid < S.sid AND R.bid = S.rating", 1),
+            ("R.sid = R.bid AND R.sid = S.sid", None),
+            ("R.sid <> S.sid", None),
+        ],
+    )
+    def test_key_probe_is_the_first_parameter_equality_after_scalar_guards(
+        self, db, where, key_probe
+    ):
+        plan = plan_query(
+            parse(
+                "SELECT S.sname FROM Sailor S WHERE EXISTS "
+                f"(SELECT * FROM Reserves R WHERE {where})"
+            ),
+            db,
+        )
+        (pred,) = plan.root.child.child.predicates
+        (scan_filter,) = [n for n in pred.plan.root.walk() if isinstance(n, Filter)]
+        assert scan_filter.key_probe == key_probe
+        assert pred.plan.key_probed == (key_probe is not None)
+        assert not plan.key_probed
+
     def test_explain_renders_plan_tree(self, db):
         text = Executor(db).explain(
             parse(

@@ -186,6 +186,29 @@ class TestSQLiteStore:
         assert result.as_set() == execute(query, sailors).as_set()
         assert context.stats.sql_store_builds == 2
 
+    def test_store_indexes_each_column_once_and_again_after_a_rebuild(self, sailors):
+        query = parse(
+            "SELECT S.sname FROM Sailor S WHERE EXISTS "
+            "(SELECT * FROM Reserves R WHERE R.sid = S.sid)"
+        )
+        context = ExecutionContext(sailors)
+        executor = Executor(sailors, mode=ExecutionMode.SQL, context=context)
+
+        def indexes():
+            return context.sql_store.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            ).fetchall()
+
+        executor.execute(query)
+        executor.execute(query)
+        assert indexes() == [("ix0_Reserves_sid",)]
+        sailors.insert("Reserves", [1, 1, "mon"])
+        assert executor.execute(query).as_set() == execute(query, sailors).as_set()
+        del sailors.relation("Reserves").rows[0]
+        assert executor.execute(query).as_set() == execute(query, sailors).as_set()
+        assert context.stats.sql_store_builds == 2
+        assert indexes() == [("ix0_Reserves_sid",)]
+
     def test_dropping_the_executor_closes_its_store(self, sailors):
         # Reference counting alone frees the context and its store; the
         # connection must close then, not at some later full collection.
@@ -229,6 +252,35 @@ class TestLowering:
         )
         assert lowered.columns == ("S.sname", "S.age")
         assert lowered.families == ("str", "num")
+
+    @pytest.mark.parametrize(
+        "sql_text, indexes",
+        [
+            ("SELECT S.sname FROM Sailor S", ()),
+            (
+                "SELECT S.sname FROM Sailor S, Reserves R, Boat B "
+                "WHERE S.sid = R.sid AND R.bid = B.bid",
+                {("Sailor", "sid"), ("Reserves", "sid"), ("Reserves", "bid"),
+                 ("Boat", "bid")},
+            ),
+            (
+                "SELECT S.sname FROM Sailor S WHERE NOT EXISTS "
+                "(SELECT * FROM Reserves R WHERE R.sid = S.sid AND NOT EXISTS "
+                "(SELECT * FROM Boat B WHERE B.color = 'red' AND R.bid = B.bid))",
+                {("Reserves", "sid"), ("Boat", "bid")},
+            ),
+            # A key probe needs a scalar-only prefix; a residual test does not.
+            (
+                "SELECT S.sname FROM Sailor S WHERE EXISTS (SELECT * FROM Reserves R "
+                "WHERE R.sid = R.bid AND R.sid = S.sid)",
+                (),
+            ),
+        ],
+    )
+    def test_lists_the_columns_it_looks_rows_up_by(self, sailors, sql_text, indexes):
+        lowered = self._lower(sql_text, sailors)
+        assert len(set(lowered.indexes)) == len(lowered.indexes)
+        assert set(lowered.indexes) == set(indexes)
 
     def test_distinct_root(self, sailors):
         lowered = self._lower("SELECT S.sid FROM Sailor S", sailors)
@@ -393,3 +445,19 @@ class TestCachingAndBatch:
         assert ":p0" in text
         # The plan tree is still the first half.
         assert text.startswith("Distinct")
+
+    def test_explain_shows_sqlites_plan_searching_the_index(self, sailors):
+        query = parse(
+            "SELECT S.sname FROM Sailor S WHERE EXISTS "
+            "(SELECT * FROM Reserves R WHERE R.sid = S.sid AND R.day = 'mon')"
+        )
+        executor = Executor(sailors, mode=ExecutionMode.SQL)
+        text = executor.explain(query)
+        _, plan = text.split("-- sqlite query plan --\n")
+        steps = [line.strip() for line in plan.splitlines()]
+        # Sailor is scanned once; Reserves is searched, never scanned.
+        assert [step for step in steps if step.startswith("SCAN")] == ["SCAN t1"]
+        assert "SEARCH t3 USING INDEX ix0_Reserves_sid (sid=?)" in steps
+        # Explaining built the store as a query would, and the query reuses it.
+        executor.execute(query)
+        assert executor.stats().sql_store_builds == 1
