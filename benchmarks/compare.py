@@ -36,6 +36,11 @@ Two classes of checks:
   wide on purpose — the gate exists to catch "the cache stopped working"
   (a 5-10x collapse), not 10% jitter on shared CI runners.
 
+A run with NumPy and one without it (``REPRO_DISABLE_NUMPY=1``) time
+different columnar code, so when exactly one side recorded a
+``numpy_version`` the gate fails with a line that says so, next to any
+ratio shortfalls.
+
 Exit code 0 = within bounds, 1 = regression, 2 = usage/IO error.
 """
 
@@ -186,6 +191,15 @@ def compare(
                     f"stages.{stage}.{counter}: expected "
                     f"{counters.get(counter)}, measured {fresh_counters.get(counter)}"
                 )
+
+    if "numpy_version" in baseline and "numpy_version" in fresh:
+        had_numpy = baseline["numpy_version"], fresh["numpy_version"]
+        if (had_numpy[0] is None) != (had_numpy[1] is None):
+            failures.append(
+                f"numpy_version: baseline {had_numpy[0]!r}, measured "
+                f"{had_numpy[1]!r}; exactly one side ran with NumPy, so "
+                "their ratios are not comparable"
+            )
 
     for key in RATIO_KEYS:
         if key not in baseline:

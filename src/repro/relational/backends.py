@@ -70,8 +70,8 @@ class ExecutionBackend(abc.ABC):
     scans and memoized subqueries are engine-independent, and per-engine
     state (columnar tables, the SQLite store) hangs off the context too.
     When the database grows the context drops memoized subqueries and
-    keeps each plan until a table it reads has more than doubled or
-    shrunk, while the data mirrors append the new rows.  So nothing a
+    keeps each plan until a table it reads has more than doubled, while
+    the data mirrors append the new rows.  So nothing a
     backend derives from a plan may depend on the data it was planned
     against.
     """

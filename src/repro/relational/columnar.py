@@ -55,6 +55,7 @@ from ..sql.ast import FLIPPED_OP
 from .aggregates import apply_aggregate
 from .database import Relation
 from .errors import EngineError, TypeMismatchError
+from .keyindex import group_by_key
 from .plan import (
     Aggregate,
     AntiJoin,
@@ -638,12 +639,9 @@ def _run_hash_join(node: HashJoin, context: "ExecutionContext", params: tuple) -
         build_keys = _key_rows(build_frame, build_key_exprs, params)
         probe_keys = _key_rows(probe_frame, probe_key_exprs, params)
         table: dict = {}
-        for position, key in enumerate(build_keys):
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [position]
-            else:
-                bucket.append(position)
+        group_by_key(
+            range(len(build_keys)), build_keys.__getitem__, table, len(build_key_exprs) == 1
+        )
         build_idx = []
         probe_idx = []
         for position, key in enumerate(probe_keys):

@@ -1,22 +1,22 @@
 """In-memory relational database.
 
-Each table is a :class:`Relation`: its column names in schema order and a
-list of rows, each row a tuple of values in that column order.  The
+Each table is a :class:`Relation`: its column names in schema order and
+its rows, each row a tuple of values in that column order.  The
 database is deliberately simple — its job is to give the SQL executor and
 the FOL/logic-tree evaluator a common ground truth so we can check that
 every transformation in the QueryVis pipeline preserves query semantics.
 
-Tables are append-only: the API inserts rows and never updates or deletes
-them, and a stored row is a tuple, so it cannot change in place.  A table's
-row count is therefore a monotonic per-table version.  Data mirrors built
-from a table (columnar tables and the sqlite store) record how many rows
-they hold and later take in only ``relation.rows[held:]``.
+Tables only grow: :meth:`Relation.insert` is the only way a row arrives,
+:attr:`Relation.rows` is a read-only view, and a stored row is a tuple.  A
+table's length is therefore its version, and ``relation.rows[m:]`` every
+change since it held ``m`` rows: data mirrors (columnar tables, key indexes,
+the sqlite store) record how many rows they hold and take in only that tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Sequence
+from typing import Iterable, Iterator, Mapping
 
 from ..catalog.schema import Schema, Table
 from .errors import UnknownColumnError, UnknownTableError
@@ -29,17 +29,40 @@ Row = tuple[Value, ...]
 _DEFAULTS: dict[str, Value] = {"int": 0, "float": 0.0, "str": ""}
 
 
-@dataclass
+class RowsView(Sequence):
+    """A read-only, live view of one relation's stored rows: reads go to
+    the relation's own list and copy nothing but a slice."""
+
+    def __init__(self, rows: list[Row]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._rows)
+
+
 class Relation:
-    """A named relation: ordered column names plus a list of rows.
+    """A named relation: ordered column names plus the rows inserted so far.
 
     Each row is a tuple of values in :attr:`columns` order.  Iterating a
     relation yields one column → value mapping per row.
     """
 
-    name: str
-    columns: tuple[str, ...]
-    rows: list[Row] = field(default_factory=list)
+    def __init__(self, name: str, columns: tuple[str, ...]) -> None:
+        self.name = name
+        self.columns = columns
+        self._rows: list[Row] = []
+        self._view = RowsView(self._rows)
+
+    @property
+    def rows(self) -> RowsView:
+        """The stored rows in insertion order, as a read-only live view."""
+        return self._view
 
     def insert(self, values: Sequence[Value]) -> None:
         """Append one row given its values in column order."""
@@ -53,21 +76,21 @@ class Relation:
             raise ValueError(
                 f"{self.name} expects {len(self.columns)} values, got {len(row)}"
             )
-        self.rows.append(row)
+        self._rows.append(row)
 
     def column_values(self, column: str) -> list[Value]:
         """All values of one column (bag semantics, in insertion order)."""
         if column not in self.columns:
             raise UnknownColumnError(f"{self.name} has no column {column!r}")
         position = self.columns.index(column)
-        return [row[position] for row in self.rows]
+        return [row[position] for row in self._rows]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[dict[str, Value]]:
         columns = self.columns
-        return (dict(zip(columns, row)) for row in self.rows)
+        return (dict(zip(columns, row)) for row in self._rows)
 
 
 class Database:

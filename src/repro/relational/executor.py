@@ -79,7 +79,7 @@ from .errors import (
     TypeMismatchError,
     UnknownColumnError,
 )
-from .keyindex import KeyIndex
+from .keyindex import KeyIndex, group_by_key
 from .plan import (
     Aggregate,
     AntiJoin,
@@ -165,9 +165,8 @@ class ResultSet:
 #: recently used.  The repository benchmark's engine streams hold 69.
 PLAN_MEMO_ENTRIES = 4096
 #: A cached plan is planned again once a table it reads holds more than
-#: this many times the rows it was planned for, or fewer rows than it was
-#: planned for.  Smaller growth only ages the join order; results never
-#: depend on it.
+#: this many times the rows it was planned for.  Smaller growth only ages
+#: the join order; results never depend on it.
 REPLAN_GROWTH = 2
 #: Subquery results one :class:`ExecutionContext` keeps.  A correlated
 #: ``NOT EXISTS`` over n outer rows memoizes about n results per run, so
@@ -187,12 +186,11 @@ class ExecutionStats:
     queries: int = 0
     plan_hits: int = 0
     # Planner calls.  plan_replans counts those that replaced a cached
-    # plan because a table it reads had outgrown REPLAN_GROWTH or shrunk.
+    # plan because a table it reads had outgrown REPLAN_GROWTH.
     plan_misses: int = 0
     plan_replans: int = 0
     # Entries the plan and subquery memos' bounds pushed out (not the
-    # replaced plans, nor the subquery results dropped when a table's
-    # row count moves).
+    # replaced plans, nor the subquery results dropped by an insert).
     plan_evictions: int = 0
     subquery_hits: int = 0
     subquery_misses: int = 0
@@ -206,9 +204,9 @@ class ExecutionStats:
     # after an insert; scan_misses and sql_store_builds count only full
     # loads.
     rows_appended: int = 0
-    # Key indexes built in full (first use, or the table shrank) and those
-    # the memo's bound pushed out.  Indexes extended after an insert count
-    # in neither, nor in rows_appended.
+    # Key indexes built in full (first use, or after an eviction) and
+    # those the memo's bound pushed out.  Indexes extended after an insert
+    # count in neither, nor in rows_appended.
     key_index_builds: int = 0
     key_index_evictions: int = 0
     # SQL backend: in-memory store (re)builds, and lowerings reused from
@@ -285,18 +283,16 @@ class ExecutionContext:
       with a ``key_probe`` to the rows engine.  A probe runs behind the
       subquery cache, only when it misses.
 
-    The rows engine keeps no copy of the data: its compiled scans read
-    ``relation.rows`` in place.  Inserts keep plans: a cached plan, with
-    its closures and lowering, is reused until a table it reads holds
-    more than :data:`REPLAN_GROWTH` times the rows it was planned for, or
-    fewer (:meth:`plan`).  Subquery results are all dropped once any
-    table's row count moves (:meth:`refresh`).  The columnar tables, the
-    key indexes and the sqlite store are data *mirrors*: they survive
-    inserts, record how many rows of each table they hold, and append the
-    new rows when next read.  The Python mirrors share one catch-up rule
-    (:func:`_caught_up`): one that holds more rows than its table is
-    built again.  Rows replaced in place, which leave the count as it
-    was, go unseen by every mirror.
+    Tables only grow (:class:`~.database.Relation`), so a table's length
+    is its version.  The rows engine keeps no copy of the data: its
+    compiled scans read ``relation.rows`` in place.  Inserts keep plans: a
+    cached plan, with its closures and lowering, is reused until a table
+    it reads holds more than :data:`REPLAN_GROWTH` times the rows it was
+    planned for (:meth:`plan`).  Subquery results are all dropped once the
+    database's row count moves (:meth:`refresh`).  The columnar tables,
+    the key indexes and the sqlite store are data *mirrors*: they survive
+    inserts, record how many rows of each table they hold, and take in
+    the rows appended since when next read.
     """
 
     def __init__(self, database: Database) -> None:
@@ -308,29 +304,19 @@ class ExecutionContext:
         self.sql_store: "SQLiteStore | None" = None
         self._subqueries = LRUCache(SUBQUERY_MEMO_ENTRIES)
         self._key_indexes = LRUCache(KEY_INDEX_ENTRIES)
-        self._relations = {
-            name.lower(): database.relation(name) for name in database.table_names()
-        }
-        self._row_counts = self._current_row_counts()
-
-    def _current_row_counts(self) -> list[int]:
-        return [len(relation.rows) for relation in self._relations.values()]
+        self._total_rows = database.total_rows()
 
     def refresh(self) -> None:
-        """Drop subquery results if a table's row count moved since last use.
+        """Drop subquery results if a row was inserted since last use.
 
-        Called at every top-level execution.  Each table's count is
-        compared on its own, so rows removed from one table behind the
-        :class:`~.database.Database` API while another gains as many are
-        seen too.  Plans are not touched here: :meth:`plan` checks the
-        tables each plan reads.  The data mirrors stay and catch up per
-        table on their next read.  Stored rows are tuples and cannot
-        change in place, but replacing entries of ``relation.rows``,
-        which leaves every count as it was, is not detected.
+        Called at every top-level execution.  Tables only grow, so the
+        database's row count moves with every insert.  Plans are not
+        touched here: :meth:`plan` checks the tables each plan reads.  The
+        data mirrors stay and catch up per table on their next read.
         """
-        counts = self._current_row_counts()
-        if counts != self._row_counts:
-            self._row_counts = counts
+        total = self.database.total_rows()
+        if total != self._total_rows:
+            self._total_rows = total
             self._subqueries.clear()
 
     # -- plans ---------------------------------------------------------- #
@@ -339,17 +325,16 @@ class ExecutionContext:
         """The cached plan of ``query``, planned again once it has aged.
 
         A plan ages when a table it reads has grown past
-        :data:`REPLAN_GROWTH` times its planned row count or fallen below
-        it.  Until then the plan answers correctly at any table size —
-        every engine reads the tables when it runs the plan — and only
-        its join order drifts from what the planner would choose now.
+        :data:`REPLAN_GROWTH` times its planned row count.  Until then the
+        plan answers correctly at any table size — every engine reads the
+        tables when it runs the plan — and only its join order drifts from
+        what the planner would choose now.
         """
         cached = self._plans.get(query)
         if cached is not None:
             plan, planned_rows = cached
             for relation, planned in planned_rows:
-                rows = len(relation.rows)
-                if rows < planned or rows > REPLAN_GROWTH * planned:
+                if len(relation) > REPLAN_GROWTH * planned:
                     self.stats.plan_replans += 1
                     break
             else:
@@ -360,11 +345,11 @@ class ExecutionContext:
         # Kept beside the plan: each table any block reads, with the row
         # count the planner saw.
         read = {
-            table.name.lower(): self._relations[table.name.lower()]
+            table.name.lower(): self.database.relation(table.name)
             for block in query.iter_blocks()
             for table in block.from_tables
         }
-        planned_rows = tuple((relation, len(relation.rows)) for relation in read.values())
+        planned_rows = tuple((relation, len(relation)) for relation in read.values())
         self.stats.plan_evictions += self._plans.put(query, (plan, planned_rows))
         return plan
 
@@ -373,26 +358,30 @@ class ExecutionContext:
     def columnar_table(self, relation: Relation) -> "ColumnarTable":
         """The relation loaded column-major, extended as the table grows."""
         key = relation.name.lower()
-        table, appended = _caught_up(self._columnar.get(key), relation, _load_columnar)
-        if appended is None:
+        table = self._columnar.get(key)
+        if table is None:
+            from .columnar import ColumnarTable
+
             self.stats.scan_misses += 1
-            self._columnar[key] = table
-        elif appended:
-            self.stats.rows_appended += appended
-        else:
+            table = self._columnar[key] = ColumnarTable.from_relation(relation)
+        elif table.nrows == len(relation):
             self.stats.scan_hits += 1
+        else:
+            self.stats.rows_appended += len(relation) - table.nrows
+            table.extend(relation)
         return table
 
     def key_index(self, relation: Relation, key: tuple[int, ...]) -> KeyIndex:
         """``relation``'s rows grouped by the ``key`` columns, extended as
         the table grows."""
         memo_key = (relation.name.lower(), key)
-        index, appended = _caught_up(
-            self._key_indexes.get(memo_key), relation, lambda table: KeyIndex(table, key)
-        )
-        if appended is None:
+        index = self._key_indexes.get(memo_key)
+        if index is None:
+            index = KeyIndex(relation, key)
             self.stats.key_index_builds += 1
             self.stats.key_index_evictions += self._key_indexes.put(memo_key, index)
+        elif index.nrows != len(relation):
+            index.extend(relation)
         return index
 
     # -- subqueries ------------------------------------------------------ #
@@ -450,29 +439,6 @@ class ExecutionContext:
         else:
             self.stats.subquery_hits += 1
         return cached
-
-
-def _caught_up(mirror, relation: Relation, load: Callable) -> tuple:
-    """``mirror`` level with ``relation``, and how many rows it took in.
-
-    A mirror records the :attr:`nrows` of the table it holds, and its
-    ``extend(relation)`` takes in the rows beyond them.  Without a mirror,
-    or when the table holds fewer rows than the mirror, ``load(relation)``
-    builds one afresh and the count is None.
-    """
-    if mirror is not None:
-        behind = len(relation.rows) - mirror.nrows
-        if behind >= 0:
-            if behind:
-                mirror.extend(relation)
-            return mirror, behind
-    return load(relation), None
-
-
-def _load_columnar(relation: Relation) -> "ColumnarTable":
-    from .columnar import ColumnarTable
-
-    return ColumnarTable.from_relation(relation)
 
 
 class _SubqueryValues:
@@ -865,11 +831,14 @@ def _compile_hash_join(node: HashJoin) -> Callable:
                 right_key = itemgetter(right_keys[0].slot)
             else:
                 right_key = _tuple_getter(right_keys, params)
-            build = _buckets(right(context, params), right_key)
-            if not build:
+            build: dict = {}
+            left_out = group_by_key(right(context, params), right_key, build, single)
+            if not build and not left_out:
                 return
+            # NaN keys match no probe, but their family still counts.
+            keys = chain(build, left_out)
             expected = []
-            for column in [build] if single else zip(*build):
+            for column in [keys] if single else zip(*keys):
                 families = {value_family(value) for value in column}
                 expected.append(families.pop() == "num" if len(families) == 1 else None)
         numeric = expected[0]

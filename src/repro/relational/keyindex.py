@@ -9,20 +9,21 @@ index may answer at all: a probe answered from a bucket skips the rows of
 every other bucket, so it is exact only where comparing those rows could
 not have raised (:meth:`KeyIndex.holds_only`).
 
-NaN keys are left out of the buckets.  NaN equals nothing, itself
-included, and a dict would otherwise find the very same NaN object by
-identity.
+NaN keys are left out of the buckets, here and in every hash build of the
+row and columnar engines (:func:`group_by_key`).  NaN equals nothing,
+itself included, and a dict would otherwise find the very same NaN object
+by identity.
 
 The :class:`~.executor.ExecutionContext` keeps the indexes and brings
-each level with its table before use, by the rule it applies to the
-columnar tables: an index that holds fewer rows than the table takes in
-the tail (:meth:`KeyIndex.extend`), and one that holds more is built again.
+each level with its table before use, as it does the columnar tables:
+tables only grow, so an index takes in the rows appended since it was
+last read (:meth:`KeyIndex.extend`).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Relation
@@ -50,19 +51,7 @@ class KeyIndex:
         tail = relation.rows[self.nrows:]
         for seen, values in zip(self.types, zip(*tail)):
             seen.update(map(type, values))
-        buckets = self.buckets
-        get = buckets.get
-        single = len(self.key) == 1
-        key_of = itemgetter(*self.key)
-        for row in tail:
-            key = key_of(row)
-            if (key != key) if single else any(value != value for value in key):
-                continue  # NaN matches no probe
-            bucket = get(key)
-            if bucket is None:
-                buckets[key] = [row]
-            else:
-                bucket.append(row)
+        group_by_key(tail, itemgetter(*self.key), self.buckets, len(self.key) == 1)
         self.nrows += len(tail)
 
     def family(self, column: int) -> str | None:
@@ -85,3 +74,26 @@ class KeyIndex:
         if family == "num":
             return isinstance(value, _NUMERIC)
         return family == "str" and isinstance(value, str)
+
+
+def group_by_key(items: Iterable, key_of: Callable, buckets: dict, single: bool) -> list:
+    """Append each of ``items`` to the bucket of ``key_of(item)`` in ``buckets``.
+
+    Buckets keep their items in the order given.  A key that is NaN, or
+    holds one when it is a tuple (``single`` false), goes in no bucket,
+    since NaN matches no probe; those keys are returned, so a caller can
+    still check the value family of every key it built from.
+    """
+    left_out = []
+    get = buckets.get
+    for item in items:
+        key = key_of(item)
+        if (key != key) if single else any(value != value for value in key):
+            left_out.append(key)
+            continue
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = [item]
+        else:
+            bucket.append(item)
+    return left_out

@@ -70,22 +70,18 @@ class SQLBackend(ExecutionBackend):
         # Kept again only once level with the data: a failed catch-up
         # has closed the store and raised, and must leave nothing behind.
         context.sql_store = None
-        if store is not None:
-            appended = store.catch_up()
-            if appended is not None:
-                context.stats.rows_appended += appended
-                context.sql_store = store
-                return store
-            store.close()
-        store = SQLiteStore(context.database)
-        context.stats.sql_store_builds += 1
+        if store is None:
+            store = SQLiteStore(context.database)
+            context.stats.sql_store_builds += 1
+        else:
+            context.stats.rows_appended += store.catch_up()
         context.sql_store = store
         return store
 
     def _lowered(self, plan, context: ExecutionContext) -> LoweredQuery:
         # The lowering lives on its plan and leaves memory with it: the
         # context replans once a table the plan reads has more than
-        # doubled or shrunk, and evicts plans past its bound.  It reads
+        # doubled, and evicts plans past its bound.  It reads
         # only the schema, never the rows, so it stays valid while the
         # plan does.
         lowered = plan.lowered

@@ -5,7 +5,7 @@ One :class:`SQLiteStore` mirrors one
 table (``int`` → ``INTEGER``, ``float`` → ``REAL``, ``str`` → ``TEXT``)
 and its stored row tuples are bulk-loaded with one ``executemany`` per
 table.  The store records how many rows of each table it holds; tables
-only ever grow (the database API is append-only), so
+only grow (:class:`~repro.relational.database.Relation`), so
 :meth:`SQLiteStore.catch_up` brings it level by inserting just the rows
 appended since, on the same connection.  The store is the
 :attr:`~repro.relational.executor.ExecutionContext.sql_store` of one
@@ -73,22 +73,34 @@ class SQLiteStore:
             for table_name in database.table_names():
                 self.connection.execute(table_ddl(database, table_name))
                 self._held.append((database.relation(table_name), 0))
-            self._append()
+        self.catch_up()
 
-    def catch_up(self) -> int | None:
+    def catch_up(self) -> int:
         """Insert the rows each table gained since the last load.
 
-        Returns how many rows were appended, or ``None`` when a table holds
-        fewer rows than the mirror (rows removed behind the database API):
-        the caller must build a fresh store.  Values load with the same
-        type affinity as a full load, and fail the same way: the store is
-        closed and :class:`~repro.relational.errors.EngineError` raised, so
-        no partially appended tail survives.
+        Returns how many rows were appended.  The first call loads every
+        table in full.  A failed load closes the store and raises
+        :class:`~repro.relational.errors.EngineError`, so no partially
+        appended tail survives.
         """
-        if any(len(relation.rows) < held for relation, held in self._held):
-            return None
+        appended = 0
         with self._load_errors():
-            return self._append()
+            for index, (relation, held) in enumerate(self._held):
+                if len(relation) == held:
+                    continue
+                tail = relation.rows[held:]
+                placeholders = ", ".join("?" for _ in relation.columns)
+                self.connection.executemany(
+                    f"INSERT INTO {quote_identifier(relation.name)} "
+                    f"VALUES ({placeholders})",
+                    tail,
+                )
+                self._held[index] = (relation, held + len(tail))
+                appended += len(tail)
+            if appended:
+                self.connection.commit()
+        self.rows_loaded += appended
+        return appended
 
     def create_indexes(self, columns: Iterable[tuple[str, str]]) -> None:
         """Index each (table, column) of ``columns`` not indexed yet.
@@ -105,25 +117,6 @@ class SQLiteStore:
                 f"ON {quote_identifier(table)} ({quote_identifier(column)})"
             )
             self._indexed.add((table, column))
-
-    def _append(self) -> int:
-        appended = 0
-        for index, (relation, held) in enumerate(self._held):
-            if len(relation.rows) == held:
-                continue
-            tail = relation.rows[held:]
-            placeholders = ", ".join("?" for _ in relation.columns)
-            self.connection.executemany(
-                f"INSERT INTO {quote_identifier(relation.name)} "
-                f"VALUES ({placeholders})",
-                tail,
-            )
-            self._held[index] = (relation, held + len(tail))
-            appended += len(tail)
-        if appended:
-            self.connection.commit()
-        self.rows_loaded += appended
-        return appended
 
     @contextmanager
     def _load_errors(self) -> Iterator[None]:

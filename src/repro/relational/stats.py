@@ -13,8 +13,8 @@ string salting would make distinct estimates — and therefore join orders
 and ``EXPLAIN`` output — vary between processes.
 
 Statistics are cached per relation and computed again in full whenever
-the relation's row count changes: relations are append-only, so the row
-count is a per-table version (see :mod:`~.database`).
+the relation's row count changes: tables only grow, so the row count is a
+per-table version (see :mod:`~.database`).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class TableStats:
 
     def __init__(self, relation: Relation) -> None:
         self.name = relation.name
-        self.row_count = len(relation.rows)
+        self.row_count = len(relation)
         self._relation = relation
         self._distinct: dict[str, int] = {}
 
@@ -163,7 +163,7 @@ class CatalogStatistics:
 
     def __init__(self, database: Database) -> None:
         self._db = database
-        self._cache: dict[str, tuple[int, TableStats]] = {}
+        self._cache: dict[str, TableStats] = {}
 
     def table(self, table_name: str) -> TableStats:
         relation = self._db.relation(table_name)
@@ -171,10 +171,8 @@ class CatalogStatistics:
 
     def for_relation(self, relation: Relation) -> TableStats:
         key = relation.name.lower()
-        count = len(relation.rows)
         cached = self._cache.get(key)
-        if cached is not None and cached[0] == count:
-            return cached[1]
-        stats = TableStats(relation)
-        self._cache[key] = (count, stats)
+        if cached is not None and cached.row_count == len(relation):
+            return cached
+        stats = self._cache[key] = TableStats(relation)
         return stats

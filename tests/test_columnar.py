@@ -75,7 +75,7 @@ class TestColumnStorage:
         relation = db.relation("Sailor")
         table = ColumnarTable.from_relation(relation)
         frame = Frame.from_table(table)
-        assert frame.rows() == relation.rows
+        assert frame.rows() == list(relation.rows)
         # Values coming out of NumPy columns are Python scalars again.
         assert all(type(v) in (int, float, str) for row in frame.rows() for v in row)
 
@@ -387,8 +387,8 @@ class TestJoinOrdering:
     def test_database_growth_invalidates_cached_plans(self):
         # Join order is cardinality-guided, so a context plans a query
         # again once a table it reads has grown past REPLAN_GROWTH times
-        # its planned row count, or shrunk.  Smaller growth keeps the plan:
-        # results never depend on it.
+        # its planned row count.  Smaller growth keeps the plan: results
+        # never depend on it.
         from repro.relational import Executor
         from repro.relational.executor import REPLAN_GROWTH
 
@@ -412,15 +412,9 @@ class TestJoinOrdering:
         assert executor.context.plan(query) is before
         db.insert("Sailor", [50 + len(sailors), "grown", 1, 20])
         executor.execute(query)
-        grown = executor.context.plan(query)
-        assert grown is not before
+        assert executor.context.plan(query) is not before
         assert executor.stats().plan_replans == 1
         assert "(1 replanned)" in executor.stats().describe()
-
-        del sailors[-1]  # behind the Database API
-        executor.execute(query)
-        assert executor.context.plan(query) is not grown
-        assert executor.stats().plan_replans == 2
 
     def test_order_is_deterministic_across_planners(self):
         db = chinook_scaled_database(total_rows=3_000, skew=1.0)
@@ -481,7 +475,7 @@ class TestScaledDatagen:
         a = chinook_scaled_database(total_rows=2_000, seed=11, skew=1.1)
         b = chinook_scaled_database(total_rows=2_000, seed=11, skew=1.1)
         assert a.total_rows() == b.total_rows()
-        assert a.relation("Track").rows == b.relation("Track").rows
+        assert list(a.relation("Track").rows) == list(b.relation("Track").rows)
 
     def test_scaled_database_respects_budget_shape(self):
         db = chinook_scaled_database(total_rows=10_000, skew=0.0)

@@ -833,14 +833,25 @@ class TestTypeErrorParity:
         return _planted_database()
 
     @staticmethod
-    def _agree(sql, db, raises):
-        reference = assert_engines_agree(
-            sql, db, modes=(ExecutionMode.NAIVE, ExecutionMode.PLANNED)
-        )
+    def _agree(sql, db, raises, modes=(ExecutionMode.NAIVE, ExecutionMode.PLANNED)):
+        reference = assert_engines_agree(sql, db, modes=modes)
         assert (reference is TypeMismatchError) == raises
         if raises:
-            with pytest.raises(TypeMismatchError):
-                execute(parse(sql), db, mode=ExecutionMode.PLANNED)
+            for mode in modes[1:]:
+                with pytest.raises(TypeMismatchError):
+                    execute(parse(sql), db, mode=mode)
+
+    @staticmethod
+    def _nan_database(dtype, f_values, g_values):
+        """Tables F and G of (id, x), ``x`` of ``dtype``, ids from 1."""
+        schema = Schema("nan")
+        for name in ("F", "G"):
+            schema.add_table(name, [("id", "int"), ("x", dtype)])
+        db = Database(schema)
+        for name, values in (("F", f_values), ("G", g_values)):
+            for i, value in enumerate(values, 1):
+                db.insert(name, (i, value))
+        return db
 
     @pytest.mark.parametrize("sql, raises", _FILTER_CASES)
     def test_filters(self, planted, sql, raises):
@@ -867,21 +878,37 @@ class TestTypeErrorParity:
         [
             "SELECT G.id FROM G WHERE EXISTS (SELECT F.id FROM F WHERE F.x = G.x)",
             "SELECT G.id FROM G, F WHERE G.x = F.x",
+            # Filtered build sides: hashed on every run, not key-indexed.
+            "SELECT G.id FROM G, F WHERE G.id > 0 AND F.id > 0 AND G.x = F.x",
         ],
     )
     def test_a_nan_key_matches_nothing_not_even_itself(self, sql):
         # One NaN object stored in both tables: a dict would find it by
         # identity, but NaN = NaN is false.
         nan = float("nan")
-        schema = Schema("nan")
-        for name in ("F", "G"):
-            schema.add_table(name, [("id", "int"), ("x", "float")])
-        db = Database(schema)
-        for name in ("F", "G"):
-            db.insert(name, (1, nan))
-            db.insert(name, (2, 2.5))
+        db = self._nan_database("float", (nan, 2.5), (nan, 2.5))
         assert execute(parse(sql), db, mode=ExecutionMode.NAIVE).rows == ((2,),)
-        self._agree(sql, db, False)
+        self._agree(sql, db, False, modes=_ALL_MODES)
+
+    @pytest.mark.parametrize("f_values", [(float("nan"), "b"), (float("nan"),)])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT G.id FROM G, F WHERE G.x = F.x",
+            "SELECT G.id FROM G, F WHERE G.id > 0 AND F.id > 0 AND G.x = F.x",
+        ],
+    )
+    def test_a_nan_key_still_counts_in_its_columns_family(self, sql, f_values):
+        # F.x, the build side, holds NaN beside 'b' or alone.  NaN goes in
+        # no bucket, yet comparing it with the probe 'a' raises in the
+        # oracle.  sqlite stores the NaN as NULL and is left out.
+        db = self._nan_database("str", f_values, ("a",))
+        self._agree(
+            sql,
+            db,
+            True,
+            modes=(ExecutionMode.NAIVE, ExecutionMode.PLANNED, ExecutionMode.COLUMNAR),
+        )
 
     @pytest.mark.parametrize("sql, raises, strategy", _RANKED_CASES)
     def test_order_by(self, planted, sql, raises, strategy):

@@ -71,6 +71,28 @@ def test_renamed_ungated_key_fails_instead_of_silently_passing():
     ]
 
 
+@pytest.mark.parametrize(
+    "baseline_numpy, fresh_numpy, mismatch",
+    [("2.4.6", None, True), (None, "2.4.6", True), ("2.4.6", "2.1.0", False), (None, None, False)],
+)
+def test_numpy_on_one_side_only_fails_naming_both_versions(
+    baseline_numpy, fresh_numpy, mismatch
+):
+    baseline = {**BASELINE, "numpy_version": baseline_numpy}
+    fresh = _fresh(numpy_version=fresh_numpy, warm_speedup_p50=1.0)
+    failures, notes = compare(fresh, baseline, 0.4)
+    # The ratio shortfall is reported either way, after the mismatch.
+    assert [failure.split(":")[0] for failure in failures] == (
+        ["numpy_version"] * mismatch + ["warm_speedup_p50"]
+    )
+    if mismatch:
+        assert failures[0] == (
+            f"numpy_version: baseline {baseline_numpy!r}, measured {fresh_numpy!r}; "
+            "exactly one side ran with NumPy, so their ratios are not comparable"
+        )
+    assert any(note.startswith("numpy_version:") for note in notes)
+
+
 def test_missing_nested_dict_fails():
     fresh = _fresh()
     del fresh["server_stats"]

@@ -81,14 +81,17 @@ class TestBatchExecutor:
         )
         assert batch.stats().subquery_misses == stats.subquery_misses
 
-    def test_inserts_between_queries_invalidate_caches(self, db):
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]
+    )
+    def test_inserts_between_queries_invalidate_caches(self, db, mode):
         # The subquery memo and the data mirrors must not serve stale
         # results after the database grows.
         sql = (
             "SELECT S.sname FROM Sailor S WHERE S.sid IN "
             "(SELECT R.sid FROM Reserves R WHERE R.bid = 102)"
         )
-        batch = BatchExecutor(db)
+        batch = BatchExecutor(db, mode=mode)
         before = batch.execute(sql).as_set()
         db.insert("Reserves", [1, 102, "sun"])  # sailor 1 now reserves 102
         after = batch.execute(sql).as_set()
@@ -125,47 +128,6 @@ class TestBatchExecutor:
         # closures and its lowering were all reused.
         assert (stats.plan_hits, stats.plan_misses, stats.plan_replans) == (1, 1, 0)
         assert stats.sql_lower_misses == loads.sql_lower_misses
-
-    @pytest.mark.parametrize(
-        "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]
-    )
-    def test_one_table_shrinking_as_another_grows_drops_stale_results(self, db, mode):
-        # The database's total row count ends where it started, so only a
-        # per-table check sees that the subquery's answer changed.
-        sql = (
-            "SELECT B.bid FROM Boat B WHERE B.bid IN (SELECT R.bid FROM Reserves R, "
-            "Sailor S WHERE R.sid = S.sid AND S.rating >= 0)"
-        )
-        batch = BatchExecutor(db, mode=mode)
-        assert len(batch.execute(sql)) > 0
-        sailors = db.relation("Sailor").rows
-        removed = len(sailors)
-        del sailors[:]  # behind the Database API
-        for offset in range(removed):
-            db.insert("Boat", [1000 + offset, f"boat{1000 + offset}", "red"])
-        after = batch.execute(sql)
-        assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
-        assert len(after) == 0
-
-    @pytest.mark.parametrize("mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR])
-    def test_rows_deleted_behind_the_api_rebuild_the_key_index(self, db, mode):
-        # The correlated EXISTS reads Reserves through a key index on sid.
-        # An index holding more rows than its table is built again, not
-        # probed for rows that are gone.
-        sql = (
-            "SELECT S.sname FROM Sailor S WHERE EXISTS "
-            "(SELECT * FROM Reserves R WHERE R.sid = S.sid)"
-        )
-        batch = BatchExecutor(db, mode=mode)
-        before = batch.execute(sql).as_set()
-        builds = batch.stats().key_index_builds
-        assert builds == 1
-        reserves = db.relation("Reserves").rows
-        del reserves[len(reserves) // 2:]  # behind the Database API
-        after = batch.execute(sql)
-        assert after.as_set() == execute(parse(sql), db, mode=ExecutionMode.NAIVE).as_set()
-        assert after.as_set() < before
-        assert batch.stats().key_index_builds == builds + 1
 
     @pytest.mark.parametrize(
         "mode", [ExecutionMode.PLANNED, ExecutionMode.COLUMNAR, ExecutionMode.SQL]

@@ -9,6 +9,7 @@ from repro.relational import (
     Database,
     EngineError,
     ExecutionMode,
+    Relation,
     TypeMismatchError,
     UnknownColumnError,
     UnknownTableError,
@@ -109,7 +110,7 @@ class TestDatabase:
     def test_insert_mapping_fills_defaults(self, tiny_schema):
         db = Database(tiny_schema)
         db.insert("T", {"id": 7})
-        assert db.relation("T").rows == [(7, "", 0.0)]
+        assert list(db.relation("T").rows) == [(7, "", 0.0)]
 
     @pytest.mark.parametrize("method", ["insert", "insert_many"])
     def test_mapping_insert_stores_defaults_every_engine_reads(self, method):
@@ -137,7 +138,40 @@ class TestDatabase:
         relation = Database(tiny_schema).relation("T")
         with pytest.raises(TypeError):
             relation.insert({"id": 1, "name": "a", "score": 1.0})
-        assert relation.rows == []
+        assert list(relation.rows) == []
+
+    def test_rows_are_a_read_only_live_view(self, tiny_schema):
+        # Relation.insert is the only way a row arrives, so a table only
+        # grows and its length is its version.
+        db = Database(tiny_schema)
+        first, second = (1, "a", 1.0), (2, "b", 2.0)
+        db.insert("T", first)
+        relation = db.relation("T")
+        rows = relation.rows
+        for method, args in (
+            ("append", (second,)),
+            ("extend", ([second],)),
+            ("insert", (0, second)),
+            ("pop", ()),
+            ("clear", ()),
+        ):
+            with pytest.raises(AttributeError):
+                getattr(rows, method)(*args)
+        with pytest.raises(TypeError):
+            del rows[0]
+        with pytest.raises(TypeError):
+            rows[0] = second
+        with pytest.raises(TypeError):
+            rows[1:] = []
+        with pytest.raises(AttributeError):
+            relation.rows = [second]
+        assert list(relation.rows) == [first]
+        # One view, taken before the insert, shows the new row.
+        db.insert("T", second)
+        assert len(rows) == 2 and rows[-1] == second
+        assert list(rows) == [first, second] and rows[1:] == [second]
+        with pytest.raises(TypeError):
+            Relation("T", relation.columns, [first])
 
     def test_insert_mapping_unknown_column(self, tiny_schema):
         db = Database(tiny_schema)
