@@ -1,9 +1,9 @@
 """Bounded in-memory LRU: the storage behind every in-memory memo.
 
-The pipeline's stage caches, the engines' plan and subquery memos, and the
-serving tier's response LRU and text memo each hold one
-:class:`LRUCache` with a fixed entry bound, so no stream of distinct
-inputs grows a process without limit.  Evicting an entry costs a
+The pipeline's stage caches and front-half handoff, the engines' plan and
+subquery memos, and the serving tier's response LRU and text memo each
+hold one :class:`LRUCache` with a fixed entry bound, so no stream of
+distinct inputs grows a process without limit.  Evicting an entry costs a
 recomputation (or a disk-cache probe), never correctness: every memo here
 caches a deterministic function of its key.
 
@@ -38,7 +38,8 @@ class LRUCache:
     ``put`` is a no-op) — useful for measuring a truly cold server.
 
     Threads may share a cache (the compile server's two threads share the
-    stage caches).  A lock makes ``get``, ``put`` and ``clear`` atomic:
+    serving compiler's handoff).  A lock makes ``get``, ``pop``, ``put``
+    and ``clear`` atomic:
     hashing a key can run Python code and so switch threads in the middle
     of an ``OrderedDict`` operation, which may then fail or crash.
     """
@@ -64,6 +65,17 @@ class LRUCache:
                 self.stats.misses += 1
                 return default
             self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return value
+
+    def pop(self, key: Hashable, default: Any = None) -> Any:
+        """Remove and return the cached value (a hit), else ``default``."""
+        with self._lock:
+            try:
+                value = self._entries.pop(key)
+            except KeyError:
+                self.stats.misses += 1
+                return default
             self.stats.hits += 1
             return value
 

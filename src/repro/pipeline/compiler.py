@@ -21,7 +21,11 @@ render    (fingerprint, canonical-role → alias map, format)        text
 
 Caches are strictly per-compiler, and a compiler's schema, simplify flag
 and layout config are fixed at construction — so they never appear in the
-keys.  Keying the back half on the *fingerprint* is what dedupes
+keys.  A compiler made with ``memo=False`` (the compile server's) keeps
+none of these in memory; a bounded handoff carries the front half from
+:meth:`DiagramCompiler.canonical_key` to the
+:meth:`DiagramCompiler.compile` of the same text instead.  Keying the
+back half on the *fingerprint* is what dedupes
 equivalent query variants (Fig. 24) to a single diagram/layout/render
 computation: the first variant compiles, the others are pure cache hits.
 Dedup serves the *representative's* artifacts — for a semantically
@@ -57,6 +61,7 @@ from ..diagram.model import Diagram
 from ..logic.logic_tree import LogicTree
 from ..logic.simplify import simplify_logic_tree
 from ..logic.translate import sql_to_logic_tree
+from ..lru import LRUCache
 from ..render.ascii_art import diagram_to_text
 from ..render.dot import diagram_to_dot
 from ..render.layout import DEFAULT_LAYOUT_CONFIG, Layout, LayoutConfig, layout_diagram
@@ -70,6 +75,12 @@ from .stages import PipelineStats, StageCache
 
 def _parse_stream(stream) -> SelectQuery:
     return Parser(stream).parse_query()
+
+
+#: Front halves a ``memo=False`` compiler holds between a text's key lookup
+#: and its compile; sized like the compile server's default admission
+#: bound, the most first sights that can wait for their compile at once.
+HANDOFF_ENTRIES = 64
 
 
 #: Output formats the render stage knows, mapped to layout-sharing renderers.
@@ -127,7 +138,14 @@ class DiagramCompiler:
     One compiler instance owns one set of stage caches; the batch API
     (:class:`~repro.pipeline.batch.DiagramBatchCompiler`) keeps an instance
     alive across a whole corpus.  ``cache=False`` recompiles every stage on
-    every call (the benchmarks' cold baseline).
+    every call and never touches ``disk_cache`` (the benchmarks' cold
+    baseline).
+
+    ``memo=False`` is the compile server's compiler: no stage keeps
+    anything in memory (``disk_cache`` still answers), and the front half
+    that :meth:`canonical_key` computes for a text waits in a handoff of
+    :data:`HANDOFF_ENTRIES` entries until :meth:`compile` of the same text
+    pops it.
     """
 
     def __init__(
@@ -137,6 +155,7 @@ class DiagramCompiler:
         layout_config: LayoutConfig | None = None,
         cache: bool = True,
         disk_cache: "DiskCache | str | Path | None" = None,
+        memo: bool = True,
     ) -> None:
         self._schema = schema
         self._simplify = simplify
@@ -160,10 +179,11 @@ class DiagramCompiler:
             ).hexdigest()[:16]
         self._cache = StageCache(
             self._stats,
-            enabled=cache,
-            disk=disk_cache,
+            memo=cache and memo,
+            disk=disk_cache if cache else None,
             disk_namespace=namespace,
         )
+        self._handoff = None if memo else LRUCache(HANDOFF_ENTRIES)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -194,6 +214,11 @@ class DiagramCompiler:
     def disk_cache(self) -> DiskCache | None:
         return self._disk_cache
 
+    @property
+    def handoff(self) -> LRUCache | None:
+        """Front halves awaiting their compile (``memo=False`` only)."""
+        return self._handoff
+
     def compile(
         self,
         query: SelectQuery | str,
@@ -203,6 +228,8 @@ class DiagramCompiler:
 
         Verbatim repeats short-circuit in the ``artifact`` memo; anything
         else walks the stage chain, hitting whichever stage caches apply.
+        A front half that :meth:`canonical_key` left in the handoff for
+        this text is popped and used instead of walking lex → fingerprint.
         """
         for fmt in formats:
             if fmt not in RENDERERS:
@@ -210,11 +237,15 @@ class DiagramCompiler:
                     f"unknown output format {fmt!r}; known: {sorted(RENDERERS)}"
                 )
         self._stats.queries += 1
-        memo_key = (
-            (query.strip(), formats) if isinstance(query, str) else (query, formats)
-        )
+        front = None
+        if isinstance(query, str):
+            memo_key = (query.strip(), formats)
+            if self._handoff is not None:
+                front = self._handoff.pop(memo_key[0])
+        else:
+            memo_key = (query, formats)
         return self._cache.get_or_compute(
-            "artifact", memo_key, lambda: self._compile_stages(query, formats)
+            "artifact", memo_key, self._compile_stages, query, formats, front
         )
 
     def _front_half(
@@ -236,10 +267,10 @@ class DiagramCompiler:
         return ast, tree, simplified, fingerprint, roles
 
     def _compile_stages(
-        self, query: SelectQuery | str, formats: tuple[str, ...]
+        self, query: SelectQuery | str, formats: tuple[str, ...], front: tuple | None
     ) -> CompiledDiagram:
         sql_text = query if isinstance(query, str) else None
-        ast, tree, simplified, fingerprint, roles = self._front_half(query)
+        ast, tree, simplified, fingerprint, roles = front or self._front_half(query)
         # The back half is keyed on (fingerprint, canonical-role → alias
         # assignment): equivalent variants dedupe to one diagram, but only
         # when each concrete alias plays the same structural role — an
@@ -297,10 +328,19 @@ class DiagramCompiler:
         (:mod:`repro.serve.service`) uses it to coalesce concurrent
         requests for equivalent SQL onto one in-flight compile and to
         address its bounded response LRU, without paying for diagram
-        construction up front.
+        construction up front.  With a handoff, the front half of a text
+        stays there for that text's :meth:`compile`.
         """
-        _, _, _, fingerprint, roles = self._front_half(query)
-        return fingerprint, roles
+        handoff = self._handoff
+        if handoff is None or not isinstance(query, str):
+            front = self._front_half(query)
+        else:
+            text = query.strip()
+            front = handoff.get(text)
+            if front is None:
+                front = self._front_half(text)
+                handoff.put(text, front)
+        return front[3], front[4]
 
     # ------------------------------------------------------------------ #
     # stages

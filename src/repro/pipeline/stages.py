@@ -21,9 +21,13 @@ but equivalent structure* (whitespace variants, alias renamings, the
 Fig. 24 trio).
 
 Each stage is an :class:`~repro.lru.LRUCache` of :data:`STAGE_CACHE_ENTRIES`
-entries, so a long-running server holds a fixed number of entries however
+entries, so a long-running process holds a fixed number of entries however
 many distinct queries it sees; an evicted entry is one disk-cache probe
-or one recomputation away.
+or one recomputation away.  These memos serve the batch paths, whose
+corpora repeat and re-spell queries within one run.  The compile server's
+compiler keeps none (``memo=False``): its answers live in the serving
+tier's text memo and response LRU, and stage results held beside them
+would only be walked by the cyclic collector (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ STAGE_NAMES: tuple[str, ...] = (
     "render",
 )
 
-#: In-memory entries per stage.  A replay of the ``serve_zipf`` benchmark's
-#: 30 s inputs peaks at ~3,400 entries in its largest stage.
+#: In-memory entries per stage of a memoizing compiler.  ``bench-diagram``'s
+#: gated corpus (1,203 queries, 182 distinct texts) fills no stage past 182
+#: entries (per format at render): corpora 45 times as varied compile
+#: without evicting, and larger ones stay bounded.
 STAGE_CACHE_ENTRIES = 8192
 
 _MISSING = object()
@@ -157,34 +163,35 @@ class PipelineStats:
 class StageCache:
     """One content-addressed, bounded cache per stage, with shared counters.
 
-    ``enabled=False`` turns every lookup into a miss without storing the
-    result — that is how the benchmarks measure a truly cold pipeline while
-    exercising identical code paths.
+    ``memo=False`` keeps nothing in memory: every lookup without a disk
+    store is a counted miss that computes and stores nothing.  With no
+    disk either, that is how the benchmarks measure a truly cold pipeline
+    while exercising identical code paths.
 
     ``disk`` plugs a persistent second level behind the in-memory LRUs
     (see :mod:`repro.pipeline.diskcache`): memory miss → disk probe →
     compute + write-through.  ``disk_namespace`` isolates entries of
     compilers with different fixed configuration (schema, simplify flag,
-    layout geometry) sharing one store.  A disabled cache never touches
-    disk — cold means cold.
+    layout geometry) sharing one store.
     """
 
     def __init__(
         self,
         stats: PipelineStats,
-        enabled: bool = True,
+        memo: bool = True,
         disk: "DiskCache | None" = None,
         disk_namespace: str = "",
     ) -> None:
         # Direct reference: get_or_compute runs several times per query and
         # should not pay a method call + attribute hop to find its counter.
         self._counters = stats.counters
-        self._enabled = enabled
         self._disk = disk
         self._namespace = disk_namespace
-        self._caches: dict[str, LRUCache] = {
-            name: LRUCache(STAGE_CACHE_ENTRIES) for name in STAGE_NAMES
-        }
+        self._caches: dict[str, LRUCache] = (
+            {name: LRUCache(STAGE_CACHE_ENTRIES) for name in STAGE_NAMES}
+            if memo
+            else {}
+        )
 
     def get_or_compute(
         self, stage: str, key: Hashable, compute: Callable[..., Any], *args: Any
@@ -195,14 +202,12 @@ class StageCache:
         functions instead of allocating a closure per stage per query.
         """
         counter = self._counters[stage]
-        if not self._enabled:
-            counter.misses += 1
-            return compute(*args)
-        cache = self._caches[stage]
-        value = cache.get(key, _MISSING)
-        if value is not _MISSING:
-            counter.hits += 1
-            return value
+        cache = self._caches.get(stage)
+        if cache is not None:
+            value = cache.get(key, _MISSING)
+            if value is not _MISSING:
+                counter.hits += 1
+                return value
         disk = self._disk
         digest = None
         if disk is not None and disk.persists(stage):
@@ -211,11 +216,13 @@ class StageCache:
             if found:
                 counter.hits += 1
                 counter.disk_hits += 1
-                counter.evictions += cache.put(key, value)
+                if cache is not None:
+                    counter.evictions += cache.put(key, value)
                 return value
         counter.misses += 1
         value = compute(*args)
-        counter.evictions += cache.put(key, value)
+        if cache is not None:
+            counter.evictions += cache.put(key, value)
         if digest is not None:
             disk.put(digest, stage, value)
         return value

@@ -443,6 +443,8 @@ def _fixed_quantified_positions(
             f"cannot compare {family} column with the subquery's {values.family} values"
         )
     bound = values.bound(op, quantifier)
+    if bound is None:  # NaN decides: no probe of the family holds
+        return _as_index(list(range(frame.nrows)) if negated else [])
     data = frame.vector(slot)
     if _np is not None and isinstance(data, _np.ndarray):
         mask = _NP_OPS[op](data, bound)

@@ -453,9 +453,16 @@ class _SubqueryValues:
     whose short-circuit point (and therefore whether it raises at all)
     would depend on the engine-specific enumeration order of the subquery.
     With the family validated, the set/min/max fast paths are always safe.
+
+    NaN equals nothing and orders against nothing, as in the oracle's
+    value-by-value comparisons: the set and the bounds leave it out (a
+    frozenset would find the very same NaN object by identity, and min/max
+    over NaN depend on row order), and ``has_nan`` decides the rest:
+    ``<> ANY`` holds and every other ALL fails when a NaN is present.  NaN
+    still counts in the result's family.
     """
 
-    __slots__ = ("values", "family", "_set", "_min", "_max")
+    __slots__ = ("values", "family", "has_nan", "_set", "_min", "_max")
 
     #: For an ordered ``op``, ``v op ANY|ALL (values)`` is ``v op`` one end
     #: of the non-empty values: ``v > ANY`` holds iff ``v > min``, ``v >= ALL``
@@ -480,6 +487,7 @@ class _SubqueryValues:
             self.family = families.pop()
         else:
             self.family = "mixed"
+        self.has_nan = self.family == "num" and any(v != v for v in values)
         self._set: frozenset | None = None
         self._min: Value | None = None
         self._max: Value | None = None
@@ -498,18 +506,25 @@ class _SubqueryValues:
             )
 
     def as_set(self) -> frozenset:
+        """The values a probe can equal: all but NaN."""
         if self._set is None:
-            self._set = frozenset(self.values)
+            values = self.values
+            self._set = frozenset(
+                [v for v in values if v == v] if self.has_nan else values
+            )
         return self._set
 
-    def _bounds(self) -> tuple[Value, Value]:
+    def _bounds(self) -> tuple[Value | None, Value | None]:
+        """(min, max) of the values but NaN; both ``None`` for NaN alone."""
         if self._min is None:
             if self.family not in ("num", "str"):  # pragma: no cover - guarded
                 raise TypeMismatchError(
                     "min/max of a mixed-type subquery result is undefined"
                 )
-            self._min = min(self.values)
-            self._max = max(self.values)
+            ordered = self.as_set() if self.has_nan else self.values
+            if ordered:
+                self._min = min(ordered)
+                self._max = max(ordered)
         return self._min, self._max
 
     def contains(self, value: Value) -> bool:
@@ -519,8 +534,14 @@ class _SubqueryValues:
         self._check(value)
         return value in self.as_set()
 
-    def bound(self, op: str, quantifier: str) -> Value:
-        """The end of the (non-empty, one-family) values deciding ``op``."""
+    def bound(self, op: str, quantifier: str) -> Value | None:
+        """The end of the (non-empty, one-family) values deciding ``op``.
+
+        ``None`` when no probe holds whatever its value: an ALL over a
+        result holding NaN, or an ANY over NaN alone.
+        """
+        if quantifier == "ALL" and self.has_nan:
+            return None
         lo, hi = self._bounds()
         return lo if self.DECIDING_END[op, quantifier] == "min" else hi
 
@@ -531,13 +552,16 @@ class _SubqueryValues:
         self._check(value)
         if op == "=":
             members = self.as_set()
-            return value in members if quantifier == "ANY" else members == {value}
+            if quantifier == "ANY":
+                return value in members
+            return not self.has_nan and members == {value}
         if op == "<>":
             members = self.as_set()
             if quantifier == "ANY":
-                return len(members) > 1 or value not in members
+                return self.has_nan or len(members) > 1 or value not in members
             return value not in members
-        return OPERATORS[op](value, self.bound(op, quantifier))
+        bound = self.bound(op, quantifier)
+        return bound is not None and OPERATORS[op](value, bound)
 
     def quantified_test(self, op: str, quantifier: str) -> Callable[[Value], bool]:
         """``value -> value op ANY/ALL (values)``, with the bound fixed once.
@@ -552,6 +576,8 @@ class _SubqueryValues:
         if op in ("=", "<>") or self.family == "mixed":
             return lambda value: self.quantified(value, op, quantifier)
         bound = self.bound(op, quantifier)
+        if bound is None:
+            return lambda value: self.quantified(value, op, quantifier)
         family = _family_type(bound)
         compare_to = OPERATORS[op]
 

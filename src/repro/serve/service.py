@@ -20,7 +20,7 @@ fingerprint)`` → ``(payload, body, served)``, ``health()`` and
 ``stats_payload()`` (merged into ``/healthz`` and ``/stats``;
 ``health()["degraded"]`` picks the status) and ``close()``.
 
-A request descends three caches, probed in order:
+A request descends two layers in front of the backend, probed in order:
 
 1. **Response LRU** (:mod:`repro.lru`) — bounded, in-memory, keyed
    by ``(fingerprint, roles, formats)``.  A hit returns a fully rendered
@@ -29,20 +29,25 @@ A request descends three caches, probed in order:
    canonical key starts one compile task; every concurrent request for an
    equivalent query (verbatim duplicate, predicate reordering, the
    Fig. 24 trio…) awaits *that same task* instead of compiling again.
-3. **Compiler caches** — the pipeline's stage caches backed by the shared
-   persistent :class:`~repro.pipeline.DiskCache`, exactly as in batch
-   runs.  Each stage is an LRU of a fixed number of entries
-   (:data:`~repro.pipeline.stages.STAGE_CACHE_ENTRIES`), so a long-running
-   server evicts one least-recently-used entry at a time; an evicted entry
-   warm-starts from disk when a disk cache is configured.
+
+Behind them the backend's compiler keeps no stage results in memory
+(``DiagramCompiler(memo=False)``): the answers live in the text memo and
+the response LRU, which hold flat strings and bytes the cyclic collector
+barely visits, while held parse trees, Logic Trees and diagrams would be
+walked by every full collection.  A ``--disk-cache`` store still answers
+each stage (memory miss, disk probe, compute with write-through).
 
 Coalescing needs the canonical key *before* the expensive back half, so
 every request first resolves its key: from the text memo, or through one
 backend lookup that concurrent first sights of the same text share.  The
 local backend runs lookups on a dedicated fingerprint thread and compiles
-on a separate single compile thread.  Two threads may race through the
-shared stage caches — that is benign by design: stages are deterministic,
-so a lost race recomputes the same value.
+on a separate single compile thread.  A lookup leaves the front half it
+computed (AST, both trees, fingerprint, roles) in the compiler's bounded
+handoff, and the compile of that text pops it instead of walking lex →
+fingerprint again; a compile that finds none (its response was evicted,
+or it asks a new format subset of a known key) computes it.  The two
+threads meet only in that locked LRU, and a lost race recomputes the
+same deterministic value.
 
 Overload policy: at most ``max_pending`` requests are admitted at once and
 every admitted request is bounded by ``request_timeout``; both violations
@@ -178,6 +183,7 @@ class LocalCompiler:
             simplify=simplify,
             layout_config=layout_config,
             disk_cache=disk_cache,
+            memo=False,
         )
         self.executor_restarts = 0
         # Fingerprinting must stay responsive while a compile occupies the
@@ -260,10 +266,12 @@ class LocalCompiler:
         }
 
     async def stats_payload(self) -> dict:
-        """Executor restarts plus the pipeline and disk counters."""
+        """Executor restarts plus the pipeline, handoff and disk counters."""
+        handoff = self.compiler.handoff
         payload = {
             "executor_restarts": self.executor_restarts,
             "pipeline": self.compiler.stats().as_dict(),
+            "handoff": {"entries": len(handoff), **handoff.stats.as_dict()},
         }
         if self.compiler.disk_cache is not None:
             payload["disk"] = self.compiler.disk_cache.stats.as_dict()

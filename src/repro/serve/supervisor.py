@@ -20,8 +20,9 @@ service asks the *pool* for the key of a text it has not seen: a ``key``
 op goes round-robin to any ready worker, and the answer lands in the
 service's text memo.  Every compile then routes by true canonical
 fingerprint: ``slot = fp % N``, walking forward to the next ready slot
-when the preferred one is down or draining, so one fingerprint keeps
-warming one worker's stage caches.
+when the preferred one is down or draining.  Workers keep no stage
+results in memory, so the affinity no longer warms a per-worker cache;
+whether to keep it is open (docs/serving.md).
 
 Supervision — a worker dying is a non-event
 ===========================================

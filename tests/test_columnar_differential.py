@@ -561,6 +561,44 @@ class TestDocumentedDivergences:
         with pytest.raises(EngineError, match="64-bit"):
             execute(query, db, mode=ExecutionMode.SQL)
 
+    @pytest.mark.parametrize(
+        "op, naive_ids, sql_ids",
+        [
+            ("NOT IN", {1, 3, 4}, set()),
+            ("= ALL", set(), {1, 2}),
+            ("<> ANY", {1, 2, 3, 4}, {3, 4}),
+            (">= ALL", set(), {1, 2, 3}),
+        ],
+    )
+    def test_sqlite_stores_nan_as_null(self, op, naive_ids, sql_ids):
+        # A float NaN becomes NULL in the store, and SQL's three-valued
+        # logic decides the predicate instead of NaN's "equals nothing".
+        db = TestTypeErrorParity._nan_database("float", *_NAN_TABLES[0])
+        sql = f"SELECT G.id FROM G WHERE G.x {op} (SELECT F.x FROM F)"
+        ids = {
+            mode: {row[0] for row in execute(parse(sql), db, mode=mode).rows}
+            for mode in _ALL_MODES
+        }
+        assert ids[ExecutionMode.SQL] == sql_ids
+        assert ids[ExecutionMode.NAIVE] == naive_ids
+        assert ids[ExecutionMode.PLANNED] == ids[ExecutionMode.COLUMNAR] == naive_ids
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT G.id FROM G, F WHERE G.x = F.x",
+            "SELECT G.id FROM G WHERE G.x IN (SELECT F.x FROM F)",
+        ],
+    )
+    def test_sqlite_answers_a_text_column_holding_nan_without_a_type_error(self, sql):
+        # NaN counts as a number beside 'b' in the Python engines; sqlite
+        # holds a NULL there, so the 'a' probe just matches nothing.
+        db = TestTypeErrorParity._nan_database("str", (_NAN, "b"), ("a",))
+        assert execute(parse(sql), db, mode=ExecutionMode.SQL).rows == ()
+        for mode in _ALL_MODES[:3]:
+            with pytest.raises(TypeMismatchError):
+                execute(parse(sql), db, mode=mode)
+
     def test_row_order_not_part_of_the_contract(self):
         # Engines agree on the *set*; enumeration order is unspecified.
         # (This is why every comparison in this suite goes through
@@ -578,6 +616,15 @@ class TestDocumentedDivergences:
 # --------------------------------------------------------------------- #
 # type errors: the rows engine raises exactly where the oracle does
 # --------------------------------------------------------------------- #
+
+#: One NaN object, stored in both F and G: a set or dict would find it by
+#: identity, but NaN = NaN is false.
+_NAN = float("nan")
+#: (F.x, G.x) with F holding NaN first, then last; G's ids run 1-4.
+_NAN_TABLES = (
+    ((_NAN, 2.5), (_NAN, 2.5, 3.0, 1.0)),
+    ((2.5, _NAN), (_NAN, 2.5, 3.0, 1.0)),
+)
 
 
 def _planted_database() -> Database:
@@ -889,6 +936,38 @@ class TestTypeErrorParity:
         db = self._nan_database("float", (nan, 2.5), (nan, 2.5))
         assert execute(parse(sql), db, mode=ExecutionMode.NAIVE).rows == ((2,),)
         self._agree(sql, db, False, modes=_ALL_MODES)
+
+    @pytest.mark.parametrize("tables", _NAN_TABLES, ids=["nan-first", "nan-last"])
+    @pytest.mark.parametrize(
+        "op, ids",
+        [
+            ("IN", {2}),
+            ("= ANY", {2}),
+            ("NOT IN", {1, 3, 4}),
+            ("<> ALL", {1, 3, 4}),
+            ("> ANY", {3}),
+            ("< ANY", {4}),
+            (">= ALL", set()),
+            ("= ALL", set()),
+            ("<> ANY", {1, 2, 3, 4}),
+        ],
+    )
+    def test_a_nan_in_a_subquery_result_equals_and_orders_against_nothing(
+        self, op, ids, tables
+    ):
+        # Membership never matches NaN, <> ANY holds beside it, every
+        # other ALL fails beside it and every other ANY ignores it, in
+        # whichever order the subquery returns it.
+        db = self._nan_database("float", *tables)
+        sql = f"SELECT G.id FROM G WHERE G.x {op} (SELECT F.x FROM F)"
+        naive = execute(parse(sql), db, mode=ExecutionMode.NAIVE)
+        assert {row[0] for row in naive.rows} == ids
+        self._agree(
+            sql,
+            db,
+            False,
+            modes=(ExecutionMode.NAIVE, ExecutionMode.PLANNED, ExecutionMode.COLUMNAR),
+        )
 
     @pytest.mark.parametrize("f_values", [(float("nan"), "b"), (float("nan"),)])
     @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Every in-memory memo is a bounded LRU, and eviction never changes an answer.
 
-The pipeline's stage caches, the engines' plan and subquery memos and the
-serving tier's response LRU and text memo all store their entries in one
-:class:`repro.lru.LRUCache` with a fixed bound.  These tests pin that
-inventory, check that threads can share one cache, then shrink the bounds
-to 2 so that every run evicts, and check that diagrams stay byte-identical
-to a fresh compile and that every engine still agrees with the naive
-oracle.
+A batch compiler's stage caches, the serving compiler's front-half
+handoff, the engines' plan and subquery memos and the serving tier's
+response LRU and text memo all store their entries in one
+:class:`repro.lru.LRUCache` with a fixed bound; the serving compiler
+holds no stage memo at all.  These tests pin that inventory, check that
+threads can share one cache, then shrink the bounds to 2 so that every
+run evicts, and check that diagrams stay byte-identical to a fresh
+compile and that every engine still agrees with the naive oracle.
 """
 
 from __future__ import annotations
@@ -40,16 +41,20 @@ THREE_QUERIES = (
 def test_every_in_memory_memo_is_a_bounded_lru():
     service = CompileService()
     try:
+        # The serving compiler keeps no stage result in memory.
+        assert service.compiler._cache._caches == {}
         memos = {
             "response LRU": service.lru,
             "text memo": service._text_keys,
-            **{
-                f"stage {name}": cache
-                for name, cache in service.compiler._cache._caches.items()
-            },
+            "handoff": service.compiler.handoff,
         }
     finally:
         service.close()
+    batch = DiagramCompiler()
+    assert batch.handoff is None
+    memos.update(
+        {f"stage {name}": cache for name, cache in batch._cache._caches.items()}
+    )
     context = Executor(chinook_bench_database(scale=1)).context
     memos["plan memo"] = context._plans
     memos["subquery memo"] = context._subqueries

@@ -274,16 +274,32 @@ def test_worker_kill_mid_flight_fails_over_with_zero_client_failures():
                 f"SELECT S.sname FROM Sailor S WHERE S.rating > {n}"
                 for n in range(12)
             ]
+            supervisor = service.backend
+            # Kill while slot 0 runs a compile, not a key op: a key op's
+            # answer may already sit in the pipe when the worker dies, and
+            # is then read before the EOF, which fails nothing over.
+            dispatch_to = supervisor._dispatch_to
+            compiling: list = []
+
+            async def tracked(worker, op, fields):
+                if op != "compile":
+                    return await dispatch_to(worker, op, fields)
+                compiling.append(worker)
+                try:
+                    return await dispatch_to(worker, op, fields)
+                finally:
+                    compiling.remove(worker)
+
+            supervisor._dispatch_to = tracked
             tasks = [
                 asyncio.ensure_future(service.compile(sql, ("text",)))
                 for sql in queries
             ]
 
             async def assassin() -> None:
-                supervisor = service.backend
                 for _ in range(400):
                     worker = supervisor._slots[0].worker
-                    if worker is not None and worker.pending:
+                    if worker is not None and worker in compiling:
                         break
                     await asyncio.sleep(0.005)
                 assert supervisor.kill_slot(0) is not None

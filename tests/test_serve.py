@@ -9,22 +9,35 @@ error-mapping code paths are the ones production traffic hits.
 from __future__ import annotations
 
 import asyncio
+import functools
+import gc
 import http.client
 import json
+import os
+import random
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
+import repro.pipeline.compiler as compiler_module
+from repro.catalog.builtin import sailors_schema
 from repro.paper_queries import FIG24_VARIANTS
+from repro.pipeline import DiagramCompiler
 from repro.serve import (
     BadRequest,
     CompileServer,
     CompileService,
+    LocalCompiler,
     LRUCache,
     ServiceConfig,
     ServiceUnavailable,
 )
+from repro.serve.pool import _answer
+from repro.sql.formatter import format_query
+from repro.workloads import QueryGenConfig, QueryGenerator
 
 SIMPLE = "SELECT S.sname FROM Sailor S WHERE S.rating > 7"
 DISTINCT = [
@@ -505,10 +518,15 @@ def test_lru_stats_dict_clear_and_contains():
     cache.get("a")
     cache.get("missing")
     assert cache.stats.as_dict() == {"hits": 1, "misses": 1, "evictions": 0}
+    # A pop hands the value over once and counts like a get.
+    assert cache.pop("a") == 1 and "a" not in cache
+    assert cache.pop("a", "gone") == "gone"
+    assert cache.stats.as_dict() == {"hits": 2, "misses": 2, "evictions": 0}
+    cache.put("a", 1)
     cache.clear()
     assert len(cache) == 0 and "a" not in cache
     # Stats survive a clear (they describe the cache's lifetime).
-    assert cache.stats.as_dict()["hits"] == 1
+    assert cache.stats.as_dict()["hits"] == 2
 
 
 def test_http_graceful_shutdown_drains_in_flight_request():
@@ -538,3 +556,222 @@ def test_http_graceful_shutdown_drains_in_flight_request():
     status, payload, _headers = result["response"]
     assert status == 200
     assert payload["fingerprint"]
+
+
+# --------------------------------------------------------------------- #
+# the serving compiler keeps answers, not trees
+# --------------------------------------------------------------------- #
+
+#: GC-tracked objects one CompileService may keep per distinct compiled
+#: query: its text-memo and response-LRU entries (5.2 measured; a compiler
+#: that memoizes its stages keeps ~115).
+KEPT_OBJECTS_PER_QUERY = 10
+
+#: The front half's stage functions, at the names the compiler calls.
+FRONT_HALF = ("scan", "sql_to_logic_tree", "simplify_logic_tree", "fingerprint_and_roles")
+FRONT_STAGES = ("lex", "parse", "logic", "simplify", "fingerprint")
+
+
+@functools.cache
+def _sailors_texts(count: int) -> tuple[str, ...]:
+    """``count`` generated sailors queries (depth <= 3) of distinct keys.
+
+    Distinct ``(fingerprint, roles)`` keys keep the response LRU from
+    serving one text another's (equivalent) diagram.
+    """
+    generator = QueryGenerator(sailors_schema(), QueryGenConfig(max_depth=3))
+    cold = DiagramCompiler(cache=False)
+    texts: list[str] = []
+    keys: set = set()
+    seed = 0
+    while len(texts) < count:
+        text = format_query(generator.generate(seed))
+        seed += 1
+        key = cold.canonical_key(text)
+        if key not in keys:
+            keys.add(key)
+            texts.append(text)
+    return tuple(texts)
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    calls: Counter = Counter()
+    for name in names:
+        original = getattr(compiler_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(compiler_module, name, counted)
+    return calls
+
+
+def _body(artifact) -> bytes:
+    """The /compile body a local backend encodes for ``artifact``."""
+    return json.dumps(
+        {
+            "fingerprint": artifact.fingerprint,
+            "formats": sorted(artifact.outputs),
+            "outputs": dict(artifact.outputs),
+        }
+    ).encode("utf-8")
+
+
+def test_serving_compiler_keeps_answers_not_stage_results():
+    texts = _sailors_texts(220)
+    service = CompileService()
+
+    async def scenario() -> int:
+        # The first compiles build what a process builds once (lexer
+        # tables, interned names); they are not counted.
+        for text in texts[:20]:
+            await service.compile(text, ("svg", "text"))
+        gc.collect()
+        before = len(gc.get_objects())
+        for text in texts[20:]:
+            await service.compile(text, ("svg", "text"))
+        gc.collect()
+        return len(gc.get_objects()) - before
+
+    try:
+        kept = asyncio.run(scenario())
+    finally:
+        service.close()
+    assert service.stats.compiles == len(texts)
+    assert service.compiler.cache_sizes() == {}
+    assert len(service.compiler.handoff) == 0
+    assert kept < KEPT_OBJECTS_PER_QUERY * 200
+
+
+def test_front_half_runs_once_per_first_sight_text(monkeypatch):
+    texts = _sailors_texts(12)
+    calls = _count_calls(monkeypatch, FRONT_HALF)
+    service = CompileService()
+
+    async def scenario() -> None:
+        for text in texts:
+            await service.compile(text, ("text",))
+        for text in texts:  # repeats: answered in front of the compiler
+            await service.compile(text, ("text",))
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        service.close()
+    assert calls == {name: len(texts) for name in FRONT_HALF}
+    # One walk per text: the compile took the front half its key lookup
+    # left in the handoff instead of walking lex -> fingerprint again.
+    stats = service.compiler.stats()
+    assert all(stats.counter(stage).lookups == len(texts) for stage in FRONT_STAGES)
+    assert service.compiler.handoff.stats.hits == len(texts)
+
+    # A pool worker answers a key op, then resolves the key again before
+    # its compile op: the second resolution finds the handoff's entry.
+    calls.clear()
+    backend = LocalCompiler()
+
+    async def pool_ops() -> None:
+        for text in texts:
+            await _answer(backend, 0, {"op": "key", "sql": text})
+            await _answer(
+                backend, 0, {"op": "compile", "sql": text, "formats": ["text"]}
+            )
+
+    try:
+        asyncio.run(pool_ops())
+    finally:
+        backend.close()
+    assert calls == {name: len(texts) for name in FRONT_HALF}
+    stats = backend.compiler.stats()
+    assert all(stats.counter(stage).lookups == len(texts) for stage in FRONT_STAGES)
+
+
+def test_concurrent_compiles_match_a_cold_compile_of_their_own_text():
+    texts = _sailors_texts(16)
+    format_sets = (("text",), ("svg", "text"))
+    cold = DiagramCompiler(cache=False)
+    expected = {
+        (text, formats): _body(cold.compile(text, formats=formats))
+        for text in texts
+        for formats in format_sets
+    }
+    workers = 2 * (os.cpu_count() or 1) + 2
+    shared = DiagramCompiler(memo=False)
+    # A 4-entry response LRU evicts, so texts compile again, with and
+    # without a handed-off front half.
+    service = CompileService(
+        config=ServiceConfig(lru_entries=4, max_pending=4 * workers)
+    )
+    wrong: list[tuple] = []
+    errors: list[BaseException] = []
+    deadline = time.monotonic() + 1.0
+
+    def hammer(seed: int) -> None:
+        # Key lookups and compiles of the same texts from many threads:
+        # a lookup's front half may be popped by another thread's compile.
+        rng = random.Random(seed)
+        try:
+            while time.monotonic() < deadline:
+                text, formats = rng.choice(texts), rng.choice(format_sets)
+                if rng.random() < 0.7:
+                    shared.canonical_key(text)
+                if _body(shared.compile(text, formats=formats)) != expected[text, formats]:
+                    wrong.append((text, formats))
+        except Exception as error:  # the assertion below reports it
+            errors.append(error)
+
+    async def requests() -> int:
+        rng = random.Random(7)
+        sent = 0
+        while time.monotonic() < deadline:
+            batch = [(rng.choice(texts), rng.choice(format_sets)) for _ in range(workers)]
+            responses = await asyncio.gather(
+                *(service.compile(text, formats) for text, formats in batch)
+            )
+            for (text, formats), response in zip(batch, responses):
+                if response.body != expected[text, formats]:
+                    wrong.append((text, formats, response.served))
+            sent += len(batch)
+        return sent
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        sent = asyncio.run(requests())
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and not wrong
+    assert sent >= workers
+    assert len(shared.handoff) <= compiler_module.HANDOFF_ENTRIES
+    assert shared.cache_sizes() == service.compiler.cache_sizes() == {}
+
+
+def test_second_local_compiler_answers_a_first_sight_from_disk(tmp_path, monkeypatch):
+    text = _sailors_texts(1)[0]
+    first = CompileService(LocalCompiler(disk_cache=tmp_path))
+    try:
+        written = asyncio.run(first.compile(text, ("svg", "text")))
+    finally:
+        first.close()
+    calls = _count_calls(monkeypatch, (*FRONT_HALF, "build_diagram", "layout_diagram"))
+    second = CompileService(LocalCompiler(disk_cache=tmp_path))
+    try:
+        response = asyncio.run(second.compile(text, ("svg", "text")))
+    finally:
+        second.close()
+    assert response.served == "compile" and response.body == written.body
+    # The key lookup read the front half from disk, the compile the
+    # whole artifact; nothing was computed and nothing stays in memory.
+    stats = second.compiler.stats()
+    assert all(stats.counter(stage).disk_hits == 1 for stage in (*FRONT_STAGES, "artifact"))
+    assert not calls
+    assert second.compiler.cache_sizes() == {}
+    assert len(second.compiler.handoff) == 0
