@@ -18,10 +18,10 @@ compiles a corpus, and exits.  This package turns those caches into a
   as JSON endpoints, plus graceful drain on shutdown;
 * :mod:`repro.serve.supervisor` / :mod:`repro.serve.pool` — the
   multi-process compile backend: a supervisor that spawns N worker
-  processes (each a frame loop around a :class:`LocalCompiler`), routes
-  compiles by fingerprint affinity, restarts crashed workers with
-  exponential backoff, and hot-reloads them one at a time on SIGHUP
-  (``repro serve --workers N``).
+  processes (each a frame loop around a :class:`LocalCompiler`), sends
+  each text's key lookup and compile to one worker, restarts crashed
+  workers with exponential backoff, and hot-reloads them one at a time on
+  SIGHUP (``repro serve --workers N``).
 
 ``repro serve`` runs the server; ``repro bench-serve``
 (:mod:`repro.workloads.servebench`) load-tests it.  See ``docs/serving.md``.

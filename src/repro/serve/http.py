@@ -24,8 +24,10 @@ path       method  body / response
 =========  ======  ====================================================
 
 Errors map to conventional statuses: malformed JSON / SQL / formats → 400,
-unknown path → 404, wrong method → 405, oversized body → 413, shed or
-timed-out or draining → 503 with a ``Retry-After`` header.
+unknown path → 404, wrong method → 405, an oversized request line, header
+line, header block or body → 413 (the first three also close the
+connection), shed or timed-out or draining → 503 with a ``Retry-After``
+header.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ class _HttpError(Exception):
         self.headers = headers
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line past the reader's limit is a 413.
+
+    ``StreamReader.readline`` reports a line longer than its limit
+    (asyncio's default, 64 KiB) as ``ValueError``, not as
+    ``LimitOverrunError``.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(413, "request line or header line too long") from None
+
+
 class CompileServer:
     """Binds a :class:`CompileService` to a TCP port with graceful drain."""
 
@@ -73,15 +88,12 @@ class CompileServer:
         service: CompileService,
         host: str = "127.0.0.1",
         port: int = 0,
-        sweep_interval: float = 30.0,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self.sweep_interval = sweep_interval
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
-        self._sweeper: asyncio.Task | None = None
 
     async def start(self) -> None:
         """Bind and start accepting connections (port 0 picks one)."""
@@ -89,25 +101,6 @@ class CompileServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._sweeper = asyncio.get_running_loop().create_task(
-            self._sweep_connections()
-        )
-
-    async def _sweep_connections(self) -> None:
-        """Periodically prune finished handler tasks from the tracked set.
-
-        Each task discards itself via a done callback, but a long-lived
-        server must not depend on that alone: a callback that lost the
-        race with ``add`` (or was suppressed by an exotic cancellation
-        path) would pin the task — and its frames, locals and buffers —
-        until close.  The sweep makes the tracked set self-healing under
-        keep-alive churn.
-        """
-        while True:
-            await asyncio.sleep(self.sweep_interval)
-            self._connections.difference_update(
-                [task for task in self._connections if task.done()]
-            )
 
     @property
     def url(self) -> str:
@@ -125,8 +118,6 @@ class CompileServer:
         """
         self.service.begin_drain()
         drained = await self.service.drain(drain_timeout)
-        if self._sweeper is not None:
-            self._sweeper.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -150,6 +141,9 @@ class CompileServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # Tracked until done: the add and the callback happen in one
+        # synchronous step, and asyncio runs a task's done callbacks
+        # however it ends, cancelled included.
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
@@ -159,11 +153,7 @@ class CompileServer:
                 keep_alive = await self._handle_one_request(reader, writer)
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
             # Shutdown cut this (usually idle keep-alive) connection; end
@@ -179,10 +169,10 @@ class CompileServer:
     async def _handle_one_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        request_line = await reader.readline()
-        if not request_line:
-            return False
         try:
+            request_line = await _read_line(reader)
+            if not request_line:
+                return False
             method, path, headers = await self._read_head(request_line, reader)
         except _HttpError as error:
             await self._respond_error(writer, error, keep_alive=False)
@@ -238,7 +228,7 @@ class CompileServer:
         headers: dict[str, str] = {}
         total = len(request_line)
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             total += len(line)
             if total > MAX_HEADER_BYTES:
                 raise _HttpError(413, "headers too large")

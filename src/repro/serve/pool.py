@@ -36,7 +36,10 @@ op             meaning
 ``key``        ``{"sql"}`` → reply payload ``{"fingerprint", "roles"}``;
                the front end's key lookup for texts it has not seen
 ``compile``    ``{"sql", "formats"}`` → response frame whose body is
-               the encoded /compile answer
+               the encoded /compile answer; the supervisor sends a
+               text's ``key`` and ``compile`` ops to one worker, so the
+               compile pops the front half that the key op left in
+               this worker's handoff
 ``stats``      reply payload is the worker's pipeline and disk counters
 =============  =======================================================
 
@@ -145,12 +148,7 @@ async def _answer(compiler: LocalCompiler, slot: int, header: dict) -> tuple[dic
             fault_point("serve.worker.crash")
         except InjectedCrash:
             os._exit(9)
-        # The text's key lookup may have run on a sibling worker.  Resolve
-        # the front half on the fingerprint thread first, as one process
-        # does before it compiles: the compile thread then pays for the
-        # back half only and is free sooner for the next queued compile.
-        await compiler.key(header["sql"])
-        _payload, body, _served = await compiler.compile(
+        body, _served = await compiler.compile(
             header["sql"], tuple(header.get("formats") or ())
         )
         return {}, body

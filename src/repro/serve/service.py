@@ -15,16 +15,17 @@ compile coalescing, one retry on a recoverable failure, drain,
   :class:`LocalCompiler` (``repro serve --workers N``).
 
 A backend answers ``key(text)`` → ``(fingerprint, roles)`` (raising
-:class:`~repro.sql.errors.SQLError` for bad SQL), ``compile(text, formats,
-fingerprint)`` → ``(payload, body, served)``, ``health()`` and
-``stats_payload()`` (merged into ``/healthz`` and ``/stats``;
-``health()["degraded"]`` picks the status) and ``close()``.
+:class:`~repro.sql.errors.SQLError` for bad SQL), ``compile(text,
+formats)`` → ``(body, served)`` with ``body`` the encoded ``/compile``
+answer, ``health()`` and ``stats_payload()`` (merged into ``/healthz`` and
+``/stats``; ``health()["degraded"]`` picks the status) and ``close()``.
 
 A request descends two layers in front of the backend, probed in order:
 
 1. **Response LRU** (:mod:`repro.lru`) — bounded, in-memory, keyed
-   by ``(fingerprint, roles, formats)``.  A hit returns a fully rendered
-   JSON payload without touching the backend.
+   by ``(fingerprint, roles, formats)``.  A hit returns the encoded
+   ``/compile`` body without touching the backend.  The body is the only
+   form an answer is kept in; ``/render`` decodes it.
 2. **In-flight table** — the coalescing layer.  The first request for a
    canonical key starts one compile task; every concurrent request for an
    equivalent query (verbatim duplicate, predicate reordering, the
@@ -41,13 +42,14 @@ Coalescing needs the canonical key *before* the expensive back half, so
 every request first resolves its key: from the text memo, or through one
 backend lookup that concurrent first sights of the same text share.  The
 local backend runs lookups on a dedicated fingerprint thread and compiles
-on a separate single compile thread.  A lookup leaves the front half it
-computed (AST, both trees, fingerprint, roles) in the compiler's bounded
-handoff, and the compile of that text pops it instead of walking lex →
-fingerprint again; a compile that finds none (its response was evicted,
-or it asks a new format subset of a known key) computes it.  The two
-threads meet only in that locked LRU, and a lost race recomputes the
-same deterministic value.
+on a separate single compile thread, so a first sight never waits behind
+a running compile to find its answer in the LRU.  A lookup leaves the
+front half it computed (AST, both trees, fingerprint, roles) in the
+compiler's bounded handoff, and the compile of that text pops it instead
+of walking lex → fingerprint again; a compile that finds none (its
+response was evicted, or it asks a new format subset of a known key)
+computes it.  The two threads meet only in that locked LRU, and a lost
+race recomputes the same deterministic value.
 
 Overload policy: at most ``max_pending`` requests are admitted at once and
 every admitted request is bounded by ``request_timeout``; both violations
@@ -119,7 +121,7 @@ def recoverable(error: BaseException) -> bool:
 class ServiceConfig:
     """Tuning knobs of one :class:`CompileService` (see docs/serving.md)."""
 
-    #: Response-LRU capacity in fully rendered payloads (<= 0 disables it).
+    #: Response-LRU capacity in encoded /compile bodies (<= 0 disables it).
     lru_entries: int = 1024
     #: Admission bound: requests beyond this many concurrently admitted
     #: ones are shed with 503 instead of queueing without bound.
@@ -130,24 +132,28 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class ServedResponse:
-    """One endpoint answer: decoded payload + its canonical encoding.
+    """One endpoint answer: its UTF-8 JSON body and the layer that answered.
 
-    ``body`` is the UTF-8 JSON encoding of ``payload``; for /compile it is
-    produced once per compile and cached in the response LRU, so the hot
-    warm path writes cached bytes instead of re-serializing (potentially
-    large) rendered outputs per request.  ``served`` says which layer
-    answered — ``compile`` (``compile@wN`` when pool worker N compiled),
-    ``coalesced`` or ``lru`` — and travels as the ``X-Repro-Served``
-    response header, keeping the cached body identical across layers.
+    For /compile the body is encoded once per compile and cached in the
+    response LRU, so the hot warm path writes cached bytes instead of
+    re-serializing (potentially large) rendered outputs per request.
+    ``served`` says which layer answered — ``compile`` (``compile@wN`` when
+    pool worker N compiled), ``coalesced`` or ``lru`` — and travels as the
+    ``X-Repro-Served`` response header, keeping the cached body identical
+    across layers.
     """
 
-    payload: dict
     body: bytes
     served: str
 
+    @property
+    def payload(self) -> dict:
+        """The decoded body (decoded again on every access)."""
+        return json.loads(self.body)
+
     @classmethod
     def encode(cls, payload: dict, served: str) -> "ServedResponse":
-        return cls(payload, json.dumps(payload).encode("utf-8"), served)
+        return cls(json.dumps(payload).encode("utf-8"), served)
 
 
 @dataclass
@@ -186,10 +192,10 @@ class LocalCompiler:
             memo=False,
         )
         self.executor_restarts = 0
-        # Fingerprinting must stay responsive while a compile occupies the
-        # back half — otherwise concurrent duplicates could not reach the
-        # coalescing layer until the compile they should have joined had
-        # already finished.
+        # Key lookups get their own thread: on the compile thread, a
+        # re-spelled first sight would wait behind a running compile before
+        # it could reach the response LRU or the coalescing layer
+        # (serve_zipf p99 read 5 % higher that way; docs/performance.md).
         self._fp_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-fp"
         )
@@ -207,19 +213,19 @@ class LocalCompiler:
             self._fp_executor, self.compiler.canonical_key, text
         )
 
-    async def compile(
-        self, text: str, formats: tuple[str, ...], fingerprint: str | None = None
-    ) -> tuple[dict, bytes, str]:
-        """Compile on the compile thread; ``fingerprint`` routes pools only."""
+    async def compile(self, text: str, formats: tuple[str, ...]) -> tuple[bytes, str]:
+        """The encoded /compile body of ``text``, built on the compile thread."""
         artifact = await self._run_compile(text, formats)
-        payload = {
-            "fingerprint": artifact.fingerprint,
-            "formats": sorted(artifact.outputs),
-            "outputs": dict(artifact.outputs),
-        }
-        # Encode once, serve many: the LRU keeps the response bytes next
-        # to the payload so warm hits never re-serialize rendered outputs.
-        return payload, json.dumps(payload).encode("utf-8"), "compile"
+        # Encode once, serve many: the LRU keeps only these bytes, so warm
+        # hits never re-serialize rendered outputs.
+        body = json.dumps(
+            {
+                "fingerprint": artifact.fingerprint,
+                "formats": sorted(artifact.outputs),
+                "outputs": dict(artifact.outputs),
+            }
+        ).encode("utf-8")
+        return body, "compile"
 
     async def _run_compile(self, text: str, formats: tuple[str, ...]):
         """One supervised executor hop: restart the thread on crash."""
@@ -343,11 +349,12 @@ class CompileService:
 
         async def _render() -> ServedResponse:
             response = await self._compile_coalesced(sql, (fmt,))
+            payload = response.payload
             return ServedResponse.encode(
                 {
-                    "fingerprint": response.payload["fingerprint"],
+                    "fingerprint": payload["fingerprint"],
                     "format": fmt,
-                    "output": response.payload["outputs"][fmt],
+                    "output": payload["outputs"][fmt],
                 },
                 response.served,
             )
@@ -471,33 +478,30 @@ class CompileService:
                 )
         text, (fingerprint, roles) = await self._canonical_key(sql)
         key = (fingerprint, roles, tuple(sorted(set(formats))))
-        cached = self._lru.get(key)
-        if cached is not None:
+        body = self._lru.get(key)
+        if body is not None:
             self.stats.lru_hits += 1
-            payload, body = cached
-            return ServedResponse(payload, body, "lru")
+            return ServedResponse(body, "lru")
         task = self._inflight.get(key)
         if task is not None:
             self.stats.coalesced += 1
-            payload, body, _served = await asyncio.shield(task)
-            return ServedResponse(payload, body, "coalesced")
+            body, _served = await asyncio.shield(task)
+            return ServedResponse(body, "coalesced")
         self.stats.compiles += 1
         task = self._shared(
             self._inflight, key, self._compile(key, text, formats)
         )
         # Shielded: a shed/timed-out waiter must not cancel the shared
         # compile other requests are (or will be) coalesced onto.
-        payload, body, served = await asyncio.shield(task)
-        return ServedResponse(payload, body, served)
+        body, served = await asyncio.shield(task)
+        return ServedResponse(body, served)
 
     async def _compile(
         self, key: tuple, text: str, formats: tuple[str, ...]
-    ) -> tuple[dict, bytes, str]:
-        payload, body, served = await self._retried(
-            self.backend.compile, text, formats, key[0]
-        )
-        self._lru.put(key, (payload, body))
-        return payload, body, served
+    ) -> tuple[bytes, str]:
+        body, served = await self._retried(self.backend.compile, text, formats)
+        self._lru.put(key, body)
+        return body, served
 
     async def _retried(self, call, *args):
         """``await call(*args)``, retried once on a recoverable failure."""

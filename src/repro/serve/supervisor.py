@@ -10,19 +10,21 @@ with the length-prefixed frame protocol.  Everything on the request side —
 admission, the text memo, the response LRU, coalescing, the one retry,
 drain — stays in the one ``CompileService`` in front.
 
-Dispatch — learned fingerprint affinity
-=======================================
+Dispatch — one slot per text
+============================
 
 The front end never parses SQL: the canonical-key front half (lex → … →
 fingerprint) is itself half the cost of a full compile, so running it
 per-request on the front end would cap pool speed-up near 1×.  Instead the
-service asks the *pool* for the key of a text it has not seen: a ``key``
-op goes round-robin to any ready worker, and the answer lands in the
-service's text memo.  Every compile then routes by true canonical
-fingerprint: ``slot = fp % N``, walking forward to the next ready slot
-when the preferred one is down or draining.  Workers keep no stage
-results in memory, so the affinity no longer warms a per-worker cache;
-whether to keep it is open (docs/serving.md).
+service asks the *pool* for the key of a text it has not seen, and the
+answer lands in the service's text memo.  Both operations on a text — its
+``key`` op and its ``compile`` op — go to the slot ``crc32(text) % N``,
+walking forward to the next ready slot when that one is down or
+draining.  Workers keep no stage results in memory; the one per-worker
+compile state is the handoff, where a worker's ``key`` op leaves the
+front half that its ``compile`` op of the same text then pops.  The
+compiled body crosses the pipe and is cached and served as read, never
+decoded here.
 
 Supervision — a worker dying is a non-event
 ===========================================
@@ -66,7 +68,7 @@ Zero-downtime operations
 
 The only cross-worker state is the shared multi-process-safe disk cache
 (``pipeline/diskcache.py``) — a replacement worker warms from it, and a
-fingerprint re-routed after a crash finds its stages precompiled.
+text re-routed after a crash finds its stages precompiled.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ import socket
 import subprocess
 import sys
 import time
+import zlib
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -215,7 +218,6 @@ class WorkerSupervisor:
         self.clock = clock
         self._slots = [_Slot(i) for i in range(self.config.workers)]
         self._ids = itertools.count(1)
-        self._rr = itertools.count()
         self._closing = False
         self._monitor_task: asyncio.Task | None = None
         self._tasks: set[asyncio.Task] = set()
@@ -530,35 +532,32 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------ #
 
     async def key(self, text: str) -> tuple[str, tuple]:
-        """``(fingerprint, roles)`` of ``text`` from any ready worker."""
+        """``(fingerprint, roles)`` of ``text`` from the worker that owns it."""
         header, _body, _slot = await self.dispatch("key", {"sql": text})
         payload = header["payload"]
         roles = tuple(tuple(role) for role in payload["roles"])
         return payload["fingerprint"], roles
 
-    async def compile(
-        self, text: str, formats: tuple[str, ...], fingerprint: str | None = None
-    ) -> tuple[dict, bytes, str]:
-        """Compile on the worker that owns ``fingerprint``.
-
-        The encoded body crossed the pipe and is served verbatim; it is
-        decoded once here for the response LRU and ``/render``.
-        """
+    async def compile(self, text: str, formats: tuple[str, ...]) -> tuple[bytes, str]:
+        """The encoded /compile body of ``text``, as its worker sent it."""
         _header, body, slot = await self.dispatch(
-            "compile", {"sql": text, "formats": list(formats)}, affinity=fingerprint
+            "compile", {"sql": text, "formats": list(formats)}
         )
-        return json.loads(body), body, f"compile@w{slot}"
+        return body, f"compile@w{slot}"
 
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
 
-    def _pick_slot(self, affinity: str | None) -> _Slot | None:
+    def _pick_slot(self, text: str) -> _Slot | None:
+        """The slot that owns ``text``, or the next ready one after it.
+
+        ``crc32`` rather than ``hash``: the pick must not depend on the
+        process's string-hash seed.  ``surrogatepass`` lets a text that
+        JSON decoded to a lone surrogate reach its worker's 400.
+        """
         count = len(self._slots)
-        if affinity:
-            start = int(affinity[:16], 16) % count
-        else:
-            start = next(self._rr) % count
+        start = zlib.crc32(text.encode("utf-8", "surrogatepass")) % count
         for offset in range(count):
             slot = self._slots[(start + offset) % count]
             worker = slot.worker
@@ -566,12 +565,11 @@ class WorkerSupervisor:
                 return slot
         return None
 
-    async def dispatch(
-        self, op: str, fields: dict, affinity: str | None = None
-    ) -> tuple[dict, bytes, int]:
+    async def dispatch(self, op: str, fields: dict) -> tuple[dict, bytes, int]:
         """Send one operation to the pool; returns (header, body, slot).
 
-        A request whose worker dies mid-flight raises
+        The operation goes to the slot that owns its text, ``fields["sql"]``
+        (:meth:`_pick_slot`).  A request whose worker dies mid-flight raises
         :class:`WorkerCrashed` (``stats.failovers``), which the service
         retries once; an empty pool sheds with 503.
         """
@@ -584,7 +582,7 @@ class WorkerSupervisor:
             except InjectedFault as error:
                 self.stats.dispatch_faults += 1
                 raise ServiceUnavailable(f"injected dispatch fault: {error}") from error
-        slot = self._pick_slot(affinity)
+        slot = self._pick_slot(fields["sql"])
         if slot is None:
             raise ServiceUnavailable("no ready workers", retry_after=2.0)
         self.stats.dispatched += 1

@@ -299,8 +299,8 @@ def _pool_corpus(config: ServeBenchConfig) -> tuple[list[str], list[str]]:
     """(timed pool-leg queries, warm-up queries) — distinct, never-seen.
 
     Every timed query is a first sight for both servers, so each request
-    runs a full compile (plus, in pool mode, one learned-affinity key
-    lookup) — the traffic shape the pool exists for.
+    runs a full compile (plus, in pool mode, one key lookup on the same
+    worker) — the traffic shape the pool exists for.
     """
     generator = QueryGenerator(
         SCHEMAS[config.schema](),

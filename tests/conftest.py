@@ -1,6 +1,11 @@
-"""Shared fixtures: the paper's example queries, schemas and databases."""
+"""Shared fixtures: the paper's example queries, schemas and databases.
+
+Every test also runs under a guard that fails it when asyncio logs an error.
+"""
 
 from __future__ import annotations
+
+import logging
 
 import pytest
 
@@ -14,6 +19,28 @@ from repro.catalog import (
 )
 from repro.sql import parse
 from repro.workloads import beers_database, chinook_database, sailors_database
+
+# --------------------------------------------------------------------- #
+# every test: asyncio logs no error
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(autouse=True)
+def _no_asyncio_errors(caplog):
+    """Fail a test during which the ``asyncio`` logger recorded an ERROR.
+
+    asyncio logs what no caller can catch: an exception that escaped a
+    connection callback, or a task exception that was never retrieved.
+    """
+    yield
+    errors = [
+        record.getMessage()
+        for phase in ("setup", "call")
+        for record in caplog.get_records(phase)
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert not errors, f"asyncio logged: {errors}"
+
 
 # --------------------------------------------------------------------- #
 # paper queries

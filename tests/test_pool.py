@@ -85,7 +85,7 @@ def test_backoff_delay_is_exponential_and_capped():
 
 
 # --------------------------------------------------------------------- #
-# dispatch: learned fingerprint affinity
+# dispatch: one slot per text
 # --------------------------------------------------------------------- #
 
 
@@ -119,6 +119,54 @@ def test_equivalent_spellings_route_to_one_worker_and_repeat_hits_lru():
     run(check())
 
 
+def test_key_and_compile_of_a_text_reach_one_worker():
+    texts = [
+        f"SELECT S.sname FROM Sailor S WHERE S.rating > {n}" for n in range(24)
+    ]
+
+    async def check() -> None:
+        service = await _started(PoolConfig(workers=2, **FAST))
+        try:
+            supervisor = service.backend
+            dispatch_to = supervisor._dispatch_to
+            slots: dict[str, set] = {text: set() for text in texts}
+
+            async def tracked(worker, op, fields):
+                if op in ("key", "compile"):
+                    slots[fields["sql"]].add((op, worker.slot))
+                return await dispatch_to(worker, op, fields)
+
+            supervisor._dispatch_to = tracked
+            for text in texts:
+                response = await service.compile(text, ("text",))
+                assert response.served.startswith("compile@w")
+            supervisor._dispatch_to = dispatch_to
+            stats = await service.stats_payload()
+        finally:
+            service.close()
+        owners = set()
+        for text, ops in slots.items():
+            (owner,) = {slot for _op, slot in ops}
+            assert ops == {("key", owner), ("compile", owner)}, text
+            owners.add(owner)
+        assert owners == {0, 1}
+        # Each text walked lex -> fingerprint once, on its own worker, and
+        # every compile popped the front half its key op had left there.
+        workers = stats["workers_stats"]
+        assert len(workers) == 2
+        for stage in ("lex", "parse", "logic", "simplify", "fingerprint"):
+            lookups = sum(
+                counts["hits"] + counts["misses"]
+                for counts in (w["pipeline"]["stages"][stage] for w in workers)
+            )
+            assert lookups == len(texts), stage
+        handoff_hits = sum(w["handoff"]["hits"] for w in workers)
+        assert handoff_hits == stats["compiles"] == len(texts)
+        assert all(type(body) is bytes for body in service.lru._entries.values())
+
+    run(check())
+
+
 def test_pool_fingerprint_matches_single_process():
     async def check() -> None:
         single = CompileService()
@@ -140,6 +188,9 @@ def test_bad_sql_and_bad_format_are_bad_requests_through_the_pool():
         try:
             with pytest.raises(BadRequest):
                 await service.compile("SELEC nonsense FROM", ("text",))
+            # A lone surrogate (JSON can carry one) still reaches a worker.
+            with pytest.raises(BadRequest):
+                await service.compile("SELECT \ud800", ("text",))
             with pytest.raises(BadRequest):
                 await service.compile(SIMPLE, ("not-a-format",))
             with pytest.raises(BadRequest):
@@ -544,16 +595,14 @@ def test_request_deadline_kill_for_wedged_worker():
 
 
 # --------------------------------------------------------------------- #
-# HTTP integration + connection sweep
+# HTTP integration + finished connections leave the tracked set
 # --------------------------------------------------------------------- #
 
 
 def test_pool_behind_http_server_and_connection_sweep():
     async def check() -> None:
         service = await _started(PoolConfig(workers=2, **FAST))
-        server = CompileServer(
-            service, host="127.0.0.1", port=0, sweep_interval=0.05
-        )
+        server = CompileServer(service, host="127.0.0.1", port=0)
         await server.start()
         try:
             async def request(path: str, document: dict) -> tuple[int, dict]:
@@ -595,7 +644,8 @@ def test_pool_behind_http_server_and_connection_sweep():
             assert int((await reader.readline()).split()[1]) == 200
             writer.close()
             await writer.wait_closed()
-            # Closed connections linger only until the sweeper's next pass.
+            # A closed connection's task leaves the tracked set through its
+            # done callback, with no periodic sweep.
             await asyncio.sleep(0.02)
             assert any(task.done() for task in server._connections) or not (
                 server._connections

@@ -9,12 +9,14 @@ error-mapping code paths are the ones production traffic hits.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import gc
 import http.client
 import json
 import os
 import random
+import socket
 import sys
 import threading
 import time
@@ -147,6 +149,26 @@ def test_response_lru_hit_and_bounded_eviction():
     assert service.lru.stats.evictions >= 1
     assert service.stats.lru_hits == 1
     assert service.stats.compiles == 4
+
+
+def test_response_lru_keeps_encoded_bodies_only():
+    service = CompileService()
+
+    async def scenario():
+        compiled = await service.compile(SIMPLE, ("svg", "text"))
+        rendered = await service.render(DISTINCT[0], "dot")
+        return compiled, rendered
+
+    try:
+        compiled, rendered = asyncio.run(scenario())
+    finally:
+        service.close()
+    bodies = list(service.lru._entries.values())
+    assert len(bodies) == 2
+    assert all(type(body) is bytes for body in bodies)
+    assert compiled.body in bodies
+    # /render decodes the cached /compile body of its one format.
+    assert rendered.payload["output"] == json.loads(bodies[1])["outputs"]["dot"]
 
 
 def test_overload_sheds_with_503_semantics():
@@ -352,6 +374,31 @@ def test_http_endpoints_and_error_mapping():
         assert stats["requests"]["compile"] >= 2
         assert stats["lru"]["entries"] >= 1
         assert "pipeline" in stats
+
+
+def test_oversized_request_or_header_line_is_413_and_the_server_serves_on():
+    long_line = "a" * 70_000
+    requests = [
+        f"GET /{long_line} HTTP/1.1\r\nHost: x\r\n\r\n",
+        f"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Long: {long_line}\r\n\r\n",
+    ]
+    with _ServerFixture() as fixture:
+        for request in requests:
+            with socket.create_connection(
+                ("127.0.0.1", fixture.server.port), timeout=10
+            ) as sock:
+                sock.sendall(request.encode("ascii"))
+                response = b""
+                # The server answers and closes; closing with part of the
+                # request unread may reset the connection after the answer.
+                with contextlib.suppress(ConnectionResetError):
+                    while chunk := sock.recv(65536):
+                        response += chunk
+            head = response.split(b"\r\n\r\n", 1)[0].decode("ascii")
+            assert head.startswith("HTTP/1.1 413 "), head
+            assert "Connection: close" in head
+        status, payload, _ = fixture.request("GET", "/healthz")
+        assert status == 200 and payload["status"] == "ok"
 
 
 # --------------------------------------------------------------------- #
@@ -563,9 +610,9 @@ def test_http_graceful_shutdown_drains_in_flight_request():
 # --------------------------------------------------------------------- #
 
 #: GC-tracked objects one CompileService may keep per distinct compiled
-#: query: its text-memo and response-LRU entries (5.2 measured; a compiler
-#: that memoizes its stages keeps ~115).
-KEPT_OBJECTS_PER_QUERY = 10
+#: query: its text-memo and response-LRU entries (1.95 measured; ~5 when
+#: the LRU also kept each decoded payload, ~115 with stage memos).
+KEPT_OBJECTS_PER_QUERY = 3
 
 #: The front half's stage functions, at the names the compiler calls.
 FRONT_HALF = ("scan", "sql_to_logic_tree", "simplify_logic_tree", "fingerprint_and_roles")
@@ -666,8 +713,8 @@ def test_front_half_runs_once_per_first_sight_text(monkeypatch):
     assert all(stats.counter(stage).lookups == len(texts) for stage in FRONT_STAGES)
     assert service.compiler.handoff.stats.hits == len(texts)
 
-    # A pool worker answers a key op, then resolves the key again before
-    # its compile op: the second resolution finds the handoff's entry.
+    # A pool worker answers a text's key op and then its compile op: the
+    # compile pops the front half that the key op left in the handoff.
     calls.clear()
     backend = LocalCompiler()
 
@@ -685,6 +732,7 @@ def test_front_half_runs_once_per_first_sight_text(monkeypatch):
     assert calls == {name: len(texts) for name in FRONT_HALF}
     stats = backend.compiler.stats()
     assert all(stats.counter(stage).lookups == len(texts) for stage in FRONT_STAGES)
+    assert backend.compiler.handoff.stats.hits == len(texts)
 
 
 def test_concurrent_compiles_match_a_cold_compile_of_their_own_text():
