@@ -250,11 +250,11 @@ def test_perf_topk_beats_full_materialization_at_k10():
     ):
         assert ranked_result.as_set() <= full_result.as_set()
         assert len(ranked_result) == min(k, len(full_result))
-    # The non-materialization guarantee: the engine consumed every join
-    # output row (ordering needs all candidates) yet never held more than
-    # a small candidate prefix — orders of magnitude below the full
-    # result it replaced.
-    assert stats.topk_input_rows > full_rows
+    # The non-materialization guarantee: each ranked query reads its
+    # leading table in key order and stops at the limit, so the rankings
+    # pulled and held a small prefix — orders of magnitude below the
+    # full result they replaced.
+    assert stats.topk_input_rows < full_rows / 10
     assert stats.topk_held_rows < full_rows / 10
     assert speedup >= _REQUIRED_TOPK_SPEEDUP
 

@@ -259,7 +259,10 @@ class _Slot:
         return self._mat
 
     def taken(self, index) -> "_Slot":
-        return _Slot(self.data, self.family, _compose(self.index, index))
+        # A selection of a mixed column may hold one family only, so
+        # its family is read again from the values selected.
+        family = None if self.family == "mixed" else self.family
+        return _Slot(self.data, family, _compose(self.index, index))
 
 
 class Frame:
@@ -989,12 +992,26 @@ def run_plan_nonempty(
 def run_block_columnar(
     plan: BlockPlan, context: "ExecutionContext", params: tuple = ()
 ) -> "ResultSet":
-    """Execute a compiled block plan with the columnar backend."""
-    from .executor import ResultSet, _prechecks_pass
+    """Execute a compiled block plan with the columnar backend.
+
+    A ranked block that stops early on this run
+    (:meth:`~.executor.ExecutionContext.stops_early`) reads about its
+    limit of rows on the rows engine, where a frame would hold every row,
+    so it runs there.
+    """
+    from .executor import ResultSet, _prechecks_pass, _program
 
     if not _prechecks_pass(plan, context, params):
         return ResultSet(columns=plan.columns, rows=())
-    rows = _run_node(plan.root, context, params).rows()
+    root = plan.root
+    if (
+        type(root) is TopK
+        and root.key_order is not None
+        and context.stops_early(root.key_order)
+    ):
+        rows = _program(plan).run(context, params)
+    else:
+        rows = _run_node(root, context, params).rows()
     return ResultSet(columns=plan.columns, rows=tuple(rows))
 
 

@@ -90,6 +90,7 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
+    KeyOrder,
     NestedLoopJoin,
     PlanNode,
     Project,
@@ -218,7 +219,8 @@ class ExecutionStats:
     # rows any single TopK kept resident.  The gap between the two is the
     # non-materialization guarantee — a bounded-heap `LIMIT 10` over a
     # million-row join shows topk_input_rows in the millions while
-    # topk_held_rows stays at 10.
+    # topk_held_rows stays at 10.  Read in key order, the same ranking
+    # pulls about 10 rows too.
     topk_input_rows: int = 0
     topk_held_rows: int = 0
     # Graceful degradation (only moves under a FallbackBackend): queries
@@ -279,8 +281,10 @@ class ExecutionContext:
       :class:`~.keyindex.KeyIndex`, an LRU of :data:`KEY_INDEX_ENTRIES`
       hash indexes.  The rows engine probes them for a
       :class:`~.plan.Filter`'s ``key_probe`` and for a hash join whose
-      build side is a bare scan; the columnar engine hands subquery blocks
-      with a ``key_probe`` to the rows engine.  A probe runs behind the
+      build side is a bare scan, and reads a ranked block's leading scan
+      in key order through one; the columnar engine hands subquery blocks
+      with a ``key_probe``, and ranked blocks that stop early
+      (:meth:`stops_early`), to the rows engine.  A probe runs behind the
       subquery cache, only when it misses.
 
     Tables only grow (:class:`~.database.Relation`), so a table's length
@@ -383,6 +387,30 @@ class ExecutionContext:
         elif index.nrows != len(relation):
             index.extend(relation)
         return index
+
+    def stops_early(self, order: KeyOrder) -> bool:
+        """Whether this run of a ranked block reads ``order``'s leading
+        table in key order and stops once its limit is filled; if not, it
+        ranks the whole input.
+
+        Stopping skips the rows after the limit, so it is done only where
+        none of them could have raised: the ORDER BY column holds one
+        value family and no NaN, each filter conjunct's column holds only
+        its constant's family, and each join's probe column has the family
+        of its build side's key.  The data decides, so this is checked on
+        every run.
+        """
+        index = self.key_index(self.database.relation(order.table), (order.column,))
+        if not index.orderable():
+            return False
+        if not all(index.holds_only(column, value) for column, value in order.filters):
+            return False
+        for probe, table, column in order.joins:
+            build = self.key_index(self.database.relation(table), (column,))
+            family = index.family(probe)
+            if family is None or family != build.family(column):
+                return False
+        return True
 
     # -- subqueries ------------------------------------------------------ #
     #
@@ -758,7 +786,19 @@ def _compile_node(node: PlanNode) -> Callable:
 
 def _compile_scan(node: Scan) -> Callable:
     table = node.table
-    return lambda context, params: context.database.relation(table).rows
+    if node.key_order is None:
+        return lambda context, params: context.database.relation(table).rows
+    column, descending = node.key_order
+
+    def run(context: ExecutionContext, params: tuple):
+        # A ranked block's leading scan (plan.KeyOrder) reads in key order
+        # when its key index can order every row.  Its TopK ranks whatever
+        # order comes, and stops early only where it may.
+        relation = context.database.relation(table)
+        index = context.key_index(relation, (column,))
+        return index.in_key_order(descending) if index.orderable() else relation.rows
+
+    return run
 
 
 def _compile_filter(node: Filter) -> Callable:
@@ -1078,11 +1118,15 @@ def _family_checked(slot: int) -> Callable[[tuple], Value]:
 def _compile_topk(node: TopK) -> Callable:
     """Ranked output without materializing beyond the cutoff.
 
-    Three shapes, cheapest first:
+    Four shapes, cheapest first:
 
     * **key-less LIMIT** — a lazy ``islice`` over the child; the pipeline
       stops pulling rows the moment the slice is satisfied, so a
       ``LIMIT 10`` over a huge join does bounded work end to end;
+    * **key order** — the same lazy slice over a child whose leading scan
+      reads in key order, so that its rows come in rank order, when the
+      planner set ``node.key_order`` and the data lets the run stop early
+      (:meth:`ExecutionContext.stops_early`);
     * **heap strategy** — a bounded heap: the whole child is consumed
       (ordering needs every candidate) but at most ``limit + offset`` rows
       are ever resident;
@@ -1102,6 +1146,7 @@ def _compile_topk(node: TopK) -> Callable:
     tally once per row, without a Python frame per row.
     """
     child = _compile_node(node.child)
+    key_order = node.key_order
     limit, offset, distinct = node.limit, node.offset, node.distinct
     stop = None if limit is None else offset + limit
     heap = limit is not None and node.strategy == "heap"
@@ -1133,13 +1178,16 @@ def _compile_topk(node: TopK) -> Callable:
     def run(context: ExecutionContext, params: tuple) -> list[tuple]:
         stats = context.stats
         tally = count(1)
+        ordered = key_order is not None and context.stops_early(key_order)
         rows = compress(child(context, params), tally)
-        if keys:
+        if keys and not ordered:
             out = ranked(rows, params, stats)
         else:
             # Early exit: islice stops advancing the child once satisfied,
             # so upstream operators never produce rows beyond the cutoff.
-            out = list(islice(_distinct_rows(rows) if distinct else rows, offset, stop))
+            top = list(islice(_distinct_rows(rows) if distinct else rows, stop))
+            stats.topk_held_rows = max(stats.topk_held_rows, len(top))
+            out = top[offset:]
         stats.topk_input_rows += next(tally) - 1
         return out
 

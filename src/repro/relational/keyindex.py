@@ -18,12 +18,19 @@ The :class:`~.executor.ExecutionContext` keeps the indexes and brings
 each level with its table before use, as it does the columnar tables:
 tables only grow, so an index takes in the rows appended since it was
 last read (:meth:`KeyIndex.extend`).
+
+An index on one column also reads its table in key order
+(:meth:`KeyIndex.in_key_order`), for a ranked block that stops once its
+limit is filled.  The first such read sorts the bucket keys, and appends
+then insert each new key in place.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import chain, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Relation
@@ -35,7 +42,7 @@ _NUMERIC = (int, float)
 class KeyIndex:
     """``relation``'s rows grouped by the values of the ``key`` columns."""
 
-    __slots__ = ("key", "buckets", "types", "nrows")
+    __slots__ = ("key", "buckets", "types", "nrows", "left_out", "sorted_keys")
 
     def __init__(self, relation: "Relation", key: tuple[int, ...]) -> None:
         self.key = key
@@ -44,6 +51,11 @@ class KeyIndex:
         #: Per column of the table, the Python types of its values.
         self.types: list[set[type]] = [set() for _ in relation.columns]
         self.nrows = 0
+        #: Rows whose key holds a NaN, and so went in no bucket.
+        self.left_out = 0
+        #: The bucket keys in ascending order, from the first ordered read
+        #: on; None before it, or once the keys stop sharing one order.
+        self.sorted_keys: list | None = None
         self.extend(relation)
 
     def extend(self, relation: "Relation") -> None:
@@ -51,8 +63,36 @@ class KeyIndex:
         tail = relation.rows[self.nrows:]
         for seen, values in zip(self.types, zip(*tail)):
             seen.update(map(type, values))
-        group_by_key(tail, itemgetter(*self.key), self.buckets, len(self.key) == 1)
+        known = len(self.buckets)
+        self.left_out += len(
+            group_by_key(tail, itemgetter(*self.key), self.buckets, len(self.key) == 1)
+        )
         self.nrows += len(tail)
+        added = len(self.buckets) - known
+        if self.sorted_keys is not None and added:
+            if self.family(self.key[0]) is None:
+                self.sorted_keys = None
+            else:  # new keys are the last ones the dict took in
+                for key in islice(reversed(self.buckets), added):
+                    insort(self.sorted_keys, key)
+
+    def orderable(self) -> bool:
+        """Whether :meth:`in_key_order` reads every row: the key is one
+        column, of one value family (:meth:`family`), with no NaN."""
+        return len(self.key) == 1 and not self.left_out and self.family(self.key[0]) is not None
+
+    def in_key_order(self, descending: bool) -> Iterator[tuple]:
+        """The indexed rows bucket by bucket, in ascending key order or,
+        if ``descending``, descending.  Rows of one bucket are ties.
+
+        Only for an :meth:`orderable` index.
+        """
+        keys = self.sorted_keys
+        if keys is None:
+            keys = self.sorted_keys = sorted(self.buckets)
+        return chain.from_iterable(
+            map(self.buckets.__getitem__, reversed(keys) if descending else keys)
+        )
 
     def family(self, column: int) -> str | None:
         """``"num"`` or ``"str"`` when every value of ``column`` is of that

@@ -177,15 +177,23 @@ class PlanNode:
 
 @dataclass
 class Scan(PlanNode):
-    """Enumerate all rows of one table under an alias."""
+    """Enumerate all rows of one table under an alias.
+
+    ``key_order``, ``(column, descending)``, marks the leading scan of a
+    ranked block (:class:`KeyOrder`): the rows engine reads it in the
+    order of that column, ascending or descending, where its key index
+    can order every row (:meth:`~.keyindex.KeyIndex.orderable`).
+    """
 
     table: str
     alias: str
+    key_order: tuple[int, bool] | None = None
 
     def label(self) -> str:
-        if self.alias.lower() == self.table.lower():
-            return f"Scan {self.table}"
-        return f"Scan {self.table} AS {self.alias}"
+        text = f"Scan {self.table}"
+        if self.alias.lower() != self.table.lower():
+            text += f" AS {self.alias}"
+        return text + " [in key order]" if self.key_order is not None else text
 
 
 @dataclass
@@ -309,6 +317,33 @@ class Distinct(PlanNode):
         return (self.child,)
 
 
+@dataclass(frozen=True)
+class KeyOrder:
+    """How a ranked block reads its leading table in key order.
+
+    The planner sets it on a :class:`TopK` with one key and a LIMIT whose
+    tree is a :class:`Project` over a left-deep chain of
+    :class:`HashJoin` nodes, each probing a bare :class:`Scan`'s key with
+    one column of the leading scan, which sits under a :class:`Filter` of
+    column-against-constant conjuncts or under none.  Reading that scan
+    in the order of the ORDER BY column, the ranked rows come out in rank
+    order, and the TopK can stop once its limit is filled.
+
+    Stopping early skips rows, so engines stop early only on runs where
+    none of the skipped rows could have raised; the fields say what that
+    check reads (``ExecutionContext.stops_early``).
+    """
+
+    #: The leading table, and its ORDER BY column's position.
+    table: str
+    column: int
+    #: ``(column, constant)`` of each conjunct filtering the leading scan.
+    filters: tuple[tuple[int, Value], ...]
+    #: ``(probe column of the leading table, build table, its key column)``
+    #: of each hash join, innermost first.
+    joins: tuple[tuple[int, str, int], ...]
+
+
 @dataclass
 class TopK(PlanNode):
     """Ranked output: ``ORDER BY keys`` then ``LIMIT limit OFFSET offset``.
@@ -330,6 +365,11 @@ class TopK(PlanNode):
     first materializing the full distinct result only to throw away all
     but k rows of it.
 
+    ``key_order`` (:class:`KeyOrder`) says the child may instead be read
+    in rank order, so that ranking becomes a lazy slice that stops after
+    ``limit + offset`` rows; ``strategy`` still ranks the runs where the
+    data does not allow that.
+
     Ties on the key tuple are broken arbitrarily (engines differ); the
     differential harness compares ranked results up to tie groups.
     """
@@ -341,6 +381,7 @@ class TopK(PlanNode):
     offset: int = 0
     strategy: str = "heap"  # "heap" | "sort"
     distinct: bool = False
+    key_order: KeyOrder | None = None
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -357,7 +398,8 @@ class TopK(PlanNode):
             text += f" limit={self.limit}"
             if self.offset:
                 text += f" offset={self.offset}"
-        return f"{text} strategy={self.strategy}"
+        text += f" strategy={self.strategy}"
+        return text + " [key order]" if self.key_order is not None else text
 
 
 @dataclass

@@ -17,6 +17,13 @@ fragment:
   *connected* table minimizing the estimated intermediate result (tables
   connected to the bound set always beat unconnected ones, so any connected
   join graph still avoids accidental cartesian products);
+* **ranked reads in key order** — a root block ranked by one column with
+  a LIMIT starts its join order from that column's table instead, where
+  the estimates say a read of that table in the column's order fills the
+  limit before it reads as many rows as the join outputs; when every
+  join then probes a bare scan's key with a column of that table, the
+  TopK is marked (:class:`~.plan.KeyOrder`), so engines may read the
+  table in that order and stop once the limit is filled;
 * **decorrelation** — ``[NOT] IN`` subqueries (and the equivalent
   ``= ANY`` / ``<> ALL`` spellings) that do not reference the current block
   become :class:`~.plan.SemiJoin` / :class:`~.plan.AntiJoin` operators whose
@@ -83,6 +90,7 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
+    KeyOrder,
     NestedLoopJoin,
     Param,
     PlanNode,
@@ -323,16 +331,18 @@ class _BlockPlanner:
         self,
         scan_preds: dict[int, list[Comparison]],
         join_preds: list[tuple[Comparison, set[int]]],
+        start: int | None = None,
     ) -> list[int]:
         """Greedy left-deep order guided by estimated cardinalities.
 
-        Start from the table with the smallest estimated *filtered*
-        cardinality, then repeatedly add the table that minimizes the
-        estimated size of the joined intermediate result.  Connectivity
-        dominates the choice: a table joined to the bound set through at
-        least one predicate always beats an unconnected one, so any
-        connected join graph still avoids accidental cartesian products —
-        the statistics only refine the order *within* those constraints.
+        Start from ``start``, or else from the table with the smallest
+        estimated *filtered* cardinality, then repeatedly add the table
+        that minimizes the estimated size of the joined intermediate
+        result.  Connectivity dominates the choice: a table joined to the
+        bound set through at least one predicate always beats an
+        unconnected one, so any connected join graph still avoids
+        accidental cartesian products — the statistics only refine the
+        order *within* those constraints.
         Ties break on FROM-clause position, keeping plans deterministic.
         """
         n = len(self._instances)
@@ -351,7 +361,8 @@ class _BlockPlanner:
             (indices, self._join_selectivity(pred, indices))
             for pred, indices in join_preds
         ]
-        start = min(range(n), key=lambda index: (base[index], index))
+        if start is None:
+            start = min(range(n), key=lambda index: (base[index], index))
         order = [start]
         bound = {start}
         bound_size = base[start]
@@ -403,8 +414,61 @@ class _BlockPlanner:
             elif len(indices) > 1:
                 join_preds.append((pred, indices))
 
+        root = None if subqueries else self._key_ordered(scan_preds, join_preds)
+        if root is not None:
+            return self._block_plan(root, prechecks)
         order = self._join_order(scan_preds, join_preds)
+        tree, bases = self._join_tree(order, scan_preds, join_preds)
 
+        # Subquery predicates: decorrelate where possible, else evaluate as
+        # (memoized) residual predicates over the joined rows.
+        residual_subqueries: list[SubqueryPred] = []
+        for predicate in subqueries:
+            compiled = self._subquery_pred(predicate, bases)
+            if compiled.is_row_independent:
+                prechecks.append(compiled)
+            elif (
+                compiled.kind == "in"
+                and isinstance(compiled.value_expr, Col)
+                and not compiled.subquery_reads_row
+            ):
+                join_cls = AntiJoin if compiled.negated else SemiJoin
+                tree = join_cls(
+                    child=tree,
+                    plan=compiled.plan,
+                    param_exprs=compiled.param_exprs,
+                    probe=compiled.value_expr,
+                )
+            else:
+                residual_subqueries.append(compiled)
+        if residual_subqueries:
+            tree = Filter(tree, tuple(residual_subqueries))
+
+        return self._block_plan(self._ranked(self._projection(tree, bases)), prechecks)
+
+    def _block_plan(self, root: PlanNode, prechecks: list) -> BlockPlan:
+        return BlockPlan(
+            ast=self._query,
+            root=root,
+            columns=self._result_columns(),
+            n_params=len(self._param_exprs),
+            param_labels=tuple(self._param_labels),
+            prechecks=tuple(prechecks),
+            param_refs=frozenset(self._param_refs.items()),
+            key_probed=any(
+                type(node) is Filter and node.key_probe is not None
+                for node in root.walk()
+            ),
+        )
+
+    def _join_tree(
+        self,
+        order: list[int],
+        scan_preds: dict[int, list[Comparison]],
+        join_preds: list[tuple[Comparison, set[int]]],
+    ) -> tuple[PlanNode, dict[int, int]]:
+        """The left-deep join tree in ``order``, and each instance's base
+        slot in its rows."""
         tree: PlanNode | None = None
         bases: dict[int, int] = {}
         width = 0
@@ -463,46 +527,7 @@ class _BlockPlanner:
             width += instance.width
 
         assert tree is not None  # the grammar requires a non-empty FROM list
-
-        # Subquery predicates: decorrelate where possible, else evaluate as
-        # (memoized) residual predicates over the joined rows.
-        residual_subqueries: list[SubqueryPred] = []
-        for predicate in subqueries:
-            compiled = self._subquery_pred(predicate, bases)
-            if compiled.is_row_independent:
-                prechecks.append(compiled)
-            elif (
-                compiled.kind == "in"
-                and isinstance(compiled.value_expr, Col)
-                and not compiled.subquery_reads_row
-            ):
-                join_cls = AntiJoin if compiled.negated else SemiJoin
-                tree = join_cls(
-                    child=tree,
-                    plan=compiled.plan,
-                    param_exprs=compiled.param_exprs,
-                    probe=compiled.value_expr,
-                )
-            else:
-                residual_subqueries.append(compiled)
-        if residual_subqueries:
-            tree = Filter(tree, tuple(residual_subqueries))
-
-        root, columns = self._projection(tree, bases)
-        root = self._ranked(root)
-        return BlockPlan(
-            ast=query,
-            root=root,
-            columns=columns,
-            n_params=len(self._param_exprs),
-            param_labels=tuple(self._param_labels),
-            prechecks=tuple(prechecks),
-            param_refs=frozenset(self._param_refs.items()),
-            key_probed=any(
-                type(node) is Filter and node.key_probe is not None
-                for node in root.walk()
-            ),
-        )
+        return tree, bases
 
     def _equi_keys(
         self,
@@ -607,13 +632,10 @@ class _BlockPlanner:
     # projection
     # ------------------------------------------------------------------ #
 
-    def _projection(
-        self, tree: PlanNode, bases: dict[int, int]
-    ) -> tuple[PlanNode, tuple[str, ...]]:
+    def _projection(self, tree: PlanNode, bases: dict[int, int]) -> PlanNode:
         query = self._query
         if query.has_aggregates or query.group_by:
             return self._grouped_projection(tree, bases)
-        columns = self._result_columns()
         if query.is_select_star:
             exprs: list[ScalarExpr] = []
             for instance in self._instances:
@@ -628,11 +650,9 @@ class _BlockPlanner:
                         "aggregate select items require GROUP BY handling"
                     )
                 exprs.append(self._resolve(item, bases))
-        return Distinct(Project(tree, tuple(exprs))), columns
+        return Distinct(Project(tree, tuple(exprs)))
 
-    def _grouped_projection(
-        self, tree: PlanNode, bases: dict[int, int]
-    ) -> tuple[PlanNode, tuple[str, ...]]:
+    def _grouped_projection(self, tree: PlanNode, bases: dict[int, int]) -> PlanNode:
         query = self._query
         group_exprs = tuple(self._resolve(col, bases) for col in query.group_by)
         items: list[tuple] = []
@@ -650,10 +670,7 @@ class _BlockPlanner:
                     items.append(("agg", item.func, self._resolve(item.argument, bases)))
             else:
                 raise EngineError("SELECT * cannot be combined with GROUP BY")
-        return (
-            Aggregate(tree, group_exprs, tuple(items)),
-            self._result_columns(),
-        )
+        return Aggregate(tree, group_exprs, tuple(items))
 
     def _result_columns(self) -> tuple[str, ...]:
         return result_columns(
@@ -705,6 +722,50 @@ class _BlockPlanner:
             distinct=distinct,
         )
 
+    def _key_ordered(
+        self,
+        scan_preds: dict[int, list[Comparison]],
+        join_preds: list[tuple[Comparison, set[int]]],
+    ) -> TopK | None:
+        """The block's ranked root, read in key order; None when the block
+        cannot be (:class:`~.plan.KeyOrder`).
+
+        Only a root block that is not grouped, ranks by one selected column
+        and has a LIMIT qualifies (the caller rules out subquery
+        predicates).  Its join order starts from the ORDER BY column's
+        table.  Reading that table in key order pulls about ``(limit +
+        offset) * rows / output`` of its rows before the limit fills,
+        ``output`` being the join's estimated size, which the greedy order
+        ranks in full.  Where the estimates say the ordered read pulls
+        more, as behind a join few leading rows find a partner in, or
+        where the tree is not of the shape, the block is planned as any
+        other.
+        """
+        query = self._query
+        if (
+            self._outer is not None
+            or len(query.order_by) != 1
+            or query.limit is None
+            or query.has_aggregates
+            or query.group_by
+            or query.is_select_star
+        ):
+            return None
+        relations = [instance.relation for instance in self._instances]
+        position = order_key_position(query.order_by[0].column, query, relations)
+        if position is None:
+            return None
+        leading = self._instance_for(query.select_items[position])
+        if leading is None:
+            return None
+        order = self._join_order(scan_preds, join_preds, start=leading.from_index)
+        # Rows pulled, (limit + offset) * rows / output, against output.
+        rows = self._stats.for_relation(leading.relation).row_count
+        if (query.limit + query.offset) * rows > self._estimated_rows**2:
+            return None
+        root = self._ranked(self._projection(*self._join_tree(order, scan_preds, join_preds)))
+        return root if _mark_key_order(root, leading.width) else None
+
     def _topk_strategy(self, limit: int | None, offset: int, has_keys: bool) -> str:
         """Heap vs sort-then-slice, guided by CatalogStatistics estimates.
 
@@ -738,6 +799,40 @@ def _key_probe(conjuncts: tuple[CompiledComparison, ...]) -> int | None:
         if conjunct.op == "=" and Param in kinds:
             return position
     return None
+
+
+def _mark_key_order(root: TopK, width: int) -> bool:
+    """Mark ``root`` and its leading scan for a read in key order when its
+    tree has :class:`~.plan.KeyOrder`'s shape; whether it did.
+
+    ``width`` is the leading table's: its columns are the first slots of
+    the joined rows.
+    """
+    project = root.child
+    key = project.exprs[root.keys[0].slot]
+    node = project.child
+    joins = []
+    while type(node) is HashJoin:
+        probe = node.left_keys
+        if len(probe) != 1 or probe[0].slot >= width or type(node.right) is not Scan:
+            return False
+        joins.append((probe[0].slot, node.right.table, node.right_keys[0].slot))
+        node = node.left
+    filters = []
+    if type(node) is Filter:
+        for pred in node.predicates:
+            if type(pred.left) is type(pred.right):  # two columns
+                return False
+            column, constant = (
+                (pred.left, pred.right) if type(pred.left) is Col else (pred.right, pred.left)
+            )
+            filters.append((column.slot, constant.value))
+        node = node.child
+    if type(node) is not Scan or type(key) is not Col or key.slot >= width:
+        return False
+    node.key_order = (key.slot, root.descending[0])
+    root.key_order = KeyOrder(node.table, key.slot, tuple(filters), tuple(reversed(joins)))
+    return True
 
 
 def plan_query(query: SelectQuery, database: Database) -> BlockPlan:

@@ -19,7 +19,8 @@ Node-by-node lowering rules (documented in ``docs/sql_backend.md``):
 ``Project``        ``SELECT e0 AS c0, ... FROM (child) t``
 ``Distinct``       ``SELECT DISTINCT * FROM (child) t``
 ``TopK``           ``SELECT * FROM (child) t ORDER BY k1 [DESC], ...
-                   LIMIT :p OFFSET :q`` (both bound, never inlined)
+                   LIMIT :p OFFSET :q`` (both bound, never inlined;
+                   the key of one read in key order is indexed)
 ``Aggregate``      ``SELECT items FROM (child) t [GROUP BY ...]``; a
                    *global* aggregate gains ``HAVING COUNT(*) > 0`` so an
                    empty input yields zero rows like the Python engines
@@ -34,8 +35,9 @@ uncorrelated ``S`` under ``<``, ``<=``, ``>`` or ``>=`` becomes one scalar
 subquery SQLite runs once: ``v > ANY (S)`` → ``COALESCE(v > (SELECT
 MIN(q.c0) FROM (S) q), 0)``, ``v >= ALL (S)`` → ``COALESCE(v >= (SELECT
 MAX(q.c0) FROM (S) q), 1)`` (schema-typed columns carry no NULLs, so the
-bound is NULL only for an empty ``S``).  ``= ANY`` and ``<> ALL`` become
-``IN`` / ``NOT IN``; the rest re-run per outer row as ``v op ANY (S)`` →
+bound is NULL only for an empty ``S``; ``S`` is lowered without its
+DISTINCT, which changes no minimum or maximum).  ``= ANY`` and ``<> ALL``
+become ``IN`` / ``NOT IN``; the rest re-run per outer row as ``v op ANY (S)`` →
 ``EXISTS(SELECT 1 FROM (S) q WHERE v op q.c0)`` and ``v op ALL (S)`` →
 ``NOT EXISTS(SELECT 1 FROM (S) q WHERE NOT (v op q.c0))``.
 
@@ -49,8 +51,8 @@ affecting only ill-typed queries.
 
 Each slot also carries the stored (table, column) it passes through, if
 any.  From them the lowering lists the columns the query looks rows up
-by (:attr:`LoweredQuery.indexes`), which the store indexes before the
-query runs.
+or ranks by (:attr:`LoweredQuery.indexes`), which the store indexes
+before the query runs.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ class LoweredQuery:
     """One plan lowered to executable SQL plus its bound constants.
 
     ``indexes`` lists the (table, column) pairs the query looks rows up
-    by: both sides of every hash-join key, and the column of every
-    :class:`~repro.relational.plan.Filter`'s ``key_probe``.  The store
-    indexes them before the query runs.
+    by: both sides of every hash-join key, the column of every
+    :class:`~repro.relational.plan.Filter`'s ``key_probe``, and the
+    ORDER BY column of a :class:`~repro.relational.plan.TopK` with a
+    ``key_order``.  The store indexes them before the query runs.
     """
 
     sql: str
@@ -202,7 +205,13 @@ class _Lowering:
         child_params: _Params = [
             self._expr(expr, frame, params) for expr in pred.param_exprs
         ]
-        sub = self.block(pred.plan, child_params)
+        # An uncorrelated subquery under an ordered operator is read for
+        # its minimum or maximum alone (_quantified), which the block's
+        # DISTINCT does not change and sqlite may answer by a slower plan.
+        end = None
+        if not pred.param_exprs:
+            end = _SubqueryValues.DECIDING_END.get((pred.op, pred.quantifier))
+        sub = self.block(pred.plan, child_params, distinct=end is None)
         if pred.kind == "exists":
             text = f"EXISTS ({sub.sql})"
             return f"NOT {text}" if pred.negated else text
@@ -216,17 +225,16 @@ class _Lowering:
         if pred.kind == "in":
             text = f"{value_sql} IN ({sub.sql})"
         else:
-            text = self._quantified(
-                value_sql, pred.op, pred.quantifier, sub, not pred.param_exprs
-            )
+            text = self._quantified(value_sql, pred.op, pred.quantifier, sub, end)
         return f"NOT ({text})" if pred.negated else text
 
     def _quantified(
-        self, value_sql: str, op: str, quantifier: str, sub: _Rel, uncorrelated: bool
+        self, value_sql: str, op: str, quantifier: str, sub: _Rel, end: str | None
     ) -> str:
         """Rewrite ANY/ALL (absent from SQLite) into forms SQLite runs.
 
-        An uncorrelated subquery under an ordered operator becomes one
+        An uncorrelated subquery under an ordered operator (``end``, the
+        ``"min"`` or ``"max"`` that decides it, is set) becomes one
         scalar subquery over its min or max, which SQLite evaluates once:
         schema-typed columns carry no NULLs, so the bound is NULL exactly
         when the result is empty, and ``COALESCE`` answers that case.  The
@@ -241,8 +249,7 @@ class _Lowering:
         if quantifier == "ALL" and op == "<>":
             return f"{value_sql} NOT IN ({sub.sql})"
         alias = self._alias()
-        end = _SubqueryValues.DECIDING_END.get((op, quantifier))
-        if uncorrelated and end is not None:
+        if end is not None:
             empty = 1 if quantifier == "ALL" else 0
             return (
                 f"COALESCE({value_sql} {op} (SELECT {end.upper()}({alias}.c0) "
@@ -403,14 +410,18 @@ class _Lowering:
     def _topk(self, node: TopK, params: _Params) -> _Rel:
         """Ranked output lowers to native ``ORDER BY … LIMIT``.
 
-        SQLite's own sorter implements the top-k (it switches to a bounded
-        sort when LIMIT is present), so the hint in ``node.strategy`` has
-        nothing to steer here.  LIMIT/OFFSET become bound parameters like
-        every other constant, keeping the SQL text cacheable across k.
-        A fused Distinct renders as ``SELECT DISTINCT *`` so SQLite's
-        sorter-based dedup composes with the bounded ORDER BY/LIMIT sort.
+        SQLite plans the top-k itself, so the hint in ``node.strategy``
+        has nothing to steer here.  A TopK the planner marked to read in
+        key order (``node.key_order``) indexes its ORDER BY column: sqlite
+        then walks the index in key order and stops at the LIMIT, where it
+        would otherwise sort every row.  LIMIT/OFFSET become bound
+        parameters like every other constant, keeping the SQL text
+        cacheable across k.  A fused Distinct renders as ``SELECT
+        DISTINCT *``.
         """
         child = self._node(node.child, params)
+        if node.key_order is not None:
+            self._index(child, node.keys[0].slot)
         alias = self._alias()
         frame: _Frame = [(alias, child.families)]
         select = "SELECT DISTINCT *" if node.distinct else "SELECT *"
@@ -466,9 +477,13 @@ class _Lowering:
 
     # -- blocks --------------------------------------------------------- #
 
-    def block(self, plan: BlockPlan, params: _Params) -> _Rel:
-        """Lower one block: its operator tree gated by its prechecks."""
-        rel = self._node(plan.root, params)
+    def block(self, plan: BlockPlan, params: _Params, distinct: bool = True) -> _Rel:
+        """Lower one block: its operator tree gated by its prechecks, and
+        without a root DISTINCT unless ``distinct``."""
+        root = plan.root
+        if not distinct and type(root) is Distinct:
+            root = root.child
+        rel = self._node(root, params)
         if plan.prechecks:
             alias = self._alias()
             frame: _Frame = [(alias, rel.families)]

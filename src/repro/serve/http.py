@@ -25,9 +25,12 @@ path       method  body / response
 
 Errors map to conventional statuses: malformed JSON / SQL / formats → 400,
 unknown path → 404, wrong method → 405, an oversized request line, header
-line, header block or body → 413 (the first three also close the
-connection), shed or timed-out or draining → 503 with a ``Retry-After``
-header.
+line, header block or body → 413, shed or timed-out or draining → 503 with
+a ``Retry-After`` header.  Framing errors close the connection, so that
+bytes after them are never read as another request: a bad request line
+or header block, and a body that is too long, has a malformed
+``Content-Length`` or comes with a ``Transfer-Encoding`` header (400: only
+Content-Length bodies are read).
 """
 
 from __future__ import annotations
@@ -174,12 +177,14 @@ class CompileServer:
             if not request_line:
                 return False
             method, path, headers = await self._read_head(request_line, reader)
+            # After a framing error the body's end is unknown, so nothing
+            # that follows on the connection may be read as a request.
+            body = await self._read_body(reader, headers)
         except _HttpError as error:
             await self._respond_error(writer, error, keep_alive=False)
             return False
         keep_alive = headers.get("connection", "keep-alive") != "close"
         try:
-            body = await self._read_body(reader, headers)
             result = await self._dispatch(method, path, body)
             if isinstance(result, ServedResponse):
                 await self._respond_raw(
@@ -241,6 +246,8 @@ class CompileServer:
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: dict[str, str]
     ) -> bytes:
+        if "transfer-encoding" in headers:
+            raise _HttpError(400, "only Content-Length bodies are supported")
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:

@@ -401,6 +401,43 @@ def test_oversized_request_or_header_line_is_413_and_the_server_serves_on():
         assert status == 200 and payload["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "framing, status",
+    [
+        ("Content-Length: 2000000", 413),
+        ("Content-Length: abc", 400),
+        ("Transfer-Encoding: chunked", 400),
+    ],
+    ids=["too-long", "malformed-length", "chunked"],
+)
+def test_a_body_framing_error_closes_the_connection(framing, status):
+    # A GET /stats sent after the bad body must not be answered: with the
+    # body's end unknown, it is part of that body, not a second request.
+    body = b'{"sql": "SELECT 1"}'
+    smuggled = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+    if framing.startswith("Transfer-Encoding"):
+        body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    request = (
+        f"POST /compile HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n".encode("ascii")
+        + body
+        + smuggled
+    )
+    with _ServerFixture() as fixture:
+        with socket.create_connection(
+            ("127.0.0.1", fixture.server.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            response = b""
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := sock.recv(65536):
+                    response += chunk
+        assert response.count(b"HTTP/1.1 ") == 1, response
+        head = response.split(b"\r\n\r\n", 1)[0].decode("ascii")
+        assert head.startswith(f"HTTP/1.1 {status} "), head
+        assert "Connection: close" in head
+        assert "stats" not in fixture.service.stats.requests
+
+
 # --------------------------------------------------------------------- #
 # fault handling: retries, supervision, poisoned coalescing
 # --------------------------------------------------------------------- #

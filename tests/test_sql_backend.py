@@ -306,6 +306,8 @@ class TestLowering:
         assert "COALESCE(" in lowered.sql and "(SELECT MIN(" in lowered.sql
         assert lowered.sql.count("SELECT MIN(") == 1
         assert "EXISTS" not in lowered.sql and "MAX(" not in lowered.sql
+        # The subquery's DISTINCT changes no minimum: only the outer stays.
+        assert lowered.sql.count("SELECT DISTINCT") == 1
 
     def test_uncorrelated_all_lowers_to_coalesced_max(self, sailors):
         lowered = self._lower(
@@ -316,6 +318,7 @@ class TestLowering:
         assert "COALESCE(" in lowered.sql and "(SELECT MAX(" in lowered.sql
         assert lowered.sql.count("SELECT MAX(") == 1
         assert "EXISTS" not in lowered.sql and "MIN(" not in lowered.sql
+        assert lowered.sql.count("SELECT DISTINCT") == 1
 
     def test_equality_any_becomes_in(self, sailors):
         lowered = self._lower(
