@@ -591,7 +591,7 @@ def _run_bench_exec(args: argparse.Namespace) -> int:
             print(
                 f"fallback: {stats.fallbacks} queries degraded to the rows "
                 f"engine ({stats.breaker_skips} skipped by an open breaker; "
-                f"state {stats.breaker_state})"
+                f"state {batch.context.breaker_state})"
             )
             payload[f"{name}_fallbacks"] = stats.fallbacks
         payload[f"{name}_cold_ms"] = round(cold * 1000, 1)
@@ -850,7 +850,7 @@ def _run_bench_diagram(args: argparse.Namespace) -> int:
         payload["persistent_speedup_vs_cold"] = round(
             cold_elapsed / warm_elapsed, 1
         )
-        payload["disk"] = disk_stats.as_dict()
+        payload["disk"] = disk_stats.snapshot()
         # Flat duplicates for benchmarks/compare.py's INFO keys (it only
         # inspects scalars).
         payload["disk_evictions"] = disk_stats.evictions
@@ -948,7 +948,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         drained = await server.stop(drain_timeout=args.timeout + 5.0)
         print(
             f"shutdown {'clean' if drained else 'with undrained work'}; "
-            f"served {sum(service.stats.requests.values())} requests",
+            f"served {sum(service.requests.values())} requests",
             flush=True,
         )
         return 0 if drained else 1
@@ -1044,32 +1044,21 @@ def _run_warm_cache(args: argparse.Namespace) -> int:
     batch.run(corpus, formats=formats, workers=args.workers)
     elapsed = time.perf_counter() - start
     disk = batch.compiler.disk_cache
-    if args.workers and args.workers > 1:
-        # The parent compiler never touched the store itself; reopen for
-        # accurate entry counts (workers wrote through their own handles).
-        from .pipeline import DiskCache
-
-        disk = DiskCache(Path(args.disk_cache))
     print(
         f"warmed {args.disk_cache}: {len(corpus)} queries "
         f"({distinct_count} distinct generated) in {elapsed * 1000:.1f} ms"
         + (f" with {args.workers} workers" if args.workers else "")
     )
     print(f"entries:  {disk.entry_count()} cached stage products on disk")
-    # Merged across workers (each worker folds its own store handle's
-    # counters into the PipelineStats it ships back).
-    merged = batch.stats().disk
+    # A parallel run has added its workers' counters to these.
+    counts = disk.stats
     print(
         "disk:     "
-        f"{merged.get('hits', 0)} hits, {merged.get('writes', 0)} writes, "
-        f"{merged.get('evictions', 0)} evicted "
-        f"({merged.get('corrupt_evictions', 0)} corrupt / "
-        f"{merged.get('stale_evictions', 0)} stale)"
-        + (
-            ", DEGRADED to memory-only"
-            if merged.get("disk_degraded", 0)
-            else ""
-        )
+        f"{counts.hits} hits, {counts.writes} writes, "
+        f"{counts.evictions} evicted "
+        f"({counts.corrupt_evictions} corrupt / "
+        f"{counts.stale_evictions} stale)"
+        + (", DEGRADED to memory-only" if counts.disk_degraded else "")
     )
     print(f"caches:   {batch.stats().describe()}")
     return 0

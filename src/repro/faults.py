@@ -55,11 +55,13 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from random import Random
 from typing import Any, Iterator
+
+from .metrics import Counters
 
 __all__ = [
     "FaultPlan",
@@ -146,17 +148,6 @@ class FaultRule:
         return payload
 
 
-@dataclass
-class PointStats:
-    """Trigger counters of one fault point under the active plan."""
-
-    calls: int = 0
-    fires: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
-
 class _RuleState:
     """Mutable per-rule bookkeeping: match counts, fire counts, RNG streams."""
 
@@ -197,7 +188,8 @@ class FaultPlan:
         self.rules = tuple(rules)
         self.seed = seed
         self._states = [_RuleState(rule, seed) for rule in self.rules]
-        self._points: dict[str, PointStats] = {}
+        #: point name -> its ``calls`` and ``fires``.
+        self._points: dict[str, Counters] = {}
         self._lock = threading.Lock()
 
     # -- construction --------------------------------------------------- #
@@ -233,7 +225,7 @@ class FaultPlan:
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-point trigger counters: ``{point: {"calls": n, "fires": m}}``."""
         with self._lock:
-            return {point: stats.as_dict() for point, stats in self._points.items()}
+            return {point: stats.snapshot() for point, stats in self._points.items()}
 
     def total_fires(self) -> int:
         with self._lock:
@@ -261,7 +253,7 @@ class FaultPlan:
         with self._lock:
             stats = self._points.get(point)
             if stats is None:
-                stats = self._points[point] = PointStats()
+                stats = self._points[point] = Counters("calls", "fires")
             stats.calls += 1
             fired: _RuleState | None = None
             for state in self._states:

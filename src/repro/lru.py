@@ -7,28 +7,17 @@ distinct inputs grows a process without limit.  Evicting an entry costs a
 recomputation (or a disk-cache probe), never correctness: every memo here
 caches a deterministic function of its key.
 
-A leaf module: it imports nothing from :mod:`repro`, so any layer may use
-it without an import cycle.
+It imports only :mod:`repro.metrics`, itself a leaf, so any layer may
+use it without an import cycle.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
 from typing import Any, Hashable
 
-
-@dataclass
-class LRUStats:
-    """Counters for one :class:`LRUCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+from .metrics import Counters
 
 
 class LRUCache:
@@ -46,7 +35,7 @@ class LRUCache:
 
     def __init__(self, max_entries: int) -> None:
         self.max_entries = max_entries
-        self.stats = LRUStats()
+        self.stats = Counters("hits", "misses", "evictions")
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
 

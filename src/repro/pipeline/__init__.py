@@ -16,10 +16,8 @@ the stage graph and cache-key definitions.
 from .batch import DiagramBatchCompiler, EquivalenceClass
 from .compiler import RENDERERS, CompiledDiagram, DiagramCompiler, compile_sql
 from .diskcache import (
-    DEFAULT_DISK_STAGES,
     PIPELINE_CACHE_VERSION,
     DiskCache,
-    DiskCacheStats,
     default_cache_version,
     stable_key_digest,
 )
@@ -29,22 +27,19 @@ from .fingerprint import (
     fingerprint_logic_tree,
     fingerprint_sql,
 )
-from .stages import STAGE_NAMES, PipelineStats, StageCache, StageCounter
+from .stages import STAGE_NAMES, PipelineStats, StageCache
 
 __all__ = [
     "CompiledDiagram",
-    "DEFAULT_DISK_STAGES",
     "DiagramBatchCompiler",
     "DiagramCompiler",
     "DiskCache",
-    "DiskCacheStats",
     "EquivalenceClass",
     "PIPELINE_CACHE_VERSION",
     "PipelineStats",
     "RENDERERS",
     "STAGE_NAMES",
     "StageCache",
-    "StageCounter",
     "canonical_form",
     "compile_sql",
     "default_cache_version",

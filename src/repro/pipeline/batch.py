@@ -16,11 +16,11 @@ Two scale axes beyond the single shared compiler:
 * ``run(..., workers=N)`` fans the corpus over a ``ProcessPoolExecutor``
   in contiguous chunks and merges the per-worker results
   *deterministically*: artifacts come back in corpus order, per-worker
-  :class:`~repro.pipeline.stages.PipelineStats` are summed, equivalence
-  classes are rebuilt in corpus order, and every artifact of one
-  ``(fingerprint, roles)`` class is re-served the globally-first member's
-  rendered outputs — exactly what the serial cache does — so a parallel
-  run is byte-identical to a serial one.
+  :class:`~repro.pipeline.stages.PipelineStats` and disk-store counters
+  are summed, equivalence classes are rebuilt in corpus order, and every
+  artifact of one ``(fingerprint, roles)`` class is re-served the
+  globally-first member's rendered outputs — exactly what the serial
+  cache does — so a parallel run is byte-identical to a serial one.
 
 Beyond the speedup, the batch compiler doubles as an analysis tool: it
 records which source queries landed on which fingerprint, and
@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..catalog.schema import Schema
+from ..metrics import Counters
 from ..render.layout import LayoutConfig
 from ..sql.ast import SelectQuery
 from ..sql.formatter import format_inline
@@ -88,21 +89,13 @@ class DiagramBatchCompiler:
         self._layout_config = layout_config
         self._cache_enabled = cache
         # Workers must reopen the *same* store: root alone is not enough —
-        # a caller-supplied version stamp or stage restriction has to ship
-        # too, or the first worker would wipe a custom-version store.
-        self._disk_config: tuple[str, str, frozenset[str] | None] | None
-        if isinstance(disk_cache, DiskCache):
-            self._disk_config = (
-                str(disk_cache.root),
-                disk_cache.version,
-                disk_cache.stages,
-            )
-        elif disk_cache is not None:
-            opened = DiskCache(Path(disk_cache))
-            self._disk_config = (str(opened.root), opened.version, opened.stages)
-            disk_cache = opened
-        else:
-            self._disk_config = None
+        # a caller-supplied version stamp has to ship too, or the first
+        # worker would wipe a custom-version store.
+        if disk_cache is not None and not isinstance(disk_cache, DiskCache):
+            disk_cache = DiskCache(Path(disk_cache))
+        self._disk_config: tuple[str, str] | None = (
+            None if disk_cache is None else (str(disk_cache.root), disk_cache.version)
+        )
         self._compiler = DiagramCompiler(
             schema=schema,
             simplify=simplify,
@@ -191,10 +184,13 @@ class DiagramBatchCompiler:
 
     def _merge_parallel_results(
         self,
-        results: list[tuple[list[CompiledDiagram], PipelineStats]],
+        results: list[tuple[list[CompiledDiagram], PipelineStats, Counters | None]],
         formats: tuple[str, ...],
     ) -> list[CompiledDiagram]:
         """Deterministic merge: corpus order, first-member dedup, summed stats.
+
+        Each worker's stage counters add to this compiler's, and its disk
+        store's counters to this compiler's ``disk_cache.stats``.
 
         The serial stage caches serve every later member of a
         ``(fingerprint, roles)`` class the representative's diagram, layout
@@ -205,8 +201,10 @@ class DiagramBatchCompiler:
         """
         merged: list[CompiledDiagram] = []
         first_by_class: dict[tuple, CompiledDiagram] = {}
-        for artifacts, stats in results:
+        for artifacts, stats, disk_stats in results:
             self._compiler.stats().merge(stats)
+            if disk_stats is not None:
+                self._compiler.disk_cache.stats.merge(disk_stats)
             for artifact in artifacts:
                 key = (artifact.fingerprint, artifact.roles)
                 first = first_by_class.get(key)
@@ -291,18 +289,18 @@ class DiagramBatchCompiler:
 
 def _compile_chunk(
     payload: tuple,
-) -> tuple[list[CompiledDiagram], PipelineStats]:
+) -> tuple[list[CompiledDiagram], PipelineStats, Counters | None]:
     """Worker entry point: compile one contiguous corpus chunk.
 
     Runs in a separate process; builds its own compiler (sharing only the
-    on-disk cache, whose writes are atomic) and ships the artifacts and
-    stats back via pickle.
+    on-disk cache, whose writes are atomic) and ships the artifacts, the
+    stage counters and its disk store's counters back via pickle.
     """
     chunk, schema, simplify, layout_config, cache, disk_config, formats = payload
     disk_cache = None
     if disk_config is not None:
-        root, version, stages = disk_config
-        disk_cache = DiskCache(Path(root), version=version, stages=stages)
+        root, version = disk_config
+        disk_cache = DiskCache(Path(root), version=version)
     compiler = DiagramCompiler(
         schema=schema,
         simplify=simplify,
@@ -311,4 +309,5 @@ def _compile_chunk(
         disk_cache=disk_cache,
     )
     artifacts = [compiler.compile(query, formats=formats) for query in chunk]
-    return artifacts, compiler.stats()
+    disk_stats = disk_cache.stats if disk_cache is not None else None
+    return artifacts, compiler.stats(), disk_stats

@@ -164,10 +164,6 @@ class DiagramCompiler:
         if isinstance(disk_cache, (str, Path)):
             disk_cache = DiskCache(Path(disk_cache))
         self._disk_cache = disk_cache
-        # Disk counters already folded into ``self._stats.disk``; lets
-        # ``stats()`` add only the delta on every call, so merged worker
-        # contributions survive repeated refreshes.
-        self._disk_seen: dict[str, int] = {}
         # A compiler's schema / simplify flag / layout geometry are fixed at
         # construction and therefore absent from stage keys; a *shared*
         # persistent store must not mix entries across configurations, so
@@ -198,13 +194,7 @@ class DiagramCompiler:
         return self._layout_config
 
     def stats(self) -> PipelineStats:
-        if self._disk_cache is not None:
-            live = self._disk_cache.stats.as_dict()
-            for key, value in live.items():
-                delta = value - self._disk_seen.get(key, 0)
-                if delta:
-                    self._stats.disk[key] = self._stats.disk.get(key, 0) + delta
-            self._disk_seen = live
+        """Stage counters; the disk store counts in ``disk_cache.stats``."""
         return self._stats
 
     def cache_sizes(self) -> dict[str, int]:

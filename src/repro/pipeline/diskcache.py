@@ -47,12 +47,13 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from ..faults import fault_point
+from ..metrics import Counters
 
 #: Bump when cached products or key derivations change meaning.
 #: 2: ResultSet became a slotted dataclass with a __reduce__ (PR 5) —
@@ -140,27 +141,23 @@ def _update_digest(digest, key: Any) -> None:
         digest.update(encoded)
 
 
-@dataclass
-class DiskCacheStats:
-    """Counters for one :class:`DiskCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    #: Total entries deleted for any reason; always equals
-    #: ``corrupt_evictions + stale_evictions``.
-    evictions: int = 0
-    #: Entries that failed to unpickle, carried foreign content, or raised
-    #: IO errors mid-read — the never-trust branch.
-    corrupt_evictions: int = 0
-    #: Whole-store wipes caused by a version-stamp mismatch.
-    stale_evictions: int = 0
-    write_errors: int = 0
-    #: Times the store flipped into memory-only degraded mode.
-    disk_degraded: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+def _disk_counters() -> Counters:
+    return Counters(
+        "hits",
+        "misses",
+        "writes",
+        # Total entries deleted for any reason; always equals
+        # corrupt_evictions + stale_evictions.
+        "evictions",
+        # Entries that failed to unpickle, carried foreign content, or
+        # raised IO errors mid-read: the never-trust branch.
+        "corrupt_evictions",
+        # Whole-store wipes caused by a version-stamp mismatch.
+        "stale_evictions",
+        "write_errors",
+        # Times the store flipped into memory-only degraded mode.
+        "disk_degraded",
+    )
 
 
 @dataclass
@@ -173,21 +170,18 @@ class DiskCache:
           VERSION            # version stamp; mismatch wipes the store
           <stage>/<digest[:2]>/<digest>.pkl
 
-    ``stages`` restricts which pipeline stages are persisted (all known
-    stages by default — see :data:`DEFAULT_DISK_STAGES`).
+    Every pipeline stage persists here.  ``stats`` are this handle's
+    counters; a parallel batch run adds its workers' to them.
     """
 
     root: Path
     version: str = field(default_factory=default_cache_version)
-    stages: frozenset[str] | None = None
-    stats: DiskCacheStats = field(default_factory=DiskCacheStats)
+    stats: Counters = field(default_factory=_disk_counters)
     #: True once the store gave up on disk and serves memory-only misses.
     degraded: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        if self.stages is not None:
-            self.stages = frozenset(self.stages)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError:
@@ -200,10 +194,6 @@ class DiskCache:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-
-    def persists(self, stage: str) -> bool:
-        """Whether ``stage`` products go to (and come from) this store."""
-        return self.stages is None or stage in self.stages
 
     def get(self, digest_key: str, stage: str) -> tuple[bool, Any]:
         """``(True, value)`` on a trusted hit, ``(False, None)`` otherwise.
@@ -297,17 +287,9 @@ class DiskCache:
         for stage_dir in self._stage_dirs():
             _remove_tree(stage_dir)
 
-    def entry_count(self, stages: Iterable[str] | None = None) -> int:
-        """Number of entries on disk (optionally for specific stages)."""
-        wanted = set(stages) if stages is not None else None
-        count = 0
-        for stage_dir in self._stage_dirs():
-            if wanted is not None and stage_dir.name not in wanted:
-                continue
-            count += sum(
-                1 for path in stage_dir.rglob(f"*{_ENTRY_SUFFIX}") if path.is_file()
-            )
-        return count
+    def entry_count(self) -> int:
+        """Number of entries on disk."""
+        return sum(self.sizes().values())
 
     def sizes(self) -> dict[str, int]:
         """Entries per stage currently on disk."""
@@ -384,21 +366,3 @@ def _remove_tree(root: Path) -> None:
         root.rmdir()
     except OSError:
         pass
-
-
-#: Stages persisted by default.  ``artifact`` alone covers whole-compile
-#: warm starts; the individual stages additionally serve compilers with
-#: different requested formats or partially overlapping corpora.
-DEFAULT_DISK_STAGES = frozenset(
-    {
-        "artifact",
-        "lex",
-        "parse",
-        "logic",
-        "simplify",
-        "fingerprint",
-        "diagram",
-        "layout",
-        "render",
-    }
-)

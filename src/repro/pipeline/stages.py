@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
 from ..lru import LRUCache
+from ..metrics import Counters
 from .diskcache import DiskCache, stable_key_digest
 
 #: Stage names, in pipeline order (render appears once per output format).
@@ -61,44 +62,26 @@ _MISSING = object()
 
 
 @dataclass
-class StageCounter:
-    """Hit/miss/eviction counters of one stage cache.
+class PipelineStats:
+    """Cache effectiveness across all stages of one compiler.
 
-    ``disk_hits`` counts the subset of ``hits`` that were served from the
-    persistent second-level store (:mod:`repro.pipeline.diskcache`) rather
-    than from this process's memory.  ``evictions`` counts entries the
-    stage's in-memory bound pushed out.
+    Each stage counts ``hits``, ``misses``, ``disk_hits`` and
+    ``evictions``.  ``disk_hits`` is the subset of ``hits`` served from
+    the persistent second-level store (:mod:`repro.pipeline.diskcache`)
+    rather than from this process's memory.  ``evictions`` counts entries
+    the stage's in-memory bound pushed out; it repeats the stage LRU's own
+    count because batch workers ship these counters back, not their LRUs.
     """
 
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclass
-class PipelineStats:
-    """Cache effectiveness across all stages of one compiler."""
-
     queries: int = 0
-    counters: dict[str, StageCounter] = field(
-        default_factory=lambda: {name: StageCounter() for name in STAGE_NAMES}
+    counters: dict[str, Counters] = field(
+        default_factory=lambda: {
+            name: Counters("hits", "misses", "disk_hits", "evictions")
+            for name in STAGE_NAMES
+        }
     )
-    #: Disk-store counters (hits, writes, corrupt/stale evictions,
-    #: degradations) accumulated across this compiler and any merged
-    #: workers; empty when no disk cache is bound.  Refreshed by
-    #: :meth:`~repro.pipeline.compiler.DiagramCompiler.stats`.
-    disk: dict[str, int] = field(default_factory=dict)
 
-    def counter(self, stage: str) -> StageCounter:
+    def counter(self, stage: str) -> Counters:
         return self.counters[stage]
 
     @property
@@ -106,42 +89,29 @@ class PipelineStats:
         return sum(counter.hits for counter in self.counters.values())
 
     @property
-    def total_lookups(self) -> int:
-        return sum(counter.lookups for counter in self.counters.values())
-
-    @property
     def hit_rate(self) -> float:
-        lookups = self.total_lookups
+        lookups = sum(c.hits + c.misses for c in self.counters.values())
         return self.total_hits / lookups if lookups else 0.0
 
     def describe(self) -> str:
         parts = [f"{self.queries} queries"]
         for name in STAGE_NAMES:
             counter = self.counters[name]
-            if counter.lookups:
-                parts.append(f"{name} {counter.hits}/{counter.lookups} cached")
+            lookups = counter.hits + counter.misses
+            if lookups:
+                parts.append(f"{name} {counter.hits}/{lookups} cached")
         parts.append(f"overall hit rate {self.hit_rate:.0%}")
         return ", ".join(parts)
-
-    @property
-    def total_disk_hits(self) -> int:
-        return sum(counter.disk_hits for counter in self.counters.values())
 
     def merge(self, other: "PipelineStats") -> None:
         """Fold ``other``'s counters into this one (parallel-worker merge)."""
         self.queries += other.queries
         for name, counter in other.counters.items():
-            mine = self.counters.setdefault(name, StageCounter())
-            mine.hits += counter.hits
-            mine.misses += counter.misses
-            mine.disk_hits += counter.disk_hits
-            mine.evictions += counter.evictions
-        for key, value in other.disk.items():
-            self.disk[key] = self.disk.get(key, 0) + value
+            self.counters[name].merge(counter)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly summary (used by ``repro bench-diagram --json``)."""
-        payload: dict[str, Any] = {
+        return {
             "queries": self.queries,
             "hit_rate": round(self.hit_rate, 4),
             "stages": {
@@ -152,12 +122,9 @@ class PipelineStats:
                     **({"evictions": counter.evictions} if counter.evictions else {}),
                 }
                 for name, counter in self.counters.items()
-                if counter.lookups
+                if counter.hits or counter.misses
             },
         }
-        if self.disk:
-            payload["disk"] = dict(self.disk)
-        return payload
 
 
 class StageCache:
@@ -210,7 +177,7 @@ class StageCache:
                 return value
         disk = self._disk
         digest = None
-        if disk is not None and disk.persists(stage):
+        if disk is not None:
             digest = stable_key_digest(self._namespace, stage, key)
             found, value = disk.get(digest, stage)
             if found:

@@ -32,7 +32,7 @@ from .executor import (
 )
 from .plan import BlockPlan, PlanNode
 from .planner import Planner, plan_query
-from .stats import CatalogStatistics, KMVSketch, TableStats, stable_hash
+from .stats import CatalogStatistics, TableStats
 from .values import Value, compare, values_comparable
 
 #: Another name for :class:`Executor`, which runs whole workloads itself.
@@ -51,7 +51,6 @@ __all__ = [
     "Database",
     "EngineError",
     "ExecutionBackend",
-    "KMVSketch",
     "ExecutionContext",
     "ExecutionMode",
     "ExecutionStats",
@@ -75,7 +74,6 @@ __all__ = [
     "plan_query",
     "register_backend",
     "reset_breakers",
-    "stable_hash",
     "values_comparable",
     "with_fallback",
 ]

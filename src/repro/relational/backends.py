@@ -245,9 +245,9 @@ class FallbackBackend(ExecutionBackend):
     pipeline.  A primary == fallback wrapper degenerates to a plain
     dispatch (there is nowhere left to fall).  Recoverable primary
     failures re-execute on the fallback and count into
-    ``context.stats.fallbacks``; ``context.stats.breaker_state`` mirrors
-    the breaker after every execution so batch diagnostics and the
-    chaos suite can assert on it.
+    ``context.stats.fallbacks``; ``context.breaker_state`` mirrors the
+    breaker after every execution so batch diagnostics and the chaos
+    suite can assert on it.
     """
 
     def __init__(
@@ -292,7 +292,7 @@ class FallbackBackend(ExecutionBackend):
                 stats.fallbacks += 1
                 result = backend_for(self._fallback_mode).execute(query, context)
         finally:
-            stats.breaker_state[self.mode.value] = breaker.state.value
+            context.breaker_state[self.mode.value] = breaker.state.value
         return result
 
     def explain(self, query: "SelectQuery", context: "ExecutionContext") -> str:

@@ -45,7 +45,8 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -70,6 +71,7 @@ from ..sql.ast import (
 from ..sql.parser import parse
 from ..faults import fault_point
 from ..lru import LRUCache
+from ..metrics import Counters
 from .aggregates import apply_aggregate
 from .backends import ExecutionBackend, backend_for, register_backend, with_fallback
 from .database import Database, Relation, Row
@@ -179,62 +181,71 @@ SUBQUERY_MEMO_ENTRIES = 65_536
 KEY_INDEX_ENTRIES = 64
 
 
-@dataclass
-class ExecutionStats:
-    """Counters for the context's caches (useful for batch diagnostics)."""
+class ExecutionStats(Counters):
+    """Counters of one :class:`ExecutionContext`'s caches.
 
-    # Top-level queries run through every executor sharing the context.
-    queries: int = 0
-    plan_hits: int = 0
-    # Planner calls.  plan_replans counts those that replaced a cached
-    # plan because a table it reads had outgrown REPLAN_GROWTH.
-    plan_misses: int = 0
-    plan_replans: int = 0
-    # Entries the plan and subquery memos' bounds pushed out (not the
-    # replaced plans, nor the subquery results dropped by an insert).
-    plan_evictions: int = 0
-    subquery_hits: int = 0
-    subquery_misses: int = 0
-    subquery_evictions: int = 0
-    # ColumnarTable reads: hits find the table level with its relation,
-    # misses load it in full.  The rows engine scans relation.rows in
-    # place and counts in neither.
-    scan_hits: int = 0
-    scan_misses: int = 0
-    # Rows the columnar tables and the sqlite store took in by appending
-    # after an insert; scan_misses and sql_store_builds count only full
-    # loads.
-    rows_appended: int = 0
-    # Key indexes built in full (first use, or after an eviction) and
-    # those the memo's bound pushed out.  Indexes extended after an insert
-    # count in neither, nor in rows_appended.
-    key_index_builds: int = 0
-    key_index_evictions: int = 0
-    # SQL backend: in-memory store (re)builds, and lowerings reused from
-    # their plan vs lowered afresh.
-    sql_store_builds: int = 0
-    sql_lower_hits: int = 0
-    sql_lower_misses: int = 0
-    # Ranked output: rows consumed by TopK operators vs the peak number of
-    # rows any single TopK kept resident.  The gap between the two is the
-    # non-materialization guarantee — a bounded-heap `LIMIT 10` over a
-    # million-row join shows topk_input_rows in the millions while
-    # topk_held_rows stays at 10.  Read in key order, the same ranking
-    # pulls about 10 rows too.
-    topk_input_rows: int = 0
-    topk_held_rows: int = 0
-    # Graceful degradation (only moves under a FallbackBackend): queries
-    # re-executed on the fallback engine, executions that skipped a
-    # primary outright because its breaker was open, and the last
-    # observed breaker state per wrapped engine.
-    fallbacks: int = 0
-    breaker_skips: int = 0
-    breaker_state: dict[str, str] = field(default_factory=dict)
+    * ``queries``: top-level queries run through every executor sharing
+      the context.
+    * ``plan_hits``, ``plan_misses``: plan memo probes; a miss is a
+      planner call.  ``plan_replans`` counts the misses that replaced a
+      cached plan because a table it reads had outgrown
+      :data:`REPLAN_GROWTH`.
+    * ``plan_evictions``, ``subquery_evictions``: entries the plan and
+      subquery memos' bounds pushed out (not the replaced plans, nor the
+      subquery results dropped by an insert).
+    * ``subquery_hits``, ``subquery_misses``: subquery memo probes.
+    * ``scan_hits``, ``scan_misses``: ColumnarTable reads.  Hits find the
+      table level with its relation, misses load it in full.  The rows
+      engine scans ``relation.rows`` in place and counts in neither.
+    * ``rows_appended``: rows the columnar tables and the sqlite store
+      took in by appending after an insert; ``scan_misses`` and
+      ``sql_store_builds`` count only full loads.
+    * ``key_index_builds``, ``key_index_evictions``: key indexes built in
+      full (first use, or after an eviction) and those the memo's bound
+      pushed out.  Indexes extended after an insert count in neither, nor
+      in ``rows_appended``.
+    * ``sql_store_builds``, ``sql_lower_hits``, ``sql_lower_misses``: the
+      SQL backend's in-memory store (re)builds, and lowerings reused from
+      their plan vs lowered afresh.
+    * ``topk_input_rows``, ``topk_held_rows``: rows consumed by TopK
+      operators, and a high-water mark (not a count, nothing adds it up):
+      the most rows any single TopK kept resident.  The gap between the
+      two is the non-materialization guarantee — a bounded-heap
+      ``LIMIT 10`` over a million-row join shows ``topk_input_rows`` in
+      the millions while ``topk_held_rows`` stays at 10.  Read in key
+      order, the same ranking pulls about 10 rows too.
+    * ``fallbacks``, ``breaker_skips``: graceful degradation, which only
+      moves under a :class:`~.backends.FallbackBackend`: queries
+      re-executed on the fallback engine, and executions that skipped a
+      primary outright because its breaker was open.
 
-    def snapshot(self) -> dict[str, int]:
-        counters = asdict(self)
-        del counters["breaker_state"]
-        return counters
+    The plan, subquery and key-index counts repeat their memo LRUs' own
+    counts; they are kept here because every reader of an engine's
+    counters reads this one object.
+    """
+
+    names = (
+        "queries",
+        "plan_hits",
+        "plan_misses",
+        "plan_replans",
+        "plan_evictions",
+        "subquery_hits",
+        "subquery_misses",
+        "subquery_evictions",
+        "scan_hits",
+        "scan_misses",
+        "rows_appended",
+        "key_index_builds",
+        "key_index_evictions",
+        "sql_store_builds",
+        "sql_lower_hits",
+        "sql_lower_misses",
+        "topk_input_rows",
+        "topk_held_rows",
+        "fallbacks",
+        "breaker_skips",
+    )
 
     def describe(self) -> str:
         """One line of query count and cache hit rates."""
@@ -302,6 +313,9 @@ class ExecutionContext:
     def __init__(self, database: Database) -> None:
         self.database = database
         self.stats = ExecutionStats()
+        #: The last observed breaker state per engine a
+        #: :class:`~.backends.FallbackBackend` wraps.
+        self.breaker_state: dict[str, str] = {}
         self._planner = Planner(database)
         self._plans = LRUCache(PLAN_MEMO_ENTRIES)
         self._columnar: dict[str, "ColumnarTable"] = {}
@@ -1378,8 +1392,7 @@ class Executor:
 
     def stats(self) -> ExecutionStats:
         """A copy of the context's counters accumulated so far."""
-        stats = self._context.stats
-        return replace(stats, breaker_state=dict(stats.breaker_state))
+        return copy(self._context.stats)
 
 
 class _NaiveInterpreter:

@@ -10,8 +10,8 @@ fragment:
 * **equi-join detection** — ``A.x = B.y`` predicates between two tables of
   the block turn the cartesian product into a :class:`~.plan.HashJoin`;
 * **cardinality-guided join ordering** — a lightweight statistics layer
-  (:mod:`repro.relational.stats`: exact row counts plus per-column distinct
-  counts, KMV-sketched on large relations) estimates each table's filtered
+  (:mod:`repro.relational.stats`: exact row counts and per-column distinct
+  counts) estimates each table's filtered
   cardinality and each join's output size; the greedy left-deep order
   starts from the smallest filtered table and repeatedly adds the
   *connected* table minimizing the estimated intermediate result (tables

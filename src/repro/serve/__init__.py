@@ -35,11 +35,10 @@ from .service import (
     LocalCompiler,
     ServedResponse,
     ServiceConfig,
-    ServiceStats,
     ServiceUnavailable,
     WorkerCrashed,
 )
-from .supervisor import PoolConfig, PoolStats, WorkerSupervisor
+from .supervisor import PoolConfig, WorkerSupervisor
 
 __all__ = [
     "BadRequest",
@@ -48,10 +47,8 @@ __all__ = [
     "LRUCache",
     "LocalCompiler",
     "PoolConfig",
-    "PoolStats",
     "ServedResponse",
     "ServiceConfig",
-    "ServiceStats",
     "ServiceUnavailable",
     "WorkerCrashed",
     "WorkerSupervisor",

@@ -74,13 +74,15 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import Counter
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..catalog.schema import Schema
 from ..faults import InjectedCrash, fault_point
 from ..lru import LRUCache
+from ..metrics import Counters
 from ..pipeline import RENDERERS, DiagramCompiler, DiskCache
 from ..relational.backends import breaker_states, is_recoverable
 from ..render.layout import LayoutConfig
@@ -154,24 +156,6 @@ class ServedResponse:
     @classmethod
     def encode(cls, payload: dict, served: str) -> "ServedResponse":
         return cls(json.dumps(payload).encode("utf-8"), served)
-
-
-@dataclass
-class ServiceStats:
-    """Structured counters surfaced verbatim on ``/stats``."""
-
-    requests: dict[str, int] = field(default_factory=dict)
-    compiles: int = 0
-    lru_hits: int = 0
-    coalesced: int = 0
-    shed: int = 0
-    timeouts: int = 0
-    bad_requests: int = 0
-    internal_errors: int = 0
-    compile_retries: int = 0
-
-    def count(self, endpoint: str) -> None:
-        self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
 
 
 class LocalCompiler:
@@ -277,10 +261,10 @@ class LocalCompiler:
         payload = {
             "executor_restarts": self.executor_restarts,
             "pipeline": self.compiler.stats().as_dict(),
-            "handoff": {"entries": len(handoff), **handoff.stats.as_dict()},
+            "handoff": {"entries": len(handoff), **handoff.stats.snapshot()},
         }
         if self.compiler.disk_cache is not None:
-            payload["disk"] = self.compiler.disk_cache.stats.as_dict()
+            payload["disk"] = self.compiler.disk_cache.stats.snapshot()
         return payload
 
     def close(self) -> None:
@@ -295,7 +279,18 @@ class CompileService:
     def __init__(self, backend=None, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.backend = backend if backend is not None else LocalCompiler()
-        self.stats = ServiceStats()
+        # Surfaced verbatim on /stats, next to ``requests`` per endpoint
+        # and the response LRU's own hits.
+        self.stats = Counters(
+            "compiles",
+            "coalesced",
+            "shed",
+            "timeouts",
+            "bad_requests",
+            "internal_errors",
+            "compile_retries",
+        )
+        self.requests: Counter[str] = Counter()
         # Sized like the response LRU: several spellings per cached
         # response is typical, unbounded distinct traffic must still not
         # grow it forever.
@@ -326,7 +321,7 @@ class CompileService:
 
     async def fingerprint(self, sql: str) -> ServedResponse:
         """Canonical fingerprint only; the /fingerprint answer."""
-        self.stats.count("fingerprint")
+        self.requests["fingerprint"] += 1
 
         async def _fingerprint() -> ServedResponse:
             _text, (fingerprint, _roles) = await self._canonical_key(sql)
@@ -340,12 +335,12 @@ class CompileService:
         self, sql: str, formats: tuple[str, ...]
     ) -> ServedResponse:
         """Compile ``sql`` to ``formats``; the /compile answer."""
-        self.stats.count("compile")
+        self.requests["compile"] += 1
         return await self._admitted(self._compile_coalesced(sql, formats))
 
     async def render(self, sql: str, fmt: str) -> ServedResponse:
         """One rendered format; the /render answer."""
-        self.stats.count("render")
+        self.requests["render"] += 1
 
         async def _render() -> ServedResponse:
             response = await self._compile_coalesced(sql, (fmt,))
@@ -369,7 +364,7 @@ class CompileService:
         pool slot that is not ready) or ``draining`` (503 — take this
         replica out of rotation).
         """
-        self.stats.count("healthz")
+        self.requests["healthz"] += 1
         health = self.backend.health()
         degraded = health.pop("degraded")
         if self._draining:
@@ -388,14 +383,16 @@ class CompileService:
 
     async def stats_payload(self) -> dict:
         """The /stats document: service and LRU counters, then the backend's."""
-        self.stats.count("stats")
+        self.requests["stats"] += 1
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "draining": self._draining,
             "in_flight": len(self._inflight),
             "pending": self._pending,
-            **asdict(self.stats),
-            "lru": {"entries": len(self._lru), **self._lru.stats.as_dict()},
+            "requests": dict(self.requests),
+            **self.stats.snapshot(),
+            "lru_hits": self._lru.stats.hits,
+            "lru": {"entries": len(self._lru), **self._lru.stats.snapshot()},
             **await self.backend.stats_payload(),
         }
 
@@ -480,7 +477,6 @@ class CompileService:
         key = (fingerprint, roles, tuple(sorted(set(formats))))
         body = self._lru.get(key)
         if body is not None:
-            self.stats.lru_hits += 1
             return ServedResponse(body, "lru")
         task = self._inflight.get(key)
         if task is not None:

@@ -30,17 +30,17 @@ Supervision — a worker dying is a non-event
 ===========================================
 
 * **Liveness**: a monitor task pings every worker each
-  ``heartbeat_interval``; a worker whose last pong is older than
-  ``heartbeat_timeout``, or whose oldest in-flight dispatch exceeds
-  ``request_deadline`` (a wedged compile thread answers pings happily), is
-  killed and replaced.
+  :data:`HEARTBEAT_INTERVAL`; a worker whose last pong is older than
+  :data:`HEARTBEAT_TIMEOUT`, or whose oldest in-flight dispatch exceeds
+  :data:`REQUEST_DEADLINE` (a wedged compile thread answers pings
+  happily), is killed and replaced.
 * **Crash recovery**: worker EOF fails its in-flight dispatch futures with
   :class:`~repro.serve.service.WorkerCrashed` (``stats.failovers``), a
   recoverable error: the service retries each such request once, and the
   dead slot is no longer available, so the retry lands on a sibling.  The
   dead slot respawns after an exponential backoff
   (``backoff_base · 2^(consecutive-1)``, capped at ``backoff_cap``).
-* **Restart-storm budget**: more than ``restart_budget`` *consecutive*
+* **Restart-storm budget**: more than :data:`RESTART_BUDGET` *consecutive*
   fast deaths (a worker that never survived ``min_uptime``) marks the
   slot **broken** — no more spawns, ``/healthz`` flips to ``degraded``
   (still 200: the surviving slots keep answering) — instead of
@@ -82,10 +82,11 @@ import subprocess
 import sys
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from ..faults import current_plan, fault_point, InjectedFault
+from ..metrics import Counters
 from ..sql.errors import SQLError
 from .pool import WORKER_ENV, encode_frame, read_frame
 from .service import RecoverableError, ServiceUnavailable, WorkerCrashed
@@ -96,6 +97,19 @@ _BREAKER_SEVERITY = {"closed": 0, "half_open": 1, "open": 2}
 
 class SpawnFailed(Exception):
     """A worker process exited or timed out before reporting ready."""
+
+
+#: Seconds between heartbeat pings.
+HEARTBEAT_INTERVAL = 1.0
+#: A worker whose last pong is older than this many seconds is killed.
+HEARTBEAT_TIMEOUT = 5.0
+#: Seconds a spawned worker has to report ready.
+BOOT_TIMEOUT = 20.0
+#: A worker whose oldest in-flight dispatch is older than this many
+#: seconds is killed (wedged compile thread — pings alone cannot see it).
+REQUEST_DEADLINE = 30.0
+#: More than this many *consecutive* fast deaths marks the slot broken.
+RESTART_BUDGET = 5
 
 
 @dataclass(frozen=True)
@@ -110,45 +124,12 @@ class PoolConfig:
     disk_cache: str | None = None
     #: Fault-plan spec (dict) forwarded to every worker — chaos runs.
     worker_fault_plan: dict | None = None
-    #: Seconds between heartbeat pings.
-    heartbeat_interval: float = 1.0
-    #: A worker whose last pong is older than this is killed.
-    heartbeat_timeout: float = 5.0
-    #: Budget for a spawned worker to report ready.
-    boot_timeout: float = 20.0
-    #: A worker whose oldest in-flight dispatch is older than this is
-    #: killed (wedged compile thread — pings alone cannot see it).
-    request_deadline: float = 30.0
     #: Restart backoff: ``backoff_base * 2**(consecutive_fast_deaths-1)``…
     backoff_base: float = 0.1
     #: …capped here.
     backoff_cap: float = 5.0
-    #: More than this many *consecutive* fast deaths marks the slot broken.
-    restart_budget: int = 5
     #: A worker that survived at least this long resets the fast-death run.
     min_uptime: float = 1.0
-
-
-@dataclass
-class PoolStats:
-    """Supervisor-side counters (each worker's pipeline and disk counters
-    are listed under ``workers_stats`` by ``stats_payload``)."""
-
-    dispatched: int = 0
-    worker_crashes: int = 0
-    worker_restarts: int = 0
-    #: Requests in flight on a worker that died (the service retries each).
-    failovers: int = 0
-    heartbeat_timeouts: int = 0
-    deadline_kills: int = 0
-    spawn_failures: int = 0
-    dispatch_faults: int = 0
-    reloads: int = 0
-    #: Lowest ready-worker count observed during the last reload (-1: never).
-    reload_min_ready: int = -1
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class _Pending:
@@ -214,7 +195,24 @@ class WorkerSupervisor:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config or PoolConfig()
-        self.stats = PoolStats()
+        # Supervisor-side counters; each worker's pipeline and disk
+        # counters are listed under ``workers_stats`` by stats_payload.
+        # ``failovers`` counts requests in flight on a worker that died
+        # (the service retries each).  ``reload_min_ready`` is a low-water
+        # mark, not a count: the fewest ready workers seen during the last
+        # reload (-1: never reloaded).
+        self.stats = Counters(
+            "dispatched",
+            "worker_crashes",
+            "worker_restarts",
+            "failovers",
+            "heartbeat_timeouts",
+            "deadline_kills",
+            "spawn_failures",
+            "dispatch_faults",
+            "reloads",
+            reload_min_ready=-1,
+        )
         self.clock = clock
         self._slots = [_Slot(i) for i in range(self.config.workers)]
         self._ids = itertools.count(1)
@@ -369,7 +367,7 @@ class WorkerSupervisor:
             raise
         try:
             header, _body = await asyncio.wait_for(
-                read_frame(reader), self.config.boot_timeout
+                read_frame(reader), BOOT_TIMEOUT
             )
             if header.get("op") != "ready":
                 raise SpawnFailed(f"unexpected first frame {header.get('op')!r}")
@@ -381,7 +379,7 @@ class WorkerSupervisor:
             writer.close()
             self._terminate(proc)
             raise SpawnFailed(
-                f"worker not ready within {self.config.boot_timeout:.1f}s"
+                f"worker not ready within {BOOT_TIMEOUT:.1f}s"
             ) from error
         except asyncio.CancelledError:
             writer.close()
@@ -416,7 +414,7 @@ class WorkerSupervisor:
     def _record_fast_death(self, slot: _Slot) -> bool:
         """Count one fast death; ``False`` once the budget is tripped."""
         slot.fast_deaths += 1
-        if slot.fast_deaths > self.config.restart_budget:
+        if slot.fast_deaths > RESTART_BUDGET:
             slot.broken = True
             return False
         return True
@@ -492,18 +490,18 @@ class WorkerSupervisor:
 
     async def _monitor(self) -> None:
         while not self._closing:
-            await asyncio.sleep(self.config.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             now = self.clock()
             for slot in self._slots:
                 worker = slot.worker
                 if worker is None or not worker.ready or worker.closed:
                     continue
                 oldest = min((entry.at for entry in worker.pending.values()), default=None)
-                if oldest is not None and now - oldest > self.config.request_deadline:
+                if oldest is not None and now - oldest > REQUEST_DEADLINE:
                     self.stats.deadline_kills += 1
                     self._kill_worker(worker)
                     continue
-                if now - worker.last_pong > self.config.heartbeat_timeout:
+                if now - worker.last_pong > HEARTBEAT_TIMEOUT:
                     self.stats.heartbeat_timeouts += 1
                     self._kill_worker(worker)
                     continue
@@ -518,7 +516,7 @@ class WorkerSupervisor:
         try:
             header, _body = await asyncio.wait_for(
                 self._dispatch_to(worker, "ping", {}),
-                self.config.heartbeat_timeout,
+                HEARTBEAT_TIMEOUT,
             )
         except (RecoverableError, RuntimeError, asyncio.TimeoutError):
             return  # staleness (or EOF) is handled by the monitor/reader
@@ -688,12 +686,12 @@ class WorkerSupervisor:
     async def _retire(self, worker: WorkerHandle) -> None:
         """Close a replaced worker's pipe once nothing is pending on it.
 
-        The wait is bounded by ``request_deadline``, the budget the monitor
-        gives a request on a live slot; whatever is still pending then
-        fails over when the pipe closes.
+        The wait is bounded by :data:`REQUEST_DEADLINE`, the budget the
+        monitor gives a request on a live slot; whatever is still pending
+        then fails over when the pipe closes.
         """
         try:
-            for _ in range(int(self.config.request_deadline / 0.05) + 1):
+            for _ in range(int(REQUEST_DEADLINE / 0.05) + 1):
                 if not worker.pending or worker.closed:
                     break
                 await asyncio.sleep(0.05)
@@ -793,6 +791,6 @@ class WorkerSupervisor:
             "mode": "pool",
             "workers": self.config.workers,
             "ready_workers": self.ready_count(),
-            "pool": self.stats.as_dict(),
+            "pool": self.stats.snapshot(),
             "workers_stats": workers_stats,
         }

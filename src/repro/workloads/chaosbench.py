@@ -148,7 +148,7 @@ def _engine_leg(config: ChaosConfig) -> dict:
             "identical": faulted == baseline,
             "fallbacks": stats.fallbacks,
             "breaker_skips": stats.breaker_skips,
-            "breaker_state": dict(stats.breaker_state),
+            "breaker_state": dict(faulted_executor.context.breaker_state),
             "fault_fires": plan.total_fires(),
         }
         reset_breakers()

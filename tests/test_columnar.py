@@ -20,17 +20,15 @@ from repro.relational import (
     Database,
     Relation,
     ExecutionMode,
-    KMVSketch,
     ResultSet,
+    TableStats,
     TypeMismatchError,
     execute,
     plan_query,
-    stable_hash,
 )
 from repro.relational.columnar import Column, ColumnarTable, Frame, _np
 from repro.relational.executor import _SubqueryValues
 from repro.relational.plan import Filter, HashJoin
-from repro.relational.stats import EXACT_DISTINCT_THRESHOLD, distinct_count
 from repro.sql import parse
 from repro.workloads import (
     chinook_scaled_database,
@@ -309,38 +307,18 @@ class TestSubqueryValuesHardening:
 
 
 # --------------------------------------------------------------------- #
-# statistics: sketches, laziness, invalidation
+# statistics: exact counts, laziness, invalidation
 # --------------------------------------------------------------------- #
 
 
 class TestStatistics:
-    def test_stable_hash_is_family_consistent(self):
-        assert stable_hash(1) == stable_hash(1.0)  # 1 = 1.0 in the engine
-        assert stable_hash("a") != stable_hash("b")
-        assert stable_hash(1) != stable_hash(2)
-
-    def test_kmv_exact_below_k(self):
-        sketch = KMVSketch(k=64)
-        for value in range(40):
-            sketch.add(value)
-        for value in range(40):  # duplicates must not inflate the estimate
-            sketch.add(value)
-        assert sketch.estimate() == 40
-
-    @pytest.mark.parametrize("true_distinct", [1_000, 20_000])
-    def test_kmv_estimate_within_tolerance(self, true_distinct):
-        sketch = KMVSketch()
-        for value in range(true_distinct):
-            sketch.add(value)
-        estimate = sketch.estimate()
-        assert abs(estimate - true_distinct) / true_distinct < 0.25
-
-    def test_distinct_count_switches_to_sketch(self):
-        small = list(range(100)) * 2
-        assert distinct_count(small) == 100
-        big = list(range(EXACT_DISTINCT_THRESHOLD + 1))
-        estimate = distinct_count(big)
-        assert abs(estimate - len(big)) / len(big) < 0.25
+    def test_distinct_counts_are_exact_past_64k_rows(self):
+        relation = Relation("T", ("a", "b"))
+        for value in range(70_000):
+            relation.insert((value, 1.0 if value % 2 else 1))
+        stats = TableStats(relation)
+        assert stats.distinct_of("a") == 70_000
+        assert stats.distinct_of("b") == 1  # 1 = 1.0 in the engine
 
     def test_table_stats_are_lazy_and_cached(self):
         db = sailors_database()

@@ -67,11 +67,6 @@ class TestDiskCacheStore:
         )
         assert stable_key_digest("ab", "c", "k") != stable_key_digest("a", "bc", "k")
 
-    def test_stage_restriction(self, tmp_path):
-        cache = DiskCache(tmp_path, stages=frozenset({"artifact"}))
-        assert cache.persists("artifact")
-        assert not cache.persists("lex")
-
     def test_version_bump_wipes_the_store(self, tmp_path):
         cache = DiskCache(tmp_path, version="v1")
         digest = stable_key_digest("ns", "lex", "text")

@@ -331,7 +331,7 @@ class TestEngineFallback:
         stats = executor.context.stats
         assert stats.fallbacks == 2
         assert stats.breaker_skips == 0
-        assert stats.breaker_state == {"sql": "closed"}
+        assert executor.context.breaker_state == {"sql": "closed"}
         assert plan.total_fires() == 2
 
     def test_breaker_opens_and_skips_a_persistently_failing_engine(self):
@@ -345,7 +345,7 @@ class TestEngineFallback:
         assert stats.fallbacks == 5
         # threshold 3: failures 1-3 attempt the primary, 4-5 are skipped
         assert stats.breaker_skips == 2
-        assert stats.breaker_state == {"sql": "open"}
+        assert executor.context.breaker_state == {"sql": "open"}
         assert plan.stats()["engine.sql.execute"]["fires"] == 3
 
     def test_semantic_error_propagates_instead_of_falling_back(self):
@@ -356,7 +356,7 @@ class TestEngineFallback:
             executor.execute(query)
         stats = executor.context.stats
         assert stats.fallbacks == 0
-        assert stats.breaker_state == {"sql": "closed"}
+        assert executor.context.breaker_state == {"sql": "closed"}
 
     def test_fallback_off_by_default_fails_loudly(self):
         executor = Executor(self._database(), mode=ExecutionMode.SQL)
@@ -502,4 +502,4 @@ class TestDiskCacheDegradation:
         assert degraded.disk_cache.degraded
         assert artifact.fingerprint == expected.fingerprint
         assert artifact.outputs == expected.outputs
-        assert degraded.stats().disk.get("disk_degraded", 0) >= 1
+        assert degraded.disk_cache.stats.disk_degraded >= 1

@@ -29,6 +29,7 @@ from repro.serve import (
     ServiceUnavailable,
     WorkerSupervisor,
 )
+from repro.serve import supervisor as supervision
 from repro.serve.http import CompileServer
 from repro.serve.pool import encode_frame, read_frame
 
@@ -231,8 +232,9 @@ async def _replay(service: CompileService) -> tuple[list, dict]:
         answers.append((response.served.split("@w")[0], response.body))
     counters = {
         name: getattr(service.stats, name)
-        for name in ("compiles", "lru_hits", "coalesced", "bad_requests")
+        for name in ("compiles", "coalesced", "bad_requests")
     }
+    counters["lru_hits"] = service.lru.stats.hits
     return answers, counters
 
 
@@ -394,7 +396,8 @@ def test_crashed_worker_restarts_and_pool_heals():
     run(check())
 
 
-def test_restart_storm_trips_budget_and_healthz_degrades_not_draining():
+def test_restart_storm_trips_budget_and_healthz_degrades_not_draining(monkeypatch):
+    monkeypatch.setattr(supervision, "RESTART_BUDGET", 2)
     boot_crash = {
         "seed": 0,
         "rules": [{"point": "serve.worker.boot", "fault": "crash"}],
@@ -403,12 +406,7 @@ def test_restart_storm_trips_budget_and_healthz_degrades_not_draining():
     async def check() -> None:
         service = CompileService(
             backend=WorkerSupervisor(
-                PoolConfig(
-                    workers=2,
-                    worker_fault_plan=boot_crash,
-                    restart_budget=2,
-                    **FAST,
-                )
+                PoolConfig(workers=2, worker_fault_plan=boot_crash, **FAST)
             )
         )
         ready = await service.backend.start()
@@ -432,13 +430,14 @@ def test_restart_storm_trips_budget_and_healthz_degrades_not_draining():
     run(check())
 
 
-def test_fast_death_classification_uses_injected_clock():
+def test_fast_death_classification_uses_injected_clock(monkeypatch):
+    monkeypatch.setattr(supervision, "RESTART_BUDGET", 1)
     now = [0.0]
 
     async def check() -> None:
         service = await _started(
             PoolConfig(workers=1, min_uptime=5.0, backoff_base=0.01,
-                       backoff_cap=0.05, restart_budget=1),
+                       backoff_cap=0.05),
             clock=lambda: now[0],
         )
         try:
@@ -502,12 +501,13 @@ def test_hot_reload_replaces_every_worker_without_dropping_below_n_minus_1():
     run(check())
 
 
-def test_reload_revives_a_broken_slot():
+def test_reload_revives_a_broken_slot(monkeypatch):
+    monkeypatch.setattr(supervision, "RESTART_BUDGET", 0)
+
     async def check() -> None:
         service = await _started(
             PoolConfig(
                 workers=2,
-                restart_budget=0,
                 min_uptime=60.0,
                 backoff_base=0.01,
                 backoff_cap=0.05,
@@ -552,7 +552,9 @@ def test_drain_finishes_in_flight_and_sheds_new_work():
     run(check())
 
 
-def test_request_deadline_kill_for_wedged_worker():
+def test_request_deadline_kill_for_wedged_worker(monkeypatch):
+    monkeypatch.setattr(supervision, "HEARTBEAT_INTERVAL", 0.05)
+    monkeypatch.setattr(supervision, "REQUEST_DEADLINE", 0.3)
     wedge = {
         "seed": 0,
         "rules": [
@@ -568,14 +570,7 @@ def test_request_deadline_kill_for_wedged_worker():
     async def check() -> None:
         service = CompileService(
             backend=WorkerSupervisor(
-                PoolConfig(
-                    workers=1,
-                    worker_fault_plan=wedge,
-                    heartbeat_interval=0.05,
-                    heartbeat_timeout=5.0,
-                    request_deadline=0.3,
-                    **FAST,
-                )
+                PoolConfig(workers=1, worker_fault_plan=wedge, **FAST)
             ),
             config=ServiceConfig(max_pending=64, request_timeout=20.0),
         )

@@ -147,7 +147,7 @@ def test_response_lru_hit_and_bounded_eviction():
     assert evicted.served == "compile"  # recompiled after eviction
     assert len(service.lru) <= 2
     assert service.lru.stats.evictions >= 1
-    assert service.stats.lru_hits == 1
+    assert service.lru.stats.hits == 1
     assert service.stats.compiles == 4
 
 
@@ -435,7 +435,7 @@ def test_a_body_framing_error_closes_the_connection(framing, status):
         head = response.split(b"\r\n\r\n", 1)[0].decode("ascii")
         assert head.startswith(f"HTTP/1.1 {status} "), head
         assert "Connection: close" in head
-        assert "stats" not in fixture.service.stats.requests
+        assert "stats" not in fixture.service.requests
 
 
 # --------------------------------------------------------------------- #
@@ -601,16 +601,16 @@ def test_lru_stats_dict_clear_and_contains():
     assert "a" in cache and "b" not in cache
     cache.get("a")
     cache.get("missing")
-    assert cache.stats.as_dict() == {"hits": 1, "misses": 1, "evictions": 0}
+    assert cache.stats.snapshot() == {"hits": 1, "misses": 1, "evictions": 0}
     # A pop hands the value over once and counts like a get.
     assert cache.pop("a") == 1 and "a" not in cache
     assert cache.pop("a", "gone") == "gone"
-    assert cache.stats.as_dict() == {"hits": 2, "misses": 2, "evictions": 0}
+    assert cache.stats.snapshot() == {"hits": 2, "misses": 2, "evictions": 0}
     cache.put("a", 1)
     cache.clear()
     assert len(cache) == 0 and "a" not in cache
     # Stats survive a clear (they describe the cache's lifetime).
-    assert cache.stats.as_dict()["hits"] == 2
+    assert cache.stats.snapshot()["hits"] == 2
 
 
 def test_http_graceful_shutdown_drains_in_flight_request():
@@ -747,7 +747,10 @@ def test_front_half_runs_once_per_first_sight_text(monkeypatch):
     # One walk per text: the compile took the front half its key lookup
     # left in the handoff instead of walking lex -> fingerprint again.
     stats = service.compiler.stats()
-    assert all(stats.counter(stage).lookups == len(texts) for stage in FRONT_STAGES)
+    assert all(
+        stats.counter(stage).hits + stats.counter(stage).misses == len(texts)
+        for stage in FRONT_STAGES
+    )
     assert service.compiler.handoff.stats.hits == len(texts)
 
     # A pool worker answers a text's key op and then its compile op: the
@@ -768,7 +771,10 @@ def test_front_half_runs_once_per_first_sight_text(monkeypatch):
         backend.close()
     assert calls == {name: len(texts) for name in FRONT_HALF}
     stats = backend.compiler.stats()
-    assert all(stats.counter(stage).lookups == len(texts) for stage in FRONT_STAGES)
+    assert all(
+        stats.counter(stage).hits + stats.counter(stage).misses == len(texts)
+        for stage in FRONT_STAGES
+    )
     assert backend.compiler.handoff.stats.hits == len(texts)
 
 
