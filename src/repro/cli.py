@@ -638,8 +638,8 @@ def _run_bench_exec(args: argparse.Namespace) -> int:
     triples = chinook_topk_workload()
     ranked_queries = [ranked for _, ranked, _ in triples]
     full_queries = [full for _, _, full in triples]
-    batch_ranked = Executor(database, mode=topk_mode)
-    batch_full = Executor(database, mode=topk_mode)
+    batch_ranked = Executor(database, mode=topk_mode, fallback=args.fallback)
+    batch_full = Executor(database, mode=topk_mode, fallback=args.fallback)
 
     def _timed(batch: Executor, batch_queries: list) -> tuple[float, list]:
         start = time.perf_counter()

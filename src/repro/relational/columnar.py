@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 try:  # NumPy accelerates the numeric kernels but is not required.
@@ -753,48 +754,42 @@ def _run_distinct(node: Distinct, context: "ExecutionContext", params: tuple) ->
 def _run_aggregate(node: Aggregate, context: "ExecutionContext", params: tuple) -> Frame:
     child = _run_node(node.child, context, params)
     n = child.nrows
-    key_columns = [_expr_values(e, child, params) for e in node.group_exprs]
-    buckets: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
-    for i in range(n):
-        key = tuple(
-            payload[i] if is_vector else payload for is_vector, payload in key_columns
-        )
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [i]
-            order.append(key)
-        else:
-            bucket.append(i)
-    item_columns = []
-    for item in node.items:
-        if item[0] == "col":
-            item_columns.append(_expr_values(item[1], child, params))
-        else:
-            _, _func, expr = item
-            item_columns.append(
-                _expr_values(expr, child, params) if expr is not None else None
-            )
-    rows: list[tuple] = []
-    for key in order:
-        positions = buckets[key]
-        out: list[Value] = []
-        for item, column in zip(node.items, item_columns):
-            if item[0] == "col":
-                is_vector, payload = column
-                out.append(payload[positions[0]] if is_vector else payload)
+    if node.group_exprs:
+        key_columns = (_expr_values(e, child, params) for e in node.group_exprs)
+        keys = zip(*(
+            payload if is_vector else repeat(payload, n) for is_vector, payload in key_columns
+        ))
+        buckets: dict[tuple, list[int]] = {}
+        for i, key in enumerate(keys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [i]
             else:
-                _, func, expr = item
-                if expr is None:
-                    out.append(apply_aggregate("COUNT", [1] * len(positions)))
-                else:
-                    is_vector, payload = column
-                    values = (
-                        [payload[p] for p in positions]
-                        if is_vector
-                        else [payload] * len(positions)
-                    )
-                    out.append(apply_aggregate(func, values))
+                bucket.append(i)
+        groups = buckets.values()  # first-seen order
+    else:
+        # A global aggregate takes its input whole, with no key per row;
+        # an empty input makes no row, as in the oracle.
+        groups = (range(n),) if n else ()
+    # Each item's values; COUNT(*) counts a 1 per row.
+    columns = []
+    for item in node.items:
+        expr = item[1] if item[0] == "col" else item[2]
+        columns.append((False, 1) if expr is None else _expr_values(expr, child, params))
+    rows: list[tuple] = []
+    for positions in groups:
+        out: list[Value] = []
+        for item, (is_vector, payload) in zip(node.items, columns):
+            if item[0] == "col":
+                out.append(payload[positions[0]] if is_vector else payload)
+                continue
+            if not is_vector:
+                values = [payload] * len(positions)
+            elif len(positions) == n:  # every row, in order
+                values = payload
+            else:
+                values = [payload[p] for p in positions]
+            out.append(apply_aggregate(item[1], values))
         rows.append(tuple(out))
     return Frame.from_rows(rows, len(node.items))
 

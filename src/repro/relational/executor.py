@@ -177,7 +177,7 @@ REPLAN_GROWTH = 2
 SUBQUERY_MEMO_ENTRIES = 65_536
 #: Key indexes one :class:`ExecutionContext` keeps, one per (table, key
 #: columns) that plans probe.  The repository benchmark's rows engine
-#: stream probes 6.
+#: stream probes 14.
 KEY_INDEX_ENTRIES = 64
 
 
@@ -835,7 +835,8 @@ def _compile_filter(node: Filter) -> Callable:
 def _compile_key_probe(node: Filter, scan: Callable, binds: list) -> Callable:
     """The filter read from the key's bucket of a key index, else ``scan``.
 
-    The bucket holds exactly the rows on which the key conjunct holds, in
+    The key's value is a parameter of the block or a constant.  The
+    bucket holds exactly the rows on which the key conjunct holds, in
     table order, and the other conjuncts are tested on those rows alone.
     That skips the conjuncts before the key on every other row, so the
     index answers only when none of them could raise there: the key
@@ -844,8 +845,8 @@ def _compile_key_probe(node: Filter, scan: Callable, binds: list) -> Callable:
     """
     table, position = node.child.table, node.key_probe
     key = node.predicates[position]
-    column, param = (key.left, key.right) if type(key.left) is Col else (key.right, key.left)
-    slot, index = column.slot, param.index
+    column, scalar = (key.left, key.right) if type(key.left) is Col else (key.right, key.left)
+    slot = column.slot
     guards = [
         (p.left.slot, p.right) if type(p.left) is Col else (p.right.slot, p.left)
         for p in node.predicates[:position]
@@ -854,7 +855,7 @@ def _compile_key_probe(node: Filter, scan: Callable, binds: list) -> Callable:
 
     def run(context: ExecutionContext, params: tuple):
         keys = context.key_index(context.database.relation(table), (slot,))
-        value = params[index]
+        value = _eval_expr(scalar, (), params)
         if not keys.holds_only(slot, value) or not all(
             keys.holds_only(guard, _eval_expr(expr, (), params)) for guard, expr in guards
         ):
@@ -1026,7 +1027,14 @@ def _compile_aggregate(node: Aggregate) -> Callable:
     child = _compile_node(node.child)
 
     def run(context: ExecutionContext, params: tuple) -> Iterator[tuple]:
-        groups = _buckets(child(context, params), _tuple_getter(node.group_exprs, params))
+        found = child(context, params)
+        if node.group_exprs:
+            groups = _buckets(found, _tuple_getter(node.group_exprs, params)).values()
+        else:
+            # A global aggregate takes its input whole, with no key per
+            # row; an empty input makes no row, as in the oracle.
+            found = list(found)
+            groups = (found,) if found else ()
         evaluators = []  # (aggregate function or None for a column, getter)
         for item in node.items:
             if item[0] == "col":
@@ -1034,7 +1042,7 @@ def _compile_aggregate(node: Aggregate) -> Callable:
             else:
                 _, func, expr = item
                 evaluators.append((func, None if expr is None else _getter(expr, params)))
-        for rows in groups.values():  # first-seen order
+        for rows in groups:  # first-seen order
             out: list[Value] = []
             for func, get in evaluators:
                 if func is None:

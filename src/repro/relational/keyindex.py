@@ -2,7 +2,9 @@
 
 A :class:`KeyIndex` groups every row of one relation by the values of some
 of its columns: the build table of a hash join whose build side is a bare
-scan, or the rows a correlated ``col = Param(i)`` conjunct selects.  It
+scan, or the rows a scan filter's ``col = Param(i)`` or ``col = Const``
+conjunct selects.  A constant's bucket is the same on every run, and an
+append extends it as it extends every other.  It
 holds the stored row tuples themselves, in table order, plus the value
 types seen in each column of the table.  The types decide whether an
 index may answer at all: a probe answered from a bucket skips the rows of

@@ -200,11 +200,13 @@ class Scan(PlanNode):
 class Filter(PlanNode):
     """Keep child rows satisfying every predicate (conjunction).
 
-    ``key_probe`` is the position of the conjunct ``col = Param(i)`` that
-    the planner marked in a filter directly over a :class:`Scan`: the
-    first such conjunct that only column-against-scalar conjuncts precede.
-    Engines may answer it from a hash index on ``col`` and test the other
-    conjuncts on that key's rows only.
+    ``key_probe`` is the position of the conjunct ``col = Param(i)`` or
+    ``col = Const`` that the planner marked in a filter directly over a
+    :class:`Scan`: the first such conjunct that only column-against-scalar
+    conjuncts precede, a parameter's before any constant's.  Engines may
+    answer it from a hash index on ``col`` and test the other conjuncts on
+    that key's rows only.  A filter over a scan read in key order has
+    none: a bucket comes in table order.
     """
 
     child: PlanNode

@@ -786,19 +786,28 @@ class _BlockPlanner:
 
 def _key_probe(conjuncts: tuple[CompiledComparison, ...]) -> int | None:
     """Position of the first ``col = Param(i)`` that only column-against-
-    scalar conjuncts precede, or None.
+    scalar conjuncts precede; failing that, of the first such
+    ``col = Const``; or None.
 
     The conjuncts of a scan filter each read a column of the scan.  One
     comparing two columns may raise on rows a key index would skip, so the
-    search stops there.
+    search stops there.  A parameter wins: its bucket changes with the
+    correlated row, so a correlated block reads one row's share of the
+    table per run, where a constant's bucket is the same on every run.
+    Fig. 24's inner block ``B.color = 'red' AND R.bid = B.bid`` probes
+    ``bid`` and tests ``color`` on that bucket.
     """
+    constant = None
     for position, conjunct in enumerate(conjuncts):
         kinds = (type(conjunct.left), type(conjunct.right))
         if kinds.count(Col) != 1:
-            return None
-        if conjunct.op == "=" and Param in kinds:
-            return position
-    return None
+            break
+        if conjunct.op == "=":
+            if Param in kinds:
+                return position
+            if constant is None:
+                constant = position
+    return constant
 
 
 def _mark_key_order(root: TopK, width: int) -> bool:
@@ -819,7 +828,9 @@ def _mark_key_order(root: TopK, width: int) -> bool:
         joins.append((probe[0].slot, node.right.table, node.right_keys[0].slot))
         node = node.left
     filters = []
+    scan_filter = None
     if type(node) is Filter:
+        scan_filter = node
         for pred in node.predicates:
             if type(pred.left) is type(pred.right):  # two columns
                 return False
@@ -830,6 +841,10 @@ def _mark_key_order(root: TopK, width: int) -> bool:
         node = node.child
     if type(node) is not Scan or type(key) is not Col or key.slot >= width:
         return False
+    if scan_filter is not None:
+        # A bucket comes in table order, not key order: the filter tests
+        # the ordered rows instead.
+        scan_filter.key_probe = None
     node.key_order = (key.slot, root.descending[0])
     root.key_order = KeyOrder(node.table, key.slot, tuple(filters), tuple(reversed(joins)))
     return True

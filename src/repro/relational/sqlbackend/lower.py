@@ -96,9 +96,11 @@ class LoweredQuery:
 
     ``indexes`` lists the (table, column) pairs the query looks rows up
     by: both sides of every hash-join key, the column of every
-    :class:`~repro.relational.plan.Filter`'s ``key_probe``, and the
-    ORDER BY column of a :class:`~repro.relational.plan.TopK` with a
-    ``key_order``.  The store indexes them before the query runs.
+    :class:`~repro.relational.plan.Filter`'s ``key_probe`` against a
+    parameter, and the ORDER BY column of a
+    :class:`~repro.relational.plan.TopK` with a ``key_order``.  The store
+    indexes them before the query runs.  A probe against a constant gets
+    none (see :meth:`_Lowering._filter`).
     """
 
     sql: str
@@ -299,8 +301,12 @@ class _Lowering:
             self._pred(pred, frame, params) for pred in node.predicates
         )
         if node.key_probe is not None:
+            # Only a parameter's: with an index for a constant too,
+            # sqlite searched it where its scan was faster on the
+            # repository benchmark's `all` and `join.media` families.
             key = node.predicates[node.key_probe]
-            self._index(child, (key.left if type(key.left) is Col else key.right).slot)
+            if Param in (type(key.left), type(key.right)):
+                self._index(child, (key.left if type(key.left) is Col else key.right).slot)
         return _Rel(
             f"SELECT * FROM ({child.sql}) AS {alias} WHERE {conditions}",
             child.families,

@@ -183,6 +183,30 @@ class TestExplainAndBenchExec:
         assert payload["sql_vs_planned_warm"] > 0
         assert payload["columnar_speedup_warm"] > 0
 
+    def test_bench_exec_fallback_covers_the_top_k_leg(self, capsys, monkeypatch):
+        # CI's chaos plan: sql executions fail at random, the rows engine
+        # answers them, in the join batch and in the ranked queries alike.
+        from repro.faults import PLAN_ENV_VAR, clear_plan
+
+        monkeypatch.delenv(PLAN_ENV_VAR, raising=False)
+        plan = (
+            '{"seed": 7, "rules": [{"point": "engine.sql.execute", '
+            '"fault": "io", "probability": 0.3}]}'
+        )
+        try:
+            code = main(
+                [
+                    "bench-exec", "--engine", "sql", "--scale", "2", "--repeat", "1",
+                    "--fallback", "--fault-plan", plan,
+                ]
+            )
+        finally:
+            clear_plan()
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "fallback:" in output
+        assert "ranked results consistent with full results: yes" in output
+
     def test_explain_sql_engine(self, tmp_path, capsys):
         path = tmp_path / "query.sql"
         path.write_text(

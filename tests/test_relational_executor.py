@@ -16,7 +16,7 @@ from repro.relational import (
     execute,
 )
 from repro.sql import parse
-from repro.workloads import sailors_database
+from repro.workloads import sailors_database, scaled_bench_database
 
 
 @pytest.fixture
@@ -297,18 +297,18 @@ class TestGroupBy:
 
 
 class TestKeyIndexedProbes:
-    def test_only_red_query_does_linear_work(self, monkeypatch):
-        # Counts row tests, times nothing.  Scanning Reserves once per
-        # sailor would quadruple the count per doubling of the data.
-        evaluations = 0
+    @pytest.fixture
+    def row_tests(self, monkeypatch) -> list[int]:
+        """``[n]``: the rows the rows engine's compiled comparisons have
+        tested since a test last set it to 0."""
+        tally = [0]
 
         def counting(make_test):
             def make(*args):
                 test = make_test(*args)
 
                 def counted(row):
-                    nonlocal evaluations
-                    evaluations += 1
+                    tally[0] += 1
                     return test(row)
 
                 return counted
@@ -319,13 +319,37 @@ class TestKeyIndexedProbes:
             monkeypatch.setattr(
                 executor_module, name, counting(getattr(executor_module, name))
             )
+        return tally
+
+    def test_only_red_query_does_linear_work(self, row_tests):
+        # Counts row tests, times nothing.  Scanning Reserves once per
+        # sailor would quadruple the count per doubling of the data.
         counts = []
         for n in (250, 500, 1000):
             db = sailors_database(n, n // 10, 5 * n)
-            evaluations = 0
+            row_tests[0] = 0
             result = Executor(db).execute(FIG24_VARIANTS[0])
-            counts.append(evaluations)
+            counts.append(row_tests[0])
             assert result.as_set() == Executor(db).execute(FIG24_VARIANTS[1]).as_set()
         assert counts[0] > 0
         for smaller, larger in zip(counts, counts[1:]):
             assert larger <= 2.5 * smaller, counts
+
+    def test_a_constant_key_tests_only_its_bucket(self, row_tests):
+        # T.GenreId = 1 reads its key index's bucket, and the other
+        # conjunct tests that bucket's rows alone; a scan would test
+        # every Track row.
+        query = parse(
+            "SELECT MIN(T.Milliseconds), MAX(T.Milliseconds) FROM Track T "
+            "WHERE T.GenreId = 1 AND T.Milliseconds > 0"
+        )
+        for rows in (1000, 4000):
+            db = scaled_bench_database(total_rows=rows, seed=7)
+            track = db.relation("Track")
+            genre, length = track.columns.index("GenreId"), track.columns.index("Milliseconds")
+            bucket = [row[length] for row in track.rows if row[genre] == 1]
+            assert 0 < len(bucket) < len(track) / 2
+            row_tests[0] = 0
+            result = Executor(db).execute(query)
+            assert row_tests[0] == len(bucket)
+            assert result.rows == ((min(bucket), max(bucket)),)
