@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-pending", type=int, default=64,
-        help="admitted-request bound; excess load is shed with 503",
+        help="bound on admitted requests, which a cached answer never needs; "
+        "excess load is shed with 503",
     )
     serve.add_argument(
         "--timeout", type=float, default=10.0,

@@ -27,8 +27,8 @@ class LRUCache:
     ``put`` is a no-op) — useful for measuring a truly cold server.
 
     Threads may share a cache (the compile server's two threads share the
-    serving compiler's handoff).  A lock makes ``get``, ``pop``, ``put``
-    and ``clear`` atomic:
+    serving compiler's handoff).  A lock makes ``get``, ``pop``,
+    ``discard``, ``put`` and ``clear`` atomic:
     hashing a key can run Python code and so switch threads in the middle
     of an ``OrderedDict`` operation, which may then fail or crash.
     """
@@ -67,6 +67,11 @@ class LRUCache:
                 return default
             self.stats.hits += 1
             return value
+
+    def discard(self, key: Hashable) -> None:
+        """Remove ``key`` if present, counting neither a hit nor a miss."""
+        with self._lock:
+            self._entries.pop(key, None)
 
     def put(self, key: Hashable, value: Any) -> int:
         """Insert/refresh ``key``; returns how many old entries it evicted."""

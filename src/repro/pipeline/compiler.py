@@ -332,6 +332,16 @@ class DiagramCompiler:
                 handoff.put(text, front)
         return front[3], front[4]
 
+    def release(self, query: str) -> None:
+        """Drop the front half :meth:`canonical_key` left for ``query``.
+
+        For a text whose compile will not come (the response LRU answered
+        it), so its trees die young instead of waiting until
+        :data:`HANDOFF_ENTRIES` later lookups push them out.
+        """
+        if self._handoff is not None:
+            self._handoff.discard(query.strip())
+
     # ------------------------------------------------------------------ #
     # stages
     # ------------------------------------------------------------------ #

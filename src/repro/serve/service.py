@@ -17,10 +17,15 @@ compile coalescing, one retry on a recoverable failure, drain,
 A backend answers ``key(text)`` → ``(fingerprint, roles)`` (raising
 :class:`~repro.sql.errors.SQLError` for bad SQL), ``compile(text,
 formats)`` → ``(body, served)`` with ``body`` the encoded ``/compile``
-answer, ``health()`` and ``stats_payload()`` (merged into ``/healthz`` and
-``/stats``; ``health()["degraded"]`` picks the status) and ``close()``.
+answer, ``release(text)`` (forget what ``key(text)`` left for a compile
+that will not come), ``health()`` and ``stats_payload()`` (merged into
+``/healthz`` and ``/stats``; ``health()["degraded"]`` picks the status)
+and ``close()``.
 
-A request descends two layers in front of the backend, probed in order:
+A request descends two layers in front of the backend, probed in order.
+A request whose text the memo knows probes the LRU in its own step,
+before admission: a hit is answered with no task, timer or admission
+slot.
 
 1. **Response LRU** (:mod:`repro.lru`) — bounded, in-memory, keyed
    by ``(fingerprint, roles, formats)``.  A hit returns the encoded
@@ -48,15 +53,22 @@ front half it computed (AST, both trees, fingerprint, roles) in the
 compiler's bounded handoff, and the compile of that text pops it instead
 of walking lex → fingerprint again; a compile that finds none (its
 response was evicted, or it asks a new format subset of a known key)
-computes it.  The two threads meet only in that locked LRU, and a lost
-race recomputes the same deterministic value.
+computes it.  When the LRU, or another spelling's compile, answers the
+request that started a lookup, the service calls ``release(text)``, so
+the front half does not wait for a compile that will not come.  The two
+threads meet only in that locked LRU, and a lost race recomputes the
+same deterministic value.
 
-Overload policy: at most ``max_pending`` requests are admitted at once and
-every admitted request is bounded by ``request_timeout``; both violations
-shed with :class:`ServiceUnavailable` (HTTP 503) rather than queueing
-without bound.  A shed or timed-out request never cancels the underlying
-compile — the in-flight task is shielded and still populates the caches,
-so the retry the 503 invites is cheap.
+Overload policy: a request the caches answer never waits, so it takes no
+admission slot and is never shed for load.  Of the requests that wait (a
+key lookup, a compile or a coalesced compile), at most ``max_pending``
+are admitted at once, and each is bounded by ``request_timeout``: one
+timer on the request's own task cancels it, and that cancellation alone
+becomes the 503.  Both violations shed with :class:`ServiceUnavailable`
+(HTTP 503) rather than queueing without bound; a draining service sheds
+every request, cached or not.  A shed or timed-out request never cancels
+the underlying compile — the in-flight task is shielded and still
+populates the caches, so the retry the 503 invites is cheap.
 
 Fault policy (see docs/robustness.md): the local compile thread is
 *supervised* — a crashed or broken executor is replaced on the spot
@@ -227,6 +239,10 @@ class LocalCompiler:
                 self._restart_compile_executor()
             raise
 
+    def release(self, text: str) -> None:
+        """Drop the front half ``key(text)`` left behind: no compile will pop it."""
+        self.compiler.release(text)
+
     def _restart_compile_executor(self) -> None:
         """Supervision: replace a crashed compile thread with a fresh one."""
         self.executor_restarts += 1
@@ -322,39 +338,41 @@ class CompileService:
     async def fingerprint(self, sql: str) -> ServedResponse:
         """Canonical fingerprint only; the /fingerprint answer."""
         self.requests["fingerprint"] += 1
-
-        async def _fingerprint() -> ServedResponse:
-            _text, (fingerprint, _roles) = await self._canonical_key(sql)
-            return ServedResponse.encode(
-                {"fingerprint": fingerprint}, "fingerprint"
-            )
-
-        return await self._admitted(_fingerprint())
+        text = self._accepted(sql, ())
+        key = self._text_keys.get(text)
+        if key is None:
+            key, _started = await self._admitted(self._key_of, text)
+        return ServedResponse.encode({"fingerprint": key[0]}, "fingerprint")
 
     async def compile(
         self, sql: str, formats: tuple[str, ...]
     ) -> ServedResponse:
         """Compile ``sql`` to ``formats``; the /compile answer."""
         self.requests["compile"] += 1
-        return await self._admitted(self._compile_coalesced(sql, formats))
+        text, key, body = self._cached(sql, formats)
+        if body is not None:
+            return ServedResponse(body, "lru")
+        return await self._admitted(self._compile_coalesced, text, formats, key)
 
     async def render(self, sql: str, fmt: str) -> ServedResponse:
         """One rendered format; the /render answer."""
         self.requests["render"] += 1
-
-        async def _render() -> ServedResponse:
-            response = await self._compile_coalesced(sql, (fmt,))
-            payload = response.payload
-            return ServedResponse.encode(
-                {
-                    "fingerprint": payload["fingerprint"],
-                    "format": fmt,
-                    "output": payload["outputs"][fmt],
-                },
-                response.served,
+        text, key, body = self._cached(sql, (fmt,))
+        if body is None:
+            response = await self._admitted(
+                self._compile_coalesced, text, (fmt,), key
             )
-
-        return await self._admitted(_render())
+        else:
+            response = ServedResponse(body, "lru")
+        payload = response.payload
+        return ServedResponse.encode(
+            {
+                "fingerprint": payload["fingerprint"],
+                "format": fmt,
+                "output": payload["outputs"][fmt],
+            },
+            response.served,
+        )
 
     def healthz(self) -> dict:
         """Liveness + degradation report: cheap enough for tight probes.
@@ -400,28 +418,77 @@ class CompileService:
     # admission, keys, coalescing
     # ------------------------------------------------------------------ #
 
-    async def _admitted(self, work) -> ServedResponse:
-        """Admission control + per-request timeout around ``work``."""
-        work = asyncio.ensure_future(work)
+    def _accepted(self, sql: str, formats: tuple[str, ...]) -> str:
+        """The stripped SQL text, once the drain, format and SQL checks pass."""
         if self._draining:
-            work.cancel()
             self.stats.shed += 1
             raise ServiceUnavailable("server is draining", retry_after=5.0)
+        for fmt in formats:
+            if fmt not in RENDERERS:
+                self.stats.bad_requests += 1
+                raise BadRequest(
+                    f"unknown format {fmt!r}; known: {sorted(RENDERERS)}"
+                )
+        text = sql.strip() if isinstance(sql, str) else ""
+        if not text:
+            self.stats.bad_requests += 1
+            raise BadRequest("request carries no SQL text")
+        return text
+
+    def _cached(
+        self, sql: str, formats: tuple[str, ...]
+    ) -> tuple[str, tuple | None, bytes | None]:
+        """``(text, response key, cached body)``: what a request never waits for.
+
+        The key is ``None`` when the text memo misses, and the body is
+        ``None`` when either cache misses.  The slow path takes over from
+        there, so no request probes the memo or the LRU twice.
+        """
+        text = self._accepted(sql, formats)
+        key = self._text_keys.get(text)
+        if key is None:
+            return text, None, None
+        key = (*key, tuple(sorted(set(formats))))
+        return text, key, self._lru.get(key)
+
+    async def _admitted(self, work, *args):
+        """``await work(*args)`` under admission control and the budget.
+
+        The budget is one timer that cancels the caller's own task; that
+        cancellation, and only that one, becomes the 503.
+        """
         if self._pending >= self.config.max_pending:
-            work.cancel()
             self.stats.shed += 1
             raise ServiceUnavailable(
                 f"overloaded: {self._pending} requests pending"
             )
+        task = asyncio.current_task()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(
+            self.config.request_timeout, expire
+        )
         self._pending += 1
         try:
-            return await asyncio.wait_for(work, self.config.request_timeout)
-        except asyncio.TimeoutError:
+            return await work(*args)
+        except asyncio.CancelledError:
+            # Any other cancellation (shutdown cutting the connection)
+            # passes through.  ``uncancel`` (3.11+) takes back the budget's
+            # request, so the task keeps serving its connection, and counts
+            # any other request that arrived beside it.
+            if not expired or (hasattr(task, "uncancel") and task.uncancel()):
+                raise
             self.stats.timeouts += 1
             raise ServiceUnavailable(
                 f"request exceeded {self.config.request_timeout:.1f}s budget"
             ) from None
         finally:
+            timer.cancel()
             self._pending -= 1
 
     def _shared(self, table: dict, key, work) -> asyncio.Task:
@@ -439,22 +506,19 @@ class CompileService:
         task.add_done_callback(_on_done)
         return task
 
-    async def _canonical_key(self, sql: str) -> tuple[str, tuple[str, tuple]]:
-        """``(text, key)``: text memo → one shared backend key lookup."""
-        if not isinstance(sql, str) or not sql.strip():
-            self.stats.bad_requests += 1
-            raise BadRequest("request carries no SQL text")
-        text = sql.strip()
-        key = self._text_keys.get(text)
-        if key is not None:
-            return text, key
+    async def _key_of(self, text: str) -> tuple[tuple[str, tuple], bool]:
+        """``(key, started)``: one backend key lookup shared by first sights.
+
+        ``started`` says whether this request started the lookup.
+        """
         task = self._key_lookups.get(text)
-        if task is None:
+        started = task is None
+        if started:
             task = self._shared(self._key_lookups, text, self._lookup_key(text))
         try:
             # Shielded: a shed waiter must not cancel the lookup that
             # concurrent duplicates (and the memo) are waiting on.
-            return text, await asyncio.shield(task)
+            return await asyncio.shield(task), started
         except SQLError as error:
             self.stats.bad_requests += 1
             raise BadRequest(f"invalid SQL: {error}") from error
@@ -465,19 +529,23 @@ class CompileService:
         return key
 
     async def _compile_coalesced(
-        self, sql: str, formats: tuple[str, ...]
+        self, text: str, formats: tuple[str, ...], key: tuple | None
     ) -> ServedResponse:
-        for fmt in formats:
-            if fmt not in RENDERERS:
-                self.stats.bad_requests += 1
-                raise BadRequest(
-                    f"unknown format {fmt!r}; known: {sorted(RENDERERS)}"
-                )
-        text, (fingerprint, roles) = await self._canonical_key(sql)
-        key = (fingerprint, roles, tuple(sorted(set(formats))))
-        body = self._lru.get(key)
-        if body is not None:
-            return ServedResponse(body, "lru")
+        """Coalesce onto, or start, the compile that answers ``key``.
+
+        ``key`` is ``None`` when the text memo missed: the key lookup, and
+        then the response LRU, come first.
+        """
+        if key is None:
+            key, started = await self._key_of(text)
+            key = (*key, tuple(sorted(set(formats))))
+            body = self._lru.get(key)
+            if started and (body is not None or key in self._inflight):
+                # This request's lookup left the text's front half in the
+                # backend's handoff, and no compile of this text will pop it.
+                self.backend.release(text)
+            if body is not None:
+                return ServedResponse(body, "lru")
         task = self._inflight.get(key)
         if task is not None:
             self.stats.coalesced += 1

@@ -543,6 +543,13 @@ class WorkerSupervisor:
         )
         return body, f"compile@w{slot}"
 
+    def release(self, text: str) -> None:
+        """Nothing to send: ``text``'s front half ages out of its worker's handoff.
+
+        It goes after that worker's next 64 key lookups; a release op would
+        carry the text over the pipe a second time.
+        """
+
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #

@@ -43,8 +43,10 @@ class UnsupportedSQLError(SQLError):
 
 
 class QueryTooComplex(SQLError):
-    """The query nests more subquery blocks than the front end accepts.
+    """The query is larger than the front end accepts.
 
+    Its text is longer than ``MAX_SQL_CHARS`` (the lexer's bound), or its
+    subquery blocks nest deeper than ``MAX_QUERY_DEPTH`` (the parser's).
     The parser, the diagram pipeline and the engines all recurse once per
     query block, so an unbounded nesting depth would end in the
     interpreter's ``RecursionError`` instead of a typed error.

@@ -24,8 +24,12 @@ from __future__ import annotations
 import re
 import sys
 
-from .errors import SQLSyntaxError
+from .errors import QueryTooComplex, SQLSyntaxError
 from .tokens import KEYWORDS, Token, TokenType, normalize_operator
+
+#: Longest SQL text the lexer reads: the HTTP server's body cap (1 MiB), so
+#: library and CLI callers meet the bound that served requests meet.
+MAX_SQL_CHARS = 1024 * 1024
 
 #: One alternative per token class, each swallowing *trailing* whitespace
 #: so one match usually covers "token + gap to the next token" — halving
@@ -143,9 +147,14 @@ def scan(text: str) -> TokenStream:
     The scan is one C-level :func:`re.Pattern.finditer` sweep; a gap
     between consecutive matches is the error position (the master pattern
     matches any legal token *or* ignorable run, so legal input has no
-    gaps).
+    gaps).  A text longer than :data:`MAX_SQL_CHARS` raises
+    :class:`~repro.sql.errors.QueryTooComplex` before any matching.
     """
     length = len(text)
+    if length > MAX_SQL_CHARS:
+        raise QueryTooComplex(
+            f"SQL text of {length} characters exceeds {MAX_SQL_CHARS}"
+        )
     word_table = _WORD_TABLE
     classify = _classify_word
     simple_tokens = _SIMPLE_TOKENS

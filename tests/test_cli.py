@@ -76,6 +76,17 @@ class TestFingerprint:
         assert main(["fingerprint", str(sql_file), "--full"]) == 0
         assert len(capsys.readouterr().out.split()[0]) == 64
 
+    def test_oversized_stdin_is_an_error(self, capsys, monkeypatch):
+        import io
+
+        from repro.sql.lexer import MAX_SQL_CHARS
+
+        sql = "SELECT T.a FROM T WHERE " + "T.a = 1 AND " * (MAX_SQL_CHARS // 12) + "T.a = 1"
+        assert len(sql) > MAX_SQL_CHARS
+        monkeypatch.setattr("sys.stdin", io.StringIO(sql))
+        assert main(["fingerprint", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error: SQL text of ")
+
     def test_fig24_variants_grouped_into_one_class(self, tmp_path, capsys):
         from repro.paper_queries import FIG24_VARIANTS
 

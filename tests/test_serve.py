@@ -171,23 +171,27 @@ def test_response_lru_keeps_encoded_bodies_only():
     assert rendered.payload["output"] == json.loads(bodies[1])["outputs"]["dot"]
 
 
-def test_overload_sheds_with_503_semantics():
+def test_overload_sheds_waiting_requests_and_answers_cached_ones():
     service = CompileService(config=ServiceConfig(max_pending=1))
-    gate = _gate_compiles(service)
 
     async def scenario():
+        await service.compile(SIMPLE, ("text",))
+        gate = _gate_compiles(service)
         blocked = asyncio.ensure_future(service.compile(DISTINCT[0], ("text",)))
         while service.in_flight == 0:
             await asyncio.sleep(0.01)
+        # A cached answer never waits, so it takes no admission slot.
+        cached = await service.compile(SIMPLE, ("text",))
         with pytest.raises(ServiceUnavailable, match="overloaded"):
             await service.compile(DISTINCT[1], ("text",))
         gate.set()
-        return await blocked
+        return cached, await blocked
 
     try:
-        response = asyncio.run(scenario())
+        cached, response = asyncio.run(scenario())
     finally:
         service.close()
+    assert cached.served == "lru"
     assert response.served == "compile"
     assert service.stats.shed == 1
 
@@ -214,16 +218,21 @@ def test_request_timeout_sheds_but_compile_still_lands_in_lru():
 
 def test_drain_rejects_new_work_and_completes_in_flight():
     service = CompileService()
-    gate = _gate_compiles(service)
 
     async def scenario():
+        await service.compile(DISTINCT[1], ("text",))
+        gate = _gate_compiles(service)
         inflight = asyncio.ensure_future(service.compile(SIMPLE, ("text",)))
         while service.in_flight == 0:
             await asyncio.sleep(0.01)
         service.begin_drain()
         assert service.healthz()["status"] == "draining"
+        # A draining replica answers 503 to every request, cached or not.
+        for sql in DISTINCT[:2]:
+            with pytest.raises(ServiceUnavailable, match="draining"):
+                await service.compile(sql, ("text",))
         with pytest.raises(ServiceUnavailable, match="draining"):
-            await service.compile(DISTINCT[0], ("text",))
+            await service.render(DISTINCT[1], "text")
         gate.set()
         drained = await service.drain(timeout=10.0)
         return drained, await inflight
@@ -642,6 +651,50 @@ def test_http_graceful_shutdown_drains_in_flight_request():
     assert payload["fingerprint"]
 
 
+def test_a_request_past_its_budget_gets_503_and_its_connection_serves_on():
+    body = json.dumps({"sql": SIMPLE})
+    with _ServerFixture(ServiceConfig(request_timeout=0.2)) as fixture:
+        gate = _gate_compiles(fixture.service)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", fixture.server.port, timeout=10
+        )
+        try:
+            connection.request("POST", "/compile", body=body)
+            timed_out = connection.getresponse()
+            timed_out_payload = json.loads(timed_out.read())
+            sock = connection.sock
+            gate.set()  # the shielded compile lands in the LRU
+            deadline = time.monotonic() + 10
+            while fixture.service.in_flight:
+                assert time.monotonic() < deadline, "compile never finished"
+                time.sleep(0.01)
+            connection.request("POST", "/compile", body=body)
+            answered = connection.getresponse()
+            answered.read()
+            reused = sock is not None and connection.sock is sock
+
+            async def cancel_requests() -> list[int]:
+                return [
+                    task.cancelling()
+                    for task in fixture.server._connections
+                    if hasattr(task, "cancelling")  # 3.11+
+                ]
+
+            pending_cancels = asyncio.run_coroutine_threadsafe(
+                cancel_requests(), fixture._loop
+            ).result(timeout=10)
+        finally:
+            connection.close()
+    assert timed_out.status == 503
+    assert "budget" in timed_out_payload["error"]
+    assert reused  # both requests went over one keep-alive connection
+    assert answered.status == 200
+    assert answered.getheader("X-Repro-Served") == "lru"
+    assert fixture.service.stats.timeouts == 1
+    # The budget took its cancellation back: the handler carries none.
+    assert not any(pending_cancels)
+
+
 # --------------------------------------------------------------------- #
 # the serving compiler keeps answers, not trees
 # --------------------------------------------------------------------- #
@@ -776,6 +829,41 @@ def test_front_half_runs_once_per_first_sight_text(monkeypatch):
         for stage in FRONT_STAGES
     )
     assert backend.compiler.handoff.stats.hits == len(texts)
+
+
+def test_first_sights_the_caches_answer_leave_no_front_half_waiting():
+    texts = _sailors_texts(6)
+    respelled = ["  ".join(text.split()) for text in texts]
+    assert not set(texts) & set(respelled)
+    service = CompileService()
+
+    async def scenario() -> list[str]:
+        gate = _gate_compiles(service)
+        first = asyncio.ensure_future(service.compile(texts[0], ("text",)))
+        while not service.in_flight:
+            await asyncio.sleep(0.01)
+        # A re-spelling coalesces onto the first spelling's compile.
+        joined = asyncio.ensure_future(service.compile(respelled[0], ("text",)))
+        while not service.stats.coalesced:
+            await asyncio.sleep(0.01)
+        gate.set()
+        served = [(await first).served, (await joined).served]
+        for text in texts[1:]:
+            served.append((await service.compile(text, ("text",))).served)
+        for text in respelled[1:]:  # new texts, known keys: the LRU answers
+            served.append((await service.compile(text, ("text",))).served)
+        return served
+
+    try:
+        served = asyncio.run(scenario())
+    finally:
+        service.close()
+    assert served == ["compile", "coalesced"] + ["compile"] * 5 + ["lru"] * 5
+    handoff = service.compiler.handoff
+    # Each compile popped its own text's front half; each re-spelling's
+    # lookup released the one it left.
+    assert handoff.stats.snapshot() == {"hits": 6, "misses": 12, "evictions": 0}
+    assert len(handoff) == 0
 
 
 def test_concurrent_compiles_match_a_cold_compile_of_their_own_text():

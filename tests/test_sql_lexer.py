@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sql import SQLSyntaxError, tokenize
+from repro.sql import QueryTooComplex, SQLSyntaxError, tokenize
+from repro.sql.lexer import MAX_SQL_CHARS
 from repro.sql.tokens import TokenType
 
 
@@ -182,3 +183,13 @@ class TestErrorCases:
     def test_gap_at_end_of_input(self):
         with pytest.raises(SQLSyntaxError):
             tokenize("SELECT x @")
+
+
+class TestSizeBound:
+    def test_a_text_at_the_bound_lexes_and_one_character_more_raises(self):
+        query = "SELECT S.a FROM S"
+        at_bound = query + " " * (MAX_SQL_CHARS - len(query))
+        assert len(at_bound) == MAX_SQL_CHARS
+        assert values(at_bound) == ["SELECT", "S", ".", "a", "FROM", "S"]
+        with pytest.raises(QueryTooComplex, match="exceeds"):
+            tokenize(at_bound + " ")

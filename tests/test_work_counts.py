@@ -8,7 +8,9 @@ changes a count here, on any machine, where a timing gate would see
 nothing.  A change that moves a count on purpose updates the dicts below
 and says why in CHANGES.md.
 
-Only counters that moved are listed; every other counter reads 0.
+Only counters that moved are listed, beside the handoff's entries at
+the end and the asyncio tasks the serving replay created; every other
+counter reads 0.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ SERVING_COUNTS = {
     "lru": {"hits": 12, "misses": 3},
     # Eleven key lookups (five texts, five re-spellings, the invalid
     # one) each miss the handoff; each of the three compiles pops the
-    # front half its lookup left there.
-    "handoff": {"hits": 3, "misses": 11},
+    # front half its lookup left there, and each of the seven lookups
+    # the LRU answered releases its own.
+    "handoff": {"entries": 0, "hits": 3, "misses": 11},
+    # One task per key lookup and per compile.  A request the caches
+    # answer runs in its caller's task, and so does an admitted one.
+    "tasks": 14,
     "stages": {
         "artifact": {"misses": 3},
         "lex": {"misses": 11},
@@ -92,13 +98,24 @@ def test_serving_replay_counts():
     # The re-spellings are new texts, so each is a key lookup.
     assert not {text.strip() for text in TEXTS} & set(REQUESTS[2 * len(TEXTS) :])
     service = CompileService()
+    tasks = 0
+
+    def counting_factory(loop, coro, **kwargs):
+        nonlocal tasks
+        tasks += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
 
     async def replay() -> None:
-        for text in REQUESTS:
-            try:
-                await service.compile(text, ("text",))
-            except BadRequest:
-                pass
+        loop = asyncio.get_running_loop()
+        loop.set_task_factory(counting_factory)
+        try:
+            for text in REQUESTS:
+                try:
+                    await service.compile(text, ("text",))
+                except BadRequest:
+                    pass
+        finally:
+            loop.set_task_factory(None)
 
     try:
         asyncio.run(replay())
@@ -109,7 +126,8 @@ def test_serving_replay_counts():
         "service": _moved(service.stats),
         "requests": dict(service.requests),
         "lru": _moved(service.lru.stats),
-        "handoff": _moved(compiler.handoff.stats),
+        "handoff": {"entries": len(compiler.handoff), **_moved(compiler.handoff.stats)},
+        "tasks": tasks,
         "stages": {
             name: _moved(counter) for name, counter in compiler.stats().counters.items()
         },
