@@ -1,7 +1,15 @@
-"""Logic layer: Logic Trees, TRC rendering, simplification and evaluation."""
+"""Logic layer: Logic Trees, TRC rendering, simplification and evaluation.
+
+:func:`evaluate_logic_tree` is imported on first access (PEP 562): its
+module runs Logic Trees on :mod:`repro.relational`, which a process that
+only compiles diagrams never needs.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateQueryError, EvaluationError, LogicError, TranslationError
-from .evaluate import evaluate_logic_tree
 from .logic_tree import LogicTree, LogicTreeNode, Quantifier
 from .properties import (
     MAX_SUPPORTED_DEPTH,
@@ -13,6 +21,19 @@ from .properties import (
 from .simplify import count_universal_nodes, simplify_logic_tree
 from .translate import sql_to_logic_tree
 from .trc import TRCExpression, logic_tree_to_trc
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .evaluate import evaluate_logic_tree
+
+
+def __getattr__(name: str):
+    if name != "evaluate_logic_tree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .evaluate import evaluate_logic_tree
+
+    globals()[name] = evaluate_logic_tree
+    return evaluate_logic_tree
+
 
 __all__ = [
     "DegenerateQueryError",

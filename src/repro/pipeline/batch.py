@@ -31,7 +31,6 @@ does this workload actually contain?".
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -158,6 +157,10 @@ class DiagramBatchCompiler:
         formats: tuple[str, ...],
         workers: int,
     ) -> list[CompiledDiagram]:
+        # Imported here: it loads multiprocessing, which a process that
+        # compiles serially (``repro fingerprint``, a server) never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         if not corpus:
             return []
         workers = min(workers, len(corpus))

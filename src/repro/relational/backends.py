@@ -40,7 +40,7 @@ columns — are contractual, not operational: they never trigger fallback
 from __future__ import annotations
 
 import abc
-import sqlite3
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -147,7 +147,12 @@ def is_recoverable(error: BaseException) -> bool:
     """
     if isinstance(error, _SEMANTIC_ERRORS):
         return False
-    if isinstance(error, (InjectedFault, OSError, ImportError, sqlite3.Error)):
+    if isinstance(error, (InjectedFault, OSError, ImportError)):
+        return True
+    # No sqlite3.Error can exist before sqlite3 is imported, so a process
+    # that never ran the SQL engine need not import it to answer.
+    sqlite3 = sys.modules.get("sqlite3")
+    if sqlite3 is not None and isinstance(error, sqlite3.Error):
         return True
     # The generic EngineError covers mapped sqlite operational failures;
     # its semantic subclasses were already rejected above.

@@ -30,13 +30,17 @@ a ``Retry-After`` header.  Framing errors close the connection, so that
 bytes after them are never read as another request: a bad request line
 or header block, and a body that is too long, has a malformed
 ``Content-Length`` or comes with a ``Transfer-Encoding`` header (400: only
-Content-Length bodies are read).
+Content-Length bodies are read).  A ``Content-Length`` is ASCII digits
+only, repeats of it must agree, and a header line is a name, a colon and
+a value, with no whitespace before the colon (RFC 9112 §§5, 6.3):
+anything else is a 400.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from typing import Any
 
 from .service import (
@@ -51,6 +55,10 @@ from .service import (
 #: client input (64 KiB of headers, 1 MiB of body).
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 1024 * 1024
+
+#: RFC 9112 §6.3: Content-Length is ``1*DIGIT``.  ``int()`` would also take
+#: a sign, underscores and other scripts' digits, and ``str.isdigit`` ``²``.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -239,8 +247,15 @@ class CompileServer:
                 raise _HttpError(413, "headers too large")
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip().lower()
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or name != name.strip():
+                # RFC 9112 §5: a header line is name ":" value, with no
+                # whitespace before the colon (§5.1) and no fold (§5.2).
+                raise _HttpError(400, "malformed header line")
+            name, value = name.lower(), value.strip().lower()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HttpError(400, "conflicting Content-Length headers")
+            headers[name] = value
         return method, path, headers
 
     async def _read_body(
@@ -248,12 +263,14 @@ class CompileServer:
     ) -> bytes:
         if "transfer-encoding" in headers:
             raise _HttpError(400, "only Content-Length bodies are supported")
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
+        digits = headers.get("content-length", "0")
+        if not _CONTENT_LENGTH.fullmatch(digits):
+            raise _HttpError(400, "malformed Content-Length")
+        # Without leading zeros, so that int() never meets its digit limit.
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        length = int(digits)
         return await reader.readexactly(length) if length else b""
 
     # ------------------------------------------------------------------ #

@@ -23,6 +23,11 @@ from typing import Union
 class TokenType(enum.Enum):
     """Kinds of lexical tokens recognised by the lexer."""
 
+    # Members are singletons and compare by identity, so the C-level
+    # identity hash is consistent with equality; Enum's own hashes the
+    # member name in Python, once per token of every parse-cache key.
+    __hash__ = object.__hash__
+
     KEYWORD = "keyword"
     IDENTIFIER = "identifier"
     NUMBER = "number"

@@ -416,8 +416,29 @@ def test_oversized_request_or_header_line_is_413_and_the_server_serves_on():
         ("Content-Length: 2000000", 413),
         ("Content-Length: abc", 400),
         ("Transfer-Encoding: chunked", 400),
+        # int(), or keeping the last of two headers, reads 19 (the body's
+        # true length) from each of these but the superscript, which
+        # str.isdigit() takes.  Only ASCII digits frame a body (RFC 9112
+        # §6.3), and a header name ends at its colon (§5).
+        ("Content-Length: +19", 400),
+        ("Content-Length: 1_9", 400),
+        ("Content-Length: 1\xb9", 400),
+        ("Content-Length: 5\r\nContent-Length: 19", 400),
+        ("Content-Length : 19", 400),
+        # Read as no header at all, so the body would be the next request.
+        ("Content-Length 19", 400),
     ],
-    ids=["too-long", "malformed-length", "chunked"],
+    ids=[
+        "too-long",
+        "malformed-length",
+        "chunked",
+        "signed-length",
+        "underscored-length",
+        "superscript-length",
+        "conflicting-lengths",
+        "space-before-colon",
+        "no-colon",
+    ],
 )
 def test_a_body_framing_error_closes_the_connection(framing, status):
     # A GET /stats sent after the bad body must not be answered: with the
@@ -427,7 +448,7 @@ def test_a_body_framing_error_closes_the_connection(framing, status):
     if framing.startswith("Transfer-Encoding"):
         body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
     request = (
-        f"POST /compile HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n".encode("ascii")
+        f"POST /compile HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n".encode("latin-1")
         + body
         + smuggled
     )
